@@ -46,7 +46,7 @@ from .linalg import (
     operator_norm,
     rank_one_completion,
 )
-from .mixedchar import MAX_INDICES, SubsetTable, popcounts, subset_products
+from .mixedchar import MAX_INDICES, SubsetTable, _ranked_mobius_collapse, popcounts, subset_products
 from .polynomials import RealPolynomial
 
 MAX_LIFTED_DIM = 48
@@ -166,13 +166,6 @@ def _rank_product(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     for j in range(n + 1):
         H[j] = np.einsum("is,is->s", A[: j + 1], B[j::-1])
     return H
-
-
-def _ranked_mobius_collapse(R: np.ndarray, n: int, pc: np.ndarray) -> np.ndarray:
-    for b in range(n):
-        view = R.reshape(n + 1, 1 << (n - b - 1), 2, 1 << b)
-        view[:, :, 1, :] -= view[:, :, 0, :]
-    return R[pc, np.arange(1 << n)]
 
 
 def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:

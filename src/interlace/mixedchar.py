@@ -12,15 +12,19 @@ every evaluation in this module is a weighted sum over the scalar table
 {c_S}.  The quadratic variant applies prod_i (1 - d/dz_i d/dw_i) to a
 product of two such determinants and expands over pairs of subsets.
 
-The table is the dominant cost and is computed once per ensemble; signs,
-scalar multiples and operator coefficients enter only through per-subset
-weights, since c_S is multilinear in the matrix arguments.
+The table is built once per ensemble by polarization: c_S is the
+squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
+
+    c_S = sum_{U subset S} (-1)^(|S|-|U|) e_{|S|}(sum_{i in U} A_i).
+
+One batched eigensolve over the subset sums, the elementary-symmetric
+recurrence on their eigenvalues and one ranked Moebius pass give every c_S.
+Signs, scalar multiples and operator coefficients enter only through
+per-subset weights, since c_S is multilinear in the matrix arguments.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +35,6 @@ from .polynomials import RealPolynomial
 
 MAX_INDICES = 14
 MAX_DIM = 10
-
-# Batched determinant chunk size (number of k x k matrices per np call).
-_DET_CHUNK = 200_000
 
 
 def popcounts(n: int) -> np.ndarray:
@@ -55,25 +56,12 @@ def subset_products(weights) -> np.ndarray:
     return out
 
 
-def _mixed_coefficient(stack: np.ndarray, d: int, k: int) -> float:
-    """Sum over column subsets T (|T| = k) and bijections of det minors.
-
-    ``stack`` holds the k matrices A_i, i in S, in index order.  The value is
-    the coefficient of prod_{i in S} z_i in det(sum z_i A_i restricted to T)
-    summed over T, i.e. c_S without the x power.
-    """
-    combos = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp)
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    rows = combos[:, None, :, None]
-    cols = combos[:, None, None, :]
-    total = 0.0
-    chunk = max(1, _DET_CHUNK // (len(combos) * k * k))
-    for start in range(0, len(perms), chunk):
-        P = perms[start : start + chunk]
-        mats = stack[P[None, :, None, :], rows, cols]
-        dets = np.linalg.det(mats)
-        total += math.fsum(dets.real.ravel().tolist())
-    return total
+def _ranked_mobius_collapse(R: np.ndarray, n: int, pc: np.ndarray) -> np.ndarray:
+    """In-place Moebius transform of every rank row of R; row pc[S] at mask S."""
+    for b in range(n):
+        view = R.reshape(len(R), 1 << (n - b - 1), 2, 1 << b)
+        view[:, :, 1, :] -= view[:, :, 0, :]
+    return R[pc, np.arange(1 << n)]
 
 
 @dataclass(frozen=True)
@@ -99,16 +87,30 @@ class SubsetTable:
                 f"fast path limited to {MAX_INDICES} indices and dim {MAX_DIM}; "
                 f"got n={n}, d={dim}"
             )
-        A = np.stack(mats)
         sizes = popcounts(n)
-        coeffs = np.zeros(1 << n)
-        coeffs[0] = 1.0
-        for k in range(1, min(n, dim) + 1):
-            for S in itertools.combinations(range(n), k):
-                mask = 0
-                for i in S:
-                    mask |= 1 << i
-                coeffs[mask] = _mixed_coefficient(A[list(S)], dim, k)
+        top = min(n, dim)
+        # Only subsets U with |U| <= d enter an alternating sum that the
+        # table reads.  Their sums are formed by doubling, each from the sum
+        # without its highest index, and freed once the eigenvalues are taken.
+        A = np.stack(mats)
+        keep = np.flatnonzero(sizes <= top)
+        sums = np.zeros((len(keep),) + A.shape[1:], dtype=A.dtype)
+        for i in range(n):
+            lo, hi = np.searchsorted(keep, (1 << i, 2 << i))
+            parents = np.searchsorted(keep, keep[lo:hi] - (1 << i))
+            np.add(sums[parents], A[i], out=sums[lo:hi])
+        lam = np.linalg.eigvalsh(sums)
+        del sums
+        # E[k, U] = e_k(eigenvalues of sum_{i in U} A_i) for k <= min(n, d);
+        # the table reads rank |S| at S, and c_S = 0 for |S| > d.
+        low = np.zeros((top + 1, len(keep)))
+        low[0] = 1.0
+        for j, col in enumerate(lam.T):
+            for k in range(min(j + 1, top), 0, -1):
+                low[k] += col * low[k - 1]
+        E = np.zeros((top + 1, 1 << n))
+        E[:, keep] = low
+        coeffs = np.where(sizes <= top, _ranked_mobius_collapse(E, n, np.minimum(sizes, top)), 0.0)
         return cls(dim=dim, n=n, coeffs=coeffs, sizes=sizes)
 
 

@@ -53,6 +53,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    worst: float = math.nan
 
 
 def _result(name: str, worst: float, limit: float, extra: str = "") -> CheckResult:
@@ -60,7 +61,7 @@ def _result(name: str, worst: float, limit: float, extra: str = "") -> CheckResu
     detail = f"worst {worst:.3e} vs limit {limit:.3e}"
     if extra:
         detail += f" ({extra})"
-    return CheckResult(name, ok, detail)
+    return CheckResult(name, ok, detail, float(worst))
 
 
 def _coeff_gap(p: RealPolynomial, q: RealPolynomial) -> float:
@@ -389,7 +390,8 @@ def reversed_slot_monotonicity(seed: int = 0, count: int = 100) -> CheckResult:
         )
         if mB - mA > worst:
             worst = mB - mA
-            example = f"instance {it}: maxroot rose {mA:.6g} -> {mB:.6g}"
+            moved = "rose" if mB > mA else "fell"
+            example = f"instance {it}: maxroot {moved} {mA:.6g} -> {mB:.6g}"
     return _result("reversed-slot-monotonicity", worst, TOL_ROOT, example)
 
 

@@ -9,7 +9,6 @@ criterion is expected to pass.
 """
 
 import math
-import re
 import time
 
 import numpy as np
@@ -128,11 +127,6 @@ def test_criterion_09_structural_suite():
     _report(9, "structural identities and norm bounds on 100+ instances", results, dt + dt2, 300)
 
 
-def _worst(res: CheckResult) -> float:
-    """Worst observed value, read back from a suite result's detail line."""
-    return float(re.match(r"worst (\S+)", res.detail).group(1))
-
-
 def test_criterion_09_reversed_slot_monotonicity():
     """The reversed inequality on a negated slot is refuted.
 
@@ -159,7 +153,7 @@ def test_criterion_09_reversed_slot_monotonicity():
         root = maxroot_certified(fast, rootedness_tol=TOL_ROOTED)
         checks.append(CheckResult(f"counterexample-{label}-maxroot", abs(root - want_root) <= TOL_ROOT, f"{root:.10g}"))
     res = reversed_slot_monotonicity(seed=SEED, count=100)
-    checks.append(CheckResult("seeded-search-finds-violation", not res.passed and _worst(res) >= 1e-3, res.detail))
+    checks.append(CheckResult("seeded-search-finds-violation", not res.passed and res.worst >= 1e-3, res.detail))
     _report(9, "reversed-slot max-root monotonicity refuted", checks, time.perf_counter() - t0, 300)
 
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import (
     DerivativeSpec,
@@ -14,6 +18,7 @@ from interlace import (
     truncated_ring_oracle,
 )
 from interlace.generate import random_psd
+from interlace.mixedchar import _ring_determinant, popcounts, subset_products
 
 
 def diag(*vals):
@@ -112,6 +117,109 @@ def test_oracle_guards():
 def test_fast_path_guard():
     with pytest.raises(SizeGuard):
         SubsetTable.build(ensemble([np.eye(11)]))
+
+
+def _indefinite(rng, d):
+    R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (R + R.conj().T) / 2
+
+
+def _singular(rng, d):
+    """PSD of rank d - 1 (the zero matrix when d = 1)."""
+    V = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
+    return V @ V.conj().T
+
+
+def _rank_one(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return np.outer(v, v.conj())
+
+
+def _error_scale(mats) -> np.ndarray:
+    """Per mask S: (sum_{i in S} ||A_i||_*)^|S|.
+
+    Every e_|S| value in the alternating sum for c_S is at most this (in
+    nuclear norm), so it sets the size of the rounding error in c_S.
+    """
+    n = len(mats)
+    nuc = np.array([np.abs(np.linalg.eigvalsh(M)).sum() for M in mats])
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return (bits @ nuc) ** bits.sum(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "singular", "rank-one", "mixed"])
+def test_table_matches_ring_oracle_terms(kind):
+    # The coefficient of z^S in the oracle's det(xI + sum z_i A_i) is
+    # c_S x^(d - |S|); masks with no oracle term have c_S = 0.
+    makers = {"indefinite": _indefinite, "singular": _singular, "rank-one": _rank_one}
+    rng = np.random.default_rng(11)
+    for d, n in itertools.product(range(1, 5), range(1, 5)):
+        pick = list(makers.values()) if kind == "mixed" else [makers[kind]]
+        mats = [pick[int(rng.integers(len(pick)))](rng, d) for _ in range(n)]
+        table = SubsetTable.build(mats)
+        want = np.zeros(1 << n, dtype=np.complex128)
+        for mask, poly in _ring_determinant(mats, d, 0).terms.items():
+            k = bin(mask).count("1")
+            if len(poly) > d - k:
+                want[mask] = poly[d - k]
+        scale = _error_scale(mats)
+        assert np.max(np.abs(want.imag)) <= 1e-12 * np.max(scale)
+        gap = np.abs(table.coeffs - want.real)
+        assert np.all(gap <= 1e-12 * scale), (d, n, float(np.max(gap)))
+
+
+@pytest.mark.parametrize("d, n", [(7, 9), (10, 14)])
+def test_table_matches_cauchy_binet_for_rank_one(d, n):
+    # With A_i = v_i v_i^*, c_S = det(V_S V_S^*) (Cauchy-Binet), and
+    # Hadamard's bound prod_{i in S} |v_i|^2 caps it.
+    rng = np.random.default_rng(5)
+    V = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) * rng.uniform(0.3, 3.0, (n, 1))
+    table = SubsetTable.build([np.outer(v, v.conj()) for v in V])
+    sizes = popcounts(n)
+    want = np.zeros(1 << n)
+    want[0] = 1.0
+    for k in range(1, d + 1):
+        masks = np.flatnonzero(sizes == k)
+        rows = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
+        VS = V[rows]
+        want[masks] = np.linalg.det(VS @ VS.conj().swapaxes(1, 2)).real
+    hadamard = subset_products(np.linalg.norm(V, axis=1) ** 2)
+    gap = np.abs(table.coeffs - want)
+    assert np.all(gap <= 1e-12 * hadamard), float(np.max(gap / hadamard))
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 5), (3, 6), (4, 7)])
+def test_table_empty_set_and_oversize_subsets(d, n):
+    rng = np.random.default_rng(d)
+    table = SubsetTable.build([_indefinite(rng, d) for _ in range(n)])
+    assert table.coeffs[0] == 1.0
+    assert np.all(table.coeffs[table.sizes > d] == 0.0)
+    assert np.all(table.coeffs[table.sizes <= d] != 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    j=st.integers(0, 5),
+    alpha=st.floats(-4.0, 4.0, allow_nan=False),
+)
+def test_table_scaling_one_matrix_scales_its_masks(d, n, seed, j, alpha):
+    # c_S is multilinear: scaling A_j by alpha scales c_S by alpha when
+    # j is in S and leaves every other entry, bit for bit, as it was.
+    j %= n
+    rng = np.random.default_rng(seed)
+    mats = [_indefinite(rng, d) for _ in range(n)]
+    base = SubsetTable.build(mats).coeffs
+    scaled_mats = list(mats)
+    scaled_mats[j] = alpha * mats[j]
+    scaled = SubsetTable.build(scaled_mats).coeffs
+    has_j = (np.arange(1 << n) >> j) & 1 == 1
+    np.testing.assert_array_equal(scaled[~has_j], base[~has_j])
+    scale = np.maximum(_error_scale(mats), _error_scale(scaled_mats))
+    gap = np.abs(scaled - alpha * base)[has_j]
+    assert np.all(gap <= 1e-12 * scale[has_j]), float(np.max(gap))
 
 
 def test_oracle_equivalence_complex_hermitian():
