@@ -18,7 +18,8 @@ import numpy as np
 from .errors import NotPSD, NotRealRooted, ValueNotInSupport
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, make_hermitian
 from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
-from .polynomials import RealPolynomial, maxroot_certified, root_report
+# root_report is unused here but kept for perfbench's tracer, which hooks this namespace.
+from .polynomials import RealPolynomial, maxroot_certified, root_report  # noqa: F401
 
 MAXROOT_TOL = 1e-10
 TIE_TOL = 1e-9
@@ -130,13 +131,12 @@ def conditional_spec_quadratic(
 def _certified_maxroot(
     poly: RealPolynomial, context: str, rootedness_tol: float, maxroot_tol: float
 ) -> float:
-    report = root_report(poly, rootedness_tol)
-    if not report.real_rooted:
+    try:
+        return maxroot_certified(poly, maxroot_tol, rootedness_tol)
+    except NotRealRooted as exc:
         raise NotRealRooted(
-            f"{context}: expected polynomial not real-rooted "
-            f"(residual {report.max_imag_residual:.3e}); aborting descent"
-        )
-    return maxroot_certified(poly, maxroot_tol, rootedness_tol)
+            f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
+        ) from exc
 
 
 def _run_descent(

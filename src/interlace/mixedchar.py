@@ -9,8 +9,10 @@ part of the determinant matters.  Writing
            = c_S * x^(d - |S|),
 
 every evaluation in this module is a weighted sum over the scalar table
-{c_S}.  The quadratic variant applies prod_i (1 - d/dz_i d/dw_i) to a
-product of two such determinants and expands over pairs of subsets.
+{c_S}.  The product variant applies prod_i (1 + a_i d/dz_i + b_i d/dw_i +
+c_i d/dz_i d/dw_i) to a product of two such determinants.  Its weight on a
+subset pair (S, T) factors over indices into 2x2 kernels, so one Kronecker
+pass per index over the rank-graded table replaces the sum over pairs.
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -201,32 +203,28 @@ def expected_product_poly(
 
         sum_{S,T} (prod_{S&T} c_i)(prod_{S\\T} a_i)(prod_{T\\S} b_i) D_S D_T,
 
-    monic of degree 2d.  Subsets are enumerated in sorted mask order so the
-    accumulation is reproducible.
+    monic of degree 2d.  The pair weight is the Kronecker product of the
+    per-index kernels K_i = [[1, b_i], [a_i, c_i]] (row: i in S, column:
+    i in T).  One pass per index applies K_i along bit i of the rank-graded
+    table V[|T|, T] = c_T, giving V[k, S] = sum_{|T|=k} K[S, T] c_T; the
+    polynomial is then sum_{S,k} c_S V[k, S] x^(2d-|S|-k).  O(n 2^n d).
     """
     table = _require_table(E, table)
     if len(spec) != len(E):
         raise ValueError(f"spec length {len(spec)} != ensemble size {len(E)}")
     n, d = table.n, table.dim
-    full = (1 << n) - 1
-    wa = subset_products(spec.a)
-    wb = subset_products(spec.b)
-    wc = subset_products(spec.c)
-    c = table.coeffs
-    sizes = table.sizes
-    T = np.arange(1 << n)
+    top = min(n, d)
+    c, sizes = table.coeffs, table.sizes
+    V = np.zeros((top + 1, 1 << n))
+    V[np.minimum(sizes, top), np.arange(1 << n)] = c
+    for i, (ai, bi, ci) in enumerate(zip(spec.a, spec.b, spec.c)):
+        view = V.reshape(top + 1, 1 << (n - i - 1), 2, 1 << i)
+        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+        lo[...], hi[...] = lo + bi * hi, ai * lo + ci * hi
+    ranks = sizes + np.arange(top + 1)[:, None]
+    sums = np.bincount(ranks.ravel(), weights=(c * V).ravel(), minlength=2 * top + 1)
     out = np.zeros(2 * d + 1)
-    for S in np.nonzero(c)[0]:
-        kS = int(sizes[S])
-        if kS > d:
-            continue
-        notS = full ^ int(S)
-        vals = wc[T & S] * wa[np.bitwise_and(S, np.bitwise_xor(T, full))]
-        vals *= wb[T & notS] * c
-        by_size = np.bincount(sizes, weights=vals * c[S], minlength=n + 1)
-        for kT in range(min(n, d) + 1):
-            if by_size[kT] != 0.0:
-                out[2 * d - kS - kT] += by_size[kT]
+    out[2 * (d - top) :] = sums[2 * top :: -1]
     return RealPolynomial.from_coeffs(out)
 
 

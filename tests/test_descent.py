@@ -123,10 +123,12 @@ def test_descent_aborts_on_non_real_rooted_branch():
     from interlace.descent import _run_descent
 
     bad = RealPolynomial.from_coeffs([2.0, 0.0, 1.0])  # roots +-i sqrt(2)
-    with pytest.raises(NotRealRooted):
-        _run_descent(
-            num_levels=1,
-            root_poly=lambda: bad,
-            candidates=lambda k: [0],
-            branch_poly=lambda k, fixed, c: bad,
-        )
+    good = RealPolynomial.from_coeffs([-1.0, 0.0, 1.0])
+    for root, context in ((bad, "root"), (good, "level 0, branch 0")):
+        with pytest.raises(NotRealRooted, match=rf"^{context}: .*residual .*; aborting descent$"):
+            _run_descent(
+                num_levels=1,
+                root_poly=lambda: root,
+                candidates=lambda k: [0],
+                branch_poly=lambda k, fixed, c: bad,
+            )

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,20 @@ def test_solve_kls_multivalued_raw_path():
     assert res_raw.achieved <= res_raw.bound + 1e-7
     assert res_red.achieved <= res_red.bound + 1e-7
     assert res_red.sigma <= res_raw.sigma + 1e-12
+
+
+def test_solve_kls_at_guard_limit_is_fast():
+    # d = 10, n = 14 is the largest instance the fast path accepts.  A whole
+    # solve takes under a second with O(n 2^n d) assembly; an O(4^n)
+    # assembly takes over a minute, so the 20 s ceiling catches it.
+    rng = np.random.default_rng(14)
+    mats = [random_psd(rng, 10) for _ in range(14)]
+    t0 = time.perf_counter()
+    res = solve_kls(inst(mats, [FD.fair_signs()] * 14))
+    elapsed = time.perf_counter() - t0
+    assert res.achieved <= res.bound + 1e-7
+    assert res.certificate.monotone_within(1e-7)
+    assert elapsed < 20.0, elapsed
 
 
 def test_solve_hermitian_psd_reduces_to_kls():

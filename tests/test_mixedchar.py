@@ -17,6 +17,7 @@ from interlace import (
     subset_derivative,
     truncated_ring_oracle,
 )
+from interlace.descent import FiniteDistribution, conditional_spec_quadratic
 from interlace.generate import random_psd
 from interlace.mixedchar import _ring_determinant, popcounts, subset_products
 
@@ -220,6 +221,146 @@ def test_table_scaling_one_matrix_scales_its_masks(d, n, seed, j, alpha):
     scale = np.maximum(_error_scale(mats), _error_scale(scaled_mats))
     gap = np.abs(scaled - alpha * base)[has_j]
     assert np.all(gap <= 1e-12 * scale[has_j]), float(np.max(gap))
+
+
+def _pair_loop(coeffs, n, d, spec):
+    """The product operator by a plain double loop over mask pairs (S, T).
+
+    Returns the ascending coefficients and, per coefficient, the sum of the
+    absolute values of its terms.  That sum, times a small multiple of the
+    unit roundoff, bounds the rounding error of this loop and of the
+    Kronecker pass, so tolerances are set relative to it.
+    """
+    want = np.zeros(2 * d + 1)
+    absum = np.zeros(2 * d + 1)
+    nonzero = [S for S in range(1 << n) if coeffs[S] != 0.0]
+    for S in nonzero:
+        for T in nonzero:
+            term = coeffs[S] * coeffs[T]
+            for i in range(n):
+                in_s, in_t = (S >> i) & 1, (T >> i) & 1
+                if in_s and in_t:
+                    term *= spec.c[i]
+                elif in_s:
+                    term *= spec.a[i]
+                elif in_t:
+                    term *= spec.b[i]
+            k = 2 * d - bin(S).count("1") - bin(T).count("1")
+            want[k] += term
+            absum[k] += abs(term)
+    return want, absum
+
+
+def _ascending(by_rank, d):
+    """Entry j of by_rank belongs to x^(2d - j); return ascending coefficients."""
+    out = np.zeros(2 * d + 1)
+    k = min(len(by_rank), 2 * d + 1)
+    out[2 * d - np.arange(k)] = by_rank[:k]
+    return out
+
+
+def _product_scale(table, d, weights):
+    """Per coefficient: sum over |S| + |T| = j of |c_S||c_T| prod_{S}w prod_{T}w.
+
+    With w_i bounding |a_i|, |b_i| and |c_i| and w_i >= 1 this caps the sum
+    of absolute pair terms, which scales the rounding error.
+    """
+    u = np.bincount(table.sizes, weights=np.abs(table.coeffs) * subset_products(weights))
+    return _ascending(np.convolve(u, u), d)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_expected_product_matches_pair_loop(d):
+    # n runs below and above d; specs are general, have zero entries, or
+    # come from a distribution (-mu, mu, -E xi^2).
+    rng = np.random.default_rng(20 + d)
+    for n in range(1, 7):
+        E = ensemble([_indefinite(rng, d) for _ in range(n)], tol=np.inf)
+        table = SubsetTable.build(E)
+        general = rng.standard_normal((3, n))
+        sparse = general * (rng.random((3, n)) < 0.6)
+        mu, m2 = rng.uniform(-1, 1, n), rng.uniform(1, 2, n)
+        for a, b, c in (general, sparse, (-mu, mu, -m2)):
+            spec = DerivativeSpec(tuple(a), tuple(b), tuple(c))
+            got = np.array(expected_product_poly(E, spec, table).coeffs)
+            want, absum = _pair_loop(table.coeffs, n, d, spec)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * absum), (d, n, got - want)
+
+
+@pytest.mark.parametrize("d, n", [(4, 12), (7, 9), (10, 14)])
+def test_expected_product_all_fixed_is_two_sided_product(d, n):
+    # Every index fixed to s_i, spec (-s_i, s_i, -s_i^2): the operator
+    # factors into mu[s A](x) mu[-s A](x).
+    rng = np.random.default_rng(d * n)
+    E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
+    table = SubsetTable.build(E)
+    s = rng.uniform(-1.5, 1.5, n)
+    got = np.array(expected_product_poly(E, DerivativeSpec(tuple(-s), tuple(s), tuple(-s * s)), table).coeffs)
+    want = np.array((mixed_char_poly(E, s, table) * mixed_char_poly(E, -s, table)).coeffs)
+    scale = _product_scale(table, d, np.maximum(np.abs(s), 1.0))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), float(np.max(np.abs(got - want) / scale))
+
+
+def test_quadratic_mixed_char_poly_is_signed_sum_of_squares_at_guard_limit():
+    # Spec (0, 0, -1) keeps only the pairs S = T:
+    # sum_S (-1)^|S| c_S^2 x^(2(d - |S|)).
+    d, n = 10, 14
+    rng = np.random.default_rng(9)
+    E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
+    table = SubsetTable.build(E)
+    got = np.array(quadratic_mixed_char_poly(E, table).coeffs)
+    squares = np.bincount(table.sizes, weights=table.coeffs**2)
+    signed, absum = np.zeros(2 * len(squares) - 1), np.zeros(2 * len(squares) - 1)
+    signed[::2] = (-1.0) ** np.arange(len(squares)) * squares
+    absum[::2] = squares
+    want, scale = _ascending(signed, d), _ascending(absum, d)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), float(np.max(np.abs(got - want) / scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    i=st.integers(0, 5),
+    fixed_bits=st.integers(0, 63),
+)
+def test_free_index_is_mixture_of_its_children(d, n, seed, i, fixed_bits):
+    # The descent relies on this: with index i free, the conditional
+    # polynomial is the probability mixture of the polynomials with i fixed
+    # to each support value.
+    i %= n
+    rng = np.random.default_rng(seed)
+    E = ensemble([_indefinite(rng, d) for _ in range(n)], tol=np.inf)
+    table = SubsetTable.build(E)
+    dists = []
+    for _ in range(n):
+        k = int(rng.integers(1, 4))
+        dists.append(FiniteDistribution.make(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k))))
+    fixed = {
+        j: dists[j].support()[int(rng.integers(len(dists[j].support())))]
+        for j in range(n)
+        if j != i and (fixed_bits >> j) & 1
+    }
+
+    def poly(assignment):
+        spec = conditional_spec_quadratic(dists, assignment)
+        return np.array(expected_product_poly(E, spec, table).coeffs)
+
+    parent = poly(fixed)
+    mixture = sum(p * poly({**fixed, i: v}) for v, p in zip(dists[i].values, dists[i].probs))
+    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
+    scale = _product_scale(table, d, bound)
+    assert np.all(np.abs(parent - mixture) <= 1e-12 * scale), float(np.max(np.abs(parent - mixture) / scale))
+
+
+def test_expected_product_rejects_spec_of_wrong_length():
+    E = ensemble([diag(1.0), diag(2.0)])
+    for m in (1, 3):
+        spec = DerivativeSpec((0.0,) * m, (0.0,) * m, (-1.0,) * m)
+        with pytest.raises(ValueError, match="spec length"):
+            expected_product_poly(E, spec)
 
 
 def test_oracle_equivalence_complex_hermitian():
