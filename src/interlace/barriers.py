@@ -17,6 +17,7 @@ from .linalg import (
     PSD_SLACK,
     MatrixEnsemble,
     eigenvalues,
+    ensemble as as_ensemble,
     is_psd,
     make_hermitian,
 )
@@ -34,7 +35,7 @@ class BarrierPoint:
 
     @classmethod
     def make(cls, ensemble, x: float, shifts=None) -> "BarrierPoint":
-        ens = ensemble if isinstance(ensemble, MatrixEnsemble) else MatrixEnsemble.from_arrays(ensemble)
+        ens = as_ensemble(ensemble)
         for k, H in enumerate(ens):
             if not is_psd(H):
                 raise NotPSD(f"barrier pencils require PSD matrices (index {k})")
@@ -139,7 +140,7 @@ def qx_certificate(ensemble) -> QxCertificate:
     barrier value of the identified product pencil at the corner is at most
     tr(B_j); (c) the iterated shift condition Phi/delta_j + Phi^2/2 <= 1.
     """
-    ens = ensemble if isinstance(ensemble, MatrixEnsemble) else MatrixEnsemble.from_arrays(ensemble)
+    ens = as_ensemble(ensemble)
     d = ens.dim
     traces = ens.traces()
     weighted = np.zeros((d, d), dtype=np.complex128)

@@ -15,13 +15,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .descent import FiniteDistribution
 from .discrepancy import DiscrepancyInstance, solve_hermitian, solve_kls
 from .errors import InterlaceError
-from .files import EnsembleFile, parse_ensemble, serialize_ensemble
+from .files import parse_ensemble, serialize_ensemble
 from .generate import gen_instance
-from .linalg import MatrixEnsemble, ensemble_stats, make_hermitian, operator_norm
+from .linalg import ensemble_stats, make_hermitian, operator_norm, weighted_sum
 from .lyapunov import (
+    RESULT_SLACK,
     LyapunovInstance,
     ks_r_partition,
     lyapunov_select,
@@ -30,8 +30,6 @@ from .lyapunov import (
 from .mixedchar import mixed_char_poly, quadratic_mixed_char_poly
 from .polynomials import maxroot_certified, root_report
 from .verification import SUITES, run_suites
-
-RESULT_SLACK = 1e-7
 
 
 def _fail_line(name: str, lhs: float, rhs: float) -> str:
@@ -68,16 +66,12 @@ class _Report:
         return 2 if self.failures else 0
 
 
-def _load(path: str) -> EnsembleFile:
-    return parse_ensemble(path)
-
-
 def _fmt_poly(coeffs) -> str:
     return "[" + ", ".join(f"{c:.12g}" for c in coeffs) + "]"
 
 
 def cmd_mcp_eval(args) -> int:
-    ef = _load(args.input)
+    ef = parse_ensemble(args.input)
     ens = ef.ensemble()
     rep = _Report("mcp-eval")
     rep.set("dim", ens.dim)
@@ -105,14 +99,10 @@ def cmd_mcp_eval(args) -> int:
     return rep.finish(args.json)
 
 
-def _parse_dists(ef: EnsembleFile) -> list[FiniteDistribution]:
-    return ef.finite_distributions()
-
-
 def cmd_discrepancy(args) -> int:
-    ef = _load(args.input)
+    ef = parse_ensemble(args.input)
     ens = ef.ensemble()
-    dists = _parse_dists(ef)
+    dists = ef.finite_distributions()
     inst = DiscrepancyInstance(ens, tuple(dists))
     rep = _Report("discrepancy", seed=args.seed)
     res = solve_kls(inst, reduce=not args.no_reduce)
@@ -150,25 +140,21 @@ def cmd_discrepancy(args) -> int:
     return rep.finish(args.json)
 
 
-def _norm_of_outcome(ens: MatrixEnsemble, dists, outcome) -> float:
-    total = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
-    for H, dd, s in zip(ens, dists, outcome):
-        total = total + (s - dd.mean()) * H.entries
-    return operator_norm(make_hermitian(total, tol=np.inf))
+def _norm_of_outcome(matrices, dists, outcome) -> float:
+    return operator_norm(weighted_sum(matrices, [s - dd.mean() for dd, s in zip(dists, outcome)]))
 
 
 def cmd_hermitian(args) -> int:
-    ef = _load(args.input)
+    ef = parse_ensemble(args.input)
     mats = [make_hermitian(M) for M in ef.matrices]
-    dists = _parse_dists(ef)
+    dists = ef.finite_distributions()
     rep = _Report("hermitian")
     res = solve_hermitian(mats, dists, reduce=not args.no_reduce)
     rep.set("dim", mats[0].dim)
     rep.set("count", len(mats))
     rep.set("sigma", res.sigma)
     rep.set("outcome", list(res.outcome))
-    ens = MatrixEnsemble(tuple(mats))
-    achieved = _norm_of_outcome(ens, dists, res.outcome)
+    achieved = _norm_of_outcome(mats, dists, res.outcome)
     rep.set("achieved_recomputed", achieved)
     rep.set("bound", res.bound)
     rep.set("certificate_maxroots", _fmt_poly(res.certificate.maxroots))
@@ -177,7 +163,7 @@ def cmd_hermitian(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    ef = _load(args.input)
+    ef = parse_ensemble(args.input)
     ens = ef.ensemble()
     if ef.weights is None:
         raise InterlaceError("lyapunov requires a weights section")
@@ -189,10 +175,9 @@ def cmd_lyapunov(args) -> int:
     rep.set("epsilon_max_trace", inst.epsilon)
     rep.set("sigma", sel.solver.sigma)
     rep.set("selected_indices", list(sel.indices))
-    total = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
-    for i, (H, t) in enumerate(zip(ens, inst.weights)):
-        total = total + ((1.0 if i in sel.indices else 0.0) - t) * H.entries
-    achieved = operator_norm(make_hermitian(total, tol=np.inf))
+    achieved = operator_norm(
+        weighted_sum(ens, [float(i in sel.indices) - t for i, t in enumerate(inst.weights)])
+    )
     rep.set("achieved_recomputed", achieved)
     rep.set("bound_two_sqrt_eps", sel.bound)
     rep.check("achieved <= 2 sqrt(eps)", achieved, sel.bound + RESULT_SLACK)
@@ -200,7 +185,7 @@ def cmd_lyapunov(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    ef = _load(args.input)
+    ef = parse_ensemble(args.input)
     ens = ef.ensemble()
     props = ef.proportions if args.proportions is None else [
         float(x) for x in args.proportions.split(",")
@@ -218,7 +203,7 @@ def cmd_partition(args) -> int:
     two_sided = partition_two_sided_deviations(ens, res)
     for k, block in enumerate(res.blocks):
         rep.set(f"block[{k}]", list(block))
-        norm = _block_norm(ens, block)
+        norm = operator_norm(weighted_sum(ens, [float(i in block) for i in range(len(ens))]))
         rep.set(f"block[{k}]_norm", norm)
         rep.check(f"block {k} norm bound", norm, res.bounds[k] + RESULT_SLACK)
         rep.check(
@@ -229,13 +214,6 @@ def cmd_partition(args) -> int:
         rep.set(f"block[{k}]_sharper_deviation_bound", f"{sharper:.12g} (informational)")
     rep.set("certificate_maxroots", _fmt_poly(res.certificate.maxroots))
     return rep.finish(args.json)
-
-
-def _block_norm(ens: MatrixEnsemble, block) -> float:
-    total = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
-    for i in block:
-        total = total + ens[i].entries
-    return operator_norm(make_hermitian(total, tol=np.inf))
 
 
 def cmd_verify(args) -> int:

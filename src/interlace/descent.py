@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import NotPSD, NotRealRooted, ValueNotInSupport
-from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, make_hermitian
+from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
 from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
 # root_report is unused here but kept for perfbench's tracer, which hooks this namespace.
 from .polynomials import RealPolynomial, maxroot_certified, root_report  # noqa: F401
@@ -128,50 +128,39 @@ def conditional_spec_quadratic(
     return DerivativeSpec(tuple(a), tuple(b), tuple(c))
 
 
-def _certified_maxroot(
-    poly: RealPolynomial, context: str, rootedness_tol: float, maxroot_tol: float
-) -> float:
-    try:
-        return maxroot_certified(poly, maxroot_tol, rootedness_tol)
-    except NotRealRooted as exc:
-        raise NotRealRooted(
-            f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
-        ) from exc
-
-
 def _run_descent(
     num_levels: int,
     root_poly: Callable[[], RealPolynomial],
     candidates: Callable[[int], Sequence],
     branch_poly: Callable[[int, dict, object], RealPolynomial],
-    maxroot_tol: float = MAXROOT_TOL,
-    tie_tol: float = TIE_TOL,
-    rootedness_tol: float = ROOTEDNESS_TOL,
 ) -> DescentCertificate:
-    """Shared greedy loop; candidates(k) must come pre-sorted in tie order."""
-    maxroots = [
-        _certified_maxroot(root_poly(), "root", rootedness_tol, maxroot_tol)
-    ]
+    """Shared greedy loop; candidates(k) must come pre-sorted in tie order.
+
+    Every max root is certified; a polynomial that is not real-rooted
+    aborts the descent with the root or branch it came from.
+    """
+    context = "root"
     fixed: dict = {}
-    assignment = []
     residuals = []
-    for level in range(num_levels):
-        cands = list(candidates(level))
-        best = None
-        best_root = np.inf
-        for cand in cands:
-            poly = branch_poly(level, fixed, cand)
-            r = _certified_maxroot(
-                poly, f"level {level}, branch {cand!r}", rootedness_tol, maxroot_tol
-            )
-            if r < best_root - tie_tol:
-                best, best_root = cand, r
-        fixed[level] = best
-        assignment.append(best)
-        residuals.append(max(0.0, best_root - maxroots[-1]))
-        maxroots.append(best_root)
+    try:
+        maxroots = [maxroot_certified(root_poly(), MAXROOT_TOL, ROOTEDNESS_TOL)]
+        for level in range(num_levels):
+            best = None
+            best_root = np.inf
+            for cand in candidates(level):
+                context = f"level {level}, branch {cand!r}"
+                r = maxroot_certified(branch_poly(level, fixed, cand), MAXROOT_TOL, ROOTEDNESS_TOL)
+                if r < best_root - TIE_TOL:
+                    best, best_root = cand, r
+            fixed[level] = best
+            residuals.append(max(0.0, best_root - maxroots[-1]))
+            maxroots.append(best_root)
+    except NotRealRooted as exc:
+        raise NotRealRooted(
+            f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
+        ) from exc
     return DescentCertificate(
-        assignment=tuple(assignment),
+        assignment=tuple(fixed.values()),
         maxroots=tuple(maxroots),
         residuals=tuple(residuals),
     )
@@ -181,9 +170,6 @@ def greedy_descent_quadratic(
     E: MatrixEnsemble,
     dists: Sequence[FiniteDistribution],
     table: SubsetTable | None = None,
-    maxroot_tol: float = MAXROOT_TOL,
-    tie_tol: float = TIE_TOL,
-    rootedness_tol: float = ROOTEDNESS_TOL,
 ) -> DescentCertificate:
     """Descend the product family mu[s A] * mu[-s A] over value assignments.
 
@@ -208,9 +194,6 @@ def greedy_descent_quadratic(
         root_poly=lambda: poly_for({}),
         candidates=lambda k: dists[k].support(),
         branch_poly=lambda k, fixed, v: poly_for({**fixed, k: v}),
-        maxroot_tol=maxroot_tol,
-        tie_tol=tie_tol,
-        rootedness_tol=rootedness_tol,
     )
 
 
@@ -242,21 +225,13 @@ class MatrixDistribution:
         return self.values[0].dim
 
     def mean(self) -> HermitianMatrix:
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for v, p in zip(self.values, self.probs):
-            total = total + p * v.entries
-        return make_hermitian(total, tol=np.inf)
+        return weighted_sum(self.values, self.probs)
 
     def support_indices(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)
 
 
-def greedy_descent_linear(
-    choices: Sequence[MatrixDistribution],
-    maxroot_tol: float = MAXROOT_TOL,
-    tie_tol: float = TIE_TOL,
-    rootedness_tol: float = ROOTEDNESS_TOL,
-) -> DescentCertificate:
+def greedy_descent_linear(choices: Sequence[MatrixDistribution]) -> DescentCertificate:
     """Descend mu[X_1, ..., X_m] over finite-valued random PSD matrices.
 
     Undecided indices enter through their mean matrices (conditional
@@ -288,7 +263,4 @@ def greedy_descent_linear(
         root_poly=lambda: poly_for({}),
         candidates=lambda k: choices[k].support_indices(),
         branch_poly=lambda k, fixed, idx: poly_for({**fixed, k: idx}),
-        maxroot_tol=maxroot_tol,
-        tie_tol=tie_tol,
-        rootedness_tol=rootedness_tol,
     )

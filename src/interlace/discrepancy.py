@@ -24,14 +24,13 @@ from .linalg import (
     MatrixEnsemble,
     as_hermitian,
     absolute_value,
+    ensemble as as_ensemble,
     is_psd,
     make_hermitian,
     operator_norm,
     positive_negative_parts,
+    weighted_sum,
 )
-from .mixedchar import SubsetTable
-
-RESULT_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ class DiscrepancyInstance:
 
     @classmethod
     def make(cls, matrices, dists) -> "DiscrepancyInstance":
-        ens = matrices if isinstance(matrices, MatrixEnsemble) else MatrixEnsemble.from_arrays(matrices)
-        return cls(ens, tuple(dists))
+        return cls(as_ensemble(matrices), tuple(dists))
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,14 @@ class DiscrepancyResult:
 
 def sigma_bound(inst: DiscrepancyInstance) -> float:
     """sigma = sqrt(max(max_i var tr(A_i)^2, ||sum var tr(A_i) A_i||))."""
-    d = inst.ensemble.dim
-    term1 = 0.0
-    total = np.zeros((d, d), dtype=np.complex128)
-    for H, dist in zip(inst.ensemble, inst.dists):
-        var = dist.variance()
-        tr = H.trace()
-        term1 = max(term1, var * tr * tr)
-        total = total + var * tr * H.entries
-    term2 = operator_norm(make_hermitian(total, tol=np.inf))
+    return _sigma(inst.ensemble, inst.dists)
+
+
+def _sigma(matrices: Sequence, dists: Sequence[FiniteDistribution]) -> float:
+    var = [dist.variance() for dist in dists]
+    tr = [H.trace() for H in matrices]
+    term1 = max(v * t * t for v, t in zip(var, tr))
+    term2 = operator_norm(weighted_sum(matrices, [v * t for v, t in zip(var, tr)]))
     return float(np.sqrt(max(term1, term2)))
 
 
@@ -120,18 +117,10 @@ def _degenerate_outcome(dists: Sequence[FiniteDistribution]) -> tuple[float, ...
 def _recompute_achieved(
     matrices: Sequence, dists: Sequence[FiniteDistribution], outcome: Sequence[float]
 ) -> float:
-    H0 = as_hermitian(matrices[0])
-    total = np.zeros((H0.dim, H0.dim), dtype=np.complex128)
-    for H, dist, s in zip(matrices, dists, outcome):
-        total = total + (s - dist.mean()) * as_hermitian(H).entries
-    return operator_norm(make_hermitian(total, tol=np.inf))
+    return operator_norm(weighted_sum(matrices, [s - dist.mean() for dist, s in zip(dists, outcome)]))
 
 
-def solve_kls(
-    inst: DiscrepancyInstance,
-    reduce: bool = True,
-    table: SubsetTable | None = None,
-) -> DiscrepancyResult:
+def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResult:
     """Constructive 4-sigma discrepancy for PSD ensembles.
 
     Optionally reduces every variable to two points, centers it, rescales by
@@ -156,7 +145,7 @@ def solve_kls(
         vals = tuple((v - mu) / sigma for v in dist.values)
         scaled.append(FiniteDistribution(vals, dist.probs))
         back.append({w: v for w, v in zip(vals, dist.values)})
-    cert = greedy_descent_quadratic(inst.ensemble, scaled, table=table)
+    cert = greedy_descent_quadratic(inst.ensemble, scaled)
     outcome = tuple(back[i][w] for i, w in enumerate(cert.assignment))
     achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
     return DiscrepancyResult(outcome, achieved, sigma, 4.0 * sigma, cert)
@@ -175,16 +164,8 @@ def solve_hermitian(
     dists = tuple(dists)
     if len(dists) != len(mats):
         raise ValueError("one distribution per matrix required")
+    sigma = _sigma([absolute_value(B) for B in mats], dists)
     d = mats[0].dim
-    term1 = 0.0
-    total = np.zeros((d, d), dtype=np.complex128)
-    for B, dist in zip(mats, dists):
-        var = dist.variance()
-        absB = absolute_value(B)
-        tr = absB.trace()
-        term1 = max(term1, var * tr * tr)
-        total = total + var * tr * absB.entries
-    sigma = float(np.sqrt(max(term1, operator_norm(make_hermitian(total, tol=np.inf)))))
     lifted = []
     for B in mats:
         pos, neg = positive_negative_parts(B)

@@ -6,6 +6,7 @@ order.  Serialization is canonical so identical data yields identical bytes.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -52,10 +53,17 @@ class EnsembleFile:
 def _entry_to_complex(e, where: str) -> complex:
     if not (isinstance(e, (list, tuple)) and len(e) == 2):
         raise ParseError(f"{where}: entry must be a [re, im] pair, got {e!r}")
-    re, im = e
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # bool is a subclass of int, but JSON true and false are not numbers
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e):
         raise ParseError(f"{where}: entry components must be numbers")
-    return complex(re, im)
+    try:
+        z = complex(*e)
+        finite = cmath.isfinite(z)
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise ParseError(f"{where}: entry components must be finite, got {e!r}")
+    return z
 
 
 def parse_ensemble(path: str) -> EnsembleFile:
@@ -74,7 +82,7 @@ def parse_ensemble(path: str) -> EnsembleFile:
         if key not in raw:
             raise ParseError(f"{path}: missing required key {key!r}")
     dim = raw["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{path}: dim must be a positive integer")
     mats = []
     for mi, M in enumerate(raw["matrices"]):

@@ -61,7 +61,7 @@ def make_hermitian(entries, tol: float | None = None) -> HermitianMatrix:
     if tol is None:
         tol = 1e-12 * scale
     asym = float(np.max(np.abs(M - M.conj().T)))
-    if asym > tol:
+    if not asym <= tol:  # also rejects NaN entries
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
     H = (M + M.conj().T) / 2
     H.flags.writeable = False
@@ -99,10 +99,6 @@ def operator_norm(H) -> float:
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
-def min_eigenvalue(H) -> float:
-    return float(eigenvalues(H)[0])
-
-
 def is_psd(H, slack: float | None = None) -> bool:
     """PSD test with relative slack on the most negative eigenvalue."""
     H = as_hermitian(H)
@@ -111,13 +107,6 @@ def is_psd(H, slack: float | None = None) -> bool:
     if slack is None:
         slack = PSD_SLACK * (1.0 + norm)
     return bool(w[0] >= -slack)
-
-
-def assert_psd(H, what: str = "matrix") -> HermitianMatrix:
-    H = as_hermitian(H)
-    if not is_psd(H):
-        raise NotPSD(f"{what} has eigenvalue {min_eigenvalue(H):.3e} below -slack")
-    return H
 
 
 def positive_negative_parts(H) -> tuple[HermitianMatrix, HermitianMatrix]:
@@ -223,7 +212,18 @@ class MatrixEnsemble:
 
 
 def ensemble(arrays: Iterable, tol: float | None = None) -> MatrixEnsemble:
+    """Pass through a MatrixEnsemble, or validate a sequence of matrices."""
+    if isinstance(arrays, MatrixEnsemble):
+        return arrays
     return MatrixEnsemble.from_arrays(arrays, tol)
+
+
+def weighted_sum(matrices, coeffs) -> HermitianMatrix:
+    """sum_i coeffs[i] H_i, accumulated from zero in index order."""
+    total = np.zeros((matrices[0].dim, matrices[0].dim), dtype=np.complex128)
+    for H, c in zip(matrices, coeffs):
+        total = total + c * H.entries
+    return make_hermitian(total, tol=np.inf)
 
 
 @dataclass(frozen=True)

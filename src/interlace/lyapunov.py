@@ -41,16 +41,46 @@ from .linalg import (
     PSD_SLACK,
     MatrixEnsemble,
     eigenvalues,
+    ensemble as as_ensemble,
     ensemble_stats,
     make_hermitian,
     operator_norm,
     rank_one_completion,
+    weighted_sum,
 )
-from .mixedchar import MAX_INDICES, SubsetTable, _ranked_mobius_collapse, popcounts, subset_products
+from .mixedchar import (
+    MAX_INDICES,
+    SubsetTable,
+    _graded_poly,
+    _ranked_mobius_collapse,
+    popcounts,
+    subset_products,
+)
 from .polynomials import RealPolynomial
 
 MAX_LIFTED_DIM = 48
+# Slack on every inequality re-checked on a returned result.
 RESULT_SLACK = 1e-7
+
+
+def _trace_capped(ensemble, epsilon: float | None) -> tuple[MatrixEnsemble, float]:
+    """The PSD ensemble with sum at most I, and its trace cap.
+
+    The cap is the maximum trace unless ``epsilon`` declares a larger one.
+    """
+    ens = as_ensemble(ensemble)
+    stats = ensemble_stats(ens)
+    if not stats.all_psd:
+        raise NotPSD("ensemble must be PSD")
+    if not stats.sum_leq_identity:
+        raise SumExceedsIdentity(f"||sum|| = {stats.sum_norm:.6g} exceeds 1")
+    eps = stats.epsilon if epsilon is None else float(epsilon)
+    if not stats.epsilon - 1e-12 <= eps < math.inf:  # also rejects a NaN cap
+        raise ValidationError(
+            f"declared trace cap {eps:.6g} must be finite and at least the actual maximum"
+            f" trace {stats.epsilon:.6g}"
+        )
+    return ens, eps
 
 
 @dataclass(frozen=True)
@@ -63,23 +93,14 @@ class LyapunovInstance:
 
     @classmethod
     def make(cls, matrices, weights, epsilon: float | None = None) -> "LyapunovInstance":
-        ens = matrices if isinstance(matrices, MatrixEnsemble) else MatrixEnsemble.from_arrays(matrices)
+        ens = as_ensemble(matrices)
         weights = tuple(float(t) for t in weights)
         if len(weights) != len(ens):
             raise ValueError("one weight per matrix required")
         for t in weights:
             if not 0.0 <= t <= 1.0:
                 raise WeightOutOfRange(f"weight {t} outside [0, 1]")
-        stats = ensemble_stats(ens)
-        if not stats.all_psd:
-            raise NotPSD("ensemble must be PSD")
-        if not stats.sum_leq_identity:
-            raise SumExceedsIdentity(f"||sum|| = {stats.sum_norm:.6g} exceeds 1")
-        eps = stats.epsilon if epsilon is None else float(epsilon)
-        if eps < stats.epsilon - 1e-12:
-            raise ValidationError(
-                f"declared trace cap {eps:.6g} below the actual maximum trace {stats.epsilon:.6g}"
-            )
+        ens, eps = _trace_capped(ens, epsilon)
         return cls(ens, weights, eps)
 
 
@@ -101,12 +122,9 @@ def lyapunov_select(inst: LyapunovInstance) -> SelectionResult:
     dists = tuple(FiniteDistribution.bernoulli(t) for t in inst.weights)
     res = solve_kls(DiscrepancyInstance(inst.ensemble, dists))
     chosen = tuple(i for i, s in enumerate(res.outcome) if s == 1.0)
-    d = inst.ensemble.dim
-    total = np.zeros((d, d), dtype=np.complex128)
-    for i, (H, t) in enumerate(zip(inst.ensemble, inst.weights)):
-        coef = (1.0 if i in chosen else 0.0) - t
-        total = total + coef * H.entries
-    achieved = operator_norm(make_hermitian(total, tol=np.inf))
+    achieved = operator_norm(
+        weighted_sum(inst.ensemble, [float(i in chosen) - t for i, t in enumerate(inst.weights)])
+    )
     return SelectionResult(chosen, achieved, 2.0 * math.sqrt(inst.epsilon), res)
 
 
@@ -127,7 +145,7 @@ def weighted_approx(ensemble, t: float) -> WeightedApproxResult:
     """
     if not 0.0 < t < 1.0:
         raise WeightOutOfRange(f"t = {t} outside (0, 1)")
-    ens = ensemble if isinstance(ensemble, MatrixEnsemble) else MatrixEnsemble.from_arrays(ensemble)
+    ens = as_ensemble(ensemble)
     inst = LyapunovInstance.make(ens, [t] * len(ens))
     sel = lyapunov_select(inst)
     alt = 2.0 * math.sqrt(2.0 * inst.epsilon) + 2.0 * inst.epsilon
@@ -203,7 +221,7 @@ class _BlockLiftedProblem:
             raise SizeGuard(
                 f"{self.n} indices after completion exceed the guard {MAX_INDICES}"
             )
-        self.table = SubsetTable.build(mats, dim=self.d)
+        self.table = SubsetTable.build(mats)
         self.pc = self.table.sizes
         self.signed = np.where(self.pc % 2 == 1, -self.table.coeffs, self.table.coeffs)
 
@@ -215,13 +233,7 @@ class _BlockLiftedProblem:
             for i, slot in fixed.items():
                 w[i] = 1.0 / self.t[k] if slot == k else 0.0
             tables.append(self.signed * subset_products(w))
-        h = subset_convolve(tables, self.n)
-        deg = self.r * self.d
-        sums = np.bincount(self.pc, weights=h, minlength=self.n + 1)
-        coeffs = np.zeros(deg + 1)
-        for j in range(min(self.n, deg) + 1):
-            coeffs[deg - j] = sums[j]
-        return RealPolynomial.from_coeffs(coeffs)
+        return _graded_poly(self.pc, subset_convolve(tables, self.n), self.r * self.d)
 
 
 def ks_r_partition(
@@ -233,20 +245,10 @@ def ks_r_partition(
     sum_{I_k} A_i <= t_k (sum A + (2 sqrt(r eps) + r eps) I) and the norm
     bound ||sum_{I_k} A_i|| <= t_k (1 + sqrt(r eps))^2.
     """
-    ens = ensemble if isinstance(ensemble, MatrixEnsemble) else MatrixEnsemble.from_arrays(ensemble)
     t = [float(x) for x in proportions]
     if not t or any(x <= 0 for x in t) or abs(sum(t) - 1.0) > 1e-12:
         raise BadProportions("proportions must be positive and sum to 1")
-    stats = ensemble_stats(ens)
-    if not stats.all_psd:
-        raise NotPSD("ensemble must be PSD")
-    if not stats.sum_leq_identity:
-        raise SumExceedsIdentity(f"||sum|| = {stats.sum_norm:.6g} exceeds 1")
-    eps = stats.epsilon if epsilon is None else float(epsilon)
-    if eps < stats.epsilon - 1e-12:
-        raise ValidationError(
-            f"declared trace cap {eps:.6g} below the actual maximum trace {stats.epsilon:.6g}"
-        )
+    ens, eps = _trace_capped(ensemble, epsilon)
     r = len(t)
     m = len(ens)
     d = ens.dim
@@ -271,12 +273,10 @@ def ks_r_partition(
     bounds = []
     upper = []
     for k in range(r):
-        block_sum = np.zeros((d, d), dtype=np.complex128)
-        for i in blocks[k]:
-            block_sum = block_sum + ens[i].entries
-        norms.append(operator_norm(make_hermitian(block_sum, tol=np.inf)))
+        block_sum = weighted_sum(ens, [float(i in blocks[k]) for i in range(m)])
+        norms.append(operator_norm(block_sum))
         bounds.append(t[k] * (1.0 + math.sqrt(r * eps)) ** 2)
-        gap = t[k] * (total.entries + spread * np.eye(d)) - block_sum
+        gap = t[k] * (total.entries + spread * np.eye(d)) - block_sum.entries
         upper.append(bool(eigenvalues(make_hermitian(gap, tol=np.inf))[0] >= -RESULT_SLACK))
     return PartitionResult(
         blocks=blocks,
@@ -294,9 +294,7 @@ def partition_two_sided_deviations(ens: MatrixEnsemble, result: PartitionResult)
     total = ens.sum().entries
     out = []
     for k, block in enumerate(result.blocks):
-        s = np.zeros_like(total)
-        for i in block:
-            s = s + ens[i].entries
+        s = weighted_sum(ens, [float(i in block) for i in range(len(ens))]).entries
         out.append(operator_norm(make_hermitian(s - result.proportions[k] * total, tol=np.inf)))
     return tuple(out)
 
@@ -307,13 +305,7 @@ def mixed_bound_reference(ensemble, rank_cap: int | None = None) -> float:
     Without a rank cap: (1 + sqrt(eps))^2.  With all ranks at most k and
     0 < eps <= (k-1)^2/k: (sqrt(1 - eps/(k-1)) + sqrt(eps))^2.
     """
-    ens = ensemble if isinstance(ensemble, MatrixEnsemble) else MatrixEnsemble.from_arrays(ensemble)
-    stats = ensemble_stats(ens)
-    if not stats.all_psd:
-        raise NotPSD("ensemble must be PSD")
-    if not stats.sum_leq_identity:
-        raise SumExceedsIdentity(f"||sum|| = {stats.sum_norm:.6g} exceeds 1")
-    eps = stats.epsilon
+    ens, eps = _trace_capped(ensemble, None)
     if rank_cap is None:
         return (1.0 + math.sqrt(eps)) ** 2
     k = int(rank_cap)

@@ -76,15 +76,11 @@ class SubsetTable:
     sizes: np.ndarray
 
     @classmethod
-    def build(cls, matrices, dim: int | None = None, guard: bool = True) -> "SubsetTable":
-        if isinstance(matrices, MatrixEnsemble):
-            mats = [H.entries for H in matrices]
-            dim = matrices.dim
-        else:
-            mats = [as_hermitian(M).entries for M in matrices]
-            dim = mats[0].shape[0] if dim is None else dim
+    def build(cls, matrices) -> "SubsetTable":
+        mats = [as_hermitian(M).entries for M in matrices]
+        dim = mats[0].shape[0]
         n = len(mats)
-        if guard and (n > MAX_INDICES or dim > MAX_DIM):
+        if n > MAX_INDICES or dim > MAX_DIM:
             raise SizeGuard(
                 f"fast path limited to {MAX_INDICES} indices and dim {MAX_DIM}; "
                 f"got n={n}, d={dim}"
@@ -149,6 +145,15 @@ class DerivativeSpec:
         return tuple(out)
 
 
+def _graded_poly(sizes: np.ndarray, weights: np.ndarray, deg: int) -> RealPolynomial:
+    """sum_S weights[S] x^(deg - sizes[S]) over masks S with sizes[S] <= deg."""
+    sums = np.bincount(sizes, weights=weights)
+    top = min(len(sums) - 1, deg)
+    coeffs = np.zeros(deg + 1)
+    coeffs[deg - top :] = sums[top::-1]
+    return RealPolynomial.from_coeffs(coeffs)
+
+
 def _require_table(E: MatrixEnsemble, table: SubsetTable | None) -> SubsetTable:
     if table is None:
         return SubsetTable.build(E)
@@ -184,14 +189,7 @@ def mixed_char_poly(
     scalars = np.asarray(scalars, dtype=np.float64)
     if scalars.shape != (len(E),):
         raise ValueError(f"expected {len(E)} scalars")
-    w = subset_products(-scalars)
-    vals = w * table.coeffs
-    d = E.dim
-    sums = np.bincount(table.sizes, weights=vals, minlength=table.n + 1)
-    coeffs = np.zeros(d + 1)
-    for k in range(min(table.n, d) + 1):
-        coeffs[d - k] = sums[k]
-    return RealPolynomial.from_coeffs(coeffs)
+    return _graded_poly(table.sizes, subset_products(-scalars) * table.coeffs, E.dim)
 
 
 def expected_product_poly(
@@ -222,10 +220,7 @@ def expected_product_poly(
         lo, hi = view[:, :, 0, :], view[:, :, 1, :]
         lo[...], hi[...] = lo + bi * hi, ai * lo + ci * hi
     ranks = sizes + np.arange(top + 1)[:, None]
-    sums = np.bincount(ranks.ravel(), weights=(c * V).ravel(), minlength=2 * top + 1)
-    out = np.zeros(2 * d + 1)
-    out[2 * (d - top) :] = sums[2 * top :: -1]
-    return RealPolynomial.from_coeffs(out)
+    return _graded_poly(ranks.ravel(), (c * V).ravel(), 2 * d)
 
 
 def quadratic_mixed_char_poly(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,33 @@ def test_parse_rejects_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ParseError):
         parse_ensemble(str(p))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": True, "matrices": [[[[1.0, 0.0]]]]},
+        {"dim": 1, "matrices": [[[[True, False]]]]},
+        {"dim": 1, "matrices": [[[[1.0, False]]]]},
+    ],
+)
+def test_parse_rejects_booleans(tmp_path, doc):
+    with pytest.raises(ParseError):
+        parse_ensemble(write(tmp_path, "b.json", doc))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_cli_rejects_non_finite_entries(tmp_path, capsys, bad):
+    doc = {
+        "dim": 2,
+        "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [bad, 0.0]]]],
+        "distributions": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}],
+    }
+    path = write(tmp_path, "nonfinite.json", doc)
+    with pytest.raises(ParseError, match="finite"):
+        parse_ensemble(path)
+    assert main(["discrepancy", "--input", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gen_is_deterministic_and_round_trips(tmp_path):
@@ -156,3 +184,18 @@ def test_cli_epsilon_override(tmp_path):
     doc["epsilon_override"] = 0.1  # below the actual maximum trace
     path = write(tmp_path, "ly2.json", doc)
     assert main(["lyapunov", "--input", path]) == 1
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "partition"])
+@pytest.mark.parametrize("cap", [0.1, math.nan, math.inf])
+def test_cli_bad_epsilon_override_is_input_error(tmp_path, capsys, command, cap):
+    doc = {
+        "dim": 2,
+        "matrices": [[[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        "weights": [0.5],
+        "proportions": [1.0],
+        "epsilon_override": cap,
+    }
+    path = write(tmp_path, "cap.json", doc)
+    assert main([command, "--input", path]) == 1
+    assert "declared trace cap" in capsys.readouterr().err

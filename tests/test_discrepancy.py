@@ -175,3 +175,16 @@ def test_hermitian_sigma_dominates_lifted_sigma():
             lifted.append(block)
         lifted_sigma = sigma_bound(DiscrepancyInstance.make(lifted, dists))
         assert lifted_sigma <= res.sigma + 1e-10
+
+
+def test_hermitian_sigma_is_sigma_bound_of_absolute_values():
+    from interlace import absolute_value
+
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        d = int(rng.integers(2, 5))
+        m = int(rng.integers(2, 6))
+        mats = [random_psd(rng, d, trace=1.0) - random_psd(rng, d, trace=0.7) for _ in range(m)]
+        dists = [random_two_valued(rng) for _ in range(m)]
+        absolute = DiscrepancyInstance.make([absolute_value(B) for B in mats], dists)
+        assert solve_hermitian(mats, dists).sigma == sigma_bound(absolute)

@@ -17,7 +17,7 @@ from interlace import (
     rank_one_completion,
 )
 from interlace.generate import random_psd
-from interlace.linalg import absolute_value
+from interlace.linalg import absolute_value, weighted_sum
 
 
 def test_make_hermitian_identity_case():
@@ -34,6 +34,29 @@ def test_make_hermitian_conjugate_symmetry():
 def test_make_hermitian_rejects_asymmetry():
     with pytest.raises(NotHermitian):
         make_hermitian([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_make_hermitian_rejects_nan():
+    for M in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(NotHermitian):
+            make_hermitian(M)
+
+
+def test_weighted_sum_equals_explicit_loops_bit_for_bit():
+    rng = np.random.default_rng(12)
+    E = ensemble([random_psd(rng, 3) for _ in range(4)], tol=np.inf)
+    coeffs = rng.standard_normal(4)
+    total = np.zeros((3, 3), dtype=np.complex128)
+    for c, H in zip(coeffs, E):
+        total = total + c * H.entries
+    assert np.array_equal(weighted_sum(E, coeffs).entries, make_hermitian(total, tol=np.inf).entries)
+    # 0/1 coefficients equal the sum over the members of a block, even an empty one
+    for block in [(), (2,), (0, 3), (0, 1, 2, 3)]:
+        block_sum = np.zeros((3, 3), dtype=np.complex128)
+        for i in block:
+            block_sum = block_sum + E[i].entries
+        fast = weighted_sum(E, [float(i in block) for i in range(4)])
+        assert np.array_equal(fast.entries, make_hermitian(block_sum, tol=np.inf).entries)
 
 
 def test_make_hermitian_rejects_empty():

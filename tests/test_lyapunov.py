@@ -10,6 +10,7 @@ from interlace import (
     LyapunovInstance,
     NotPSD,
     SumExceedsIdentity,
+    ValidationError,
     WeightOutOfRange,
     ensemble,
     ks_r_partition,
@@ -48,10 +49,34 @@ def test_lyapunov_forced_inclusion_and_exclusion():
 def test_lyapunov_validation():
     with pytest.raises(WeightOutOfRange):
         LyapunovInstance.make([diag(0.25, 0.0)], [1.5])
-    with pytest.raises(NotPSD):
-        LyapunovInstance.make([diag(0.25, -0.1)], [0.5])
-    with pytest.raises(SumExceedsIdentity):
-        LyapunovInstance.make([diag(2.0, 0.0)], [0.5])
+
+
+# Every trace-capped entry point, called with an optional declared cap.
+TRACE_CAPPED = {
+    "lyapunov": lambda E, eps=None: LyapunovInstance.make(E, [0.5] * len(E), epsilon=eps),
+    "partition": lambda E, eps=None: ks_r_partition(E, [1.0], epsilon=eps),
+    "reference": lambda E, eps=None: mixed_bound_reference(E),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TRACE_CAPPED))
+@pytest.mark.parametrize(
+    "mats, error",
+    [([diag(0.25, -0.1)], NotPSD), ([diag(1.5, 0.0)], SumExceedsIdentity), ([diag(0.6, 0.0)] * 2, SumExceedsIdentity)],
+)
+def test_trace_capped_entry_points_reject(entry, mats, error):
+    with pytest.raises(error):
+        TRACE_CAPPED[entry](mats)
+
+
+@pytest.mark.parametrize("entry", ["lyapunov", "partition"])
+def test_declared_trace_cap_must_be_finite_and_cover_the_maximum(entry):
+    E = [diag(0.25, 0.0), diag(0.0, 0.125)]
+    for cap in (0.2, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="declared trace cap"):
+            TRACE_CAPPED[entry](E, cap)
+    assert TRACE_CAPPED[entry](E, 0.25).epsilon == 0.25
+    assert TRACE_CAPPED[entry](E, 0.5).epsilon == 0.5
 
 
 def test_weighted_approx_boundary_rejection():
@@ -164,10 +189,6 @@ def test_ks_r_validation():
         ks_r_partition(E, [0.7, 0.7])
     with pytest.raises(BadProportions):
         ks_r_partition(E, [])
-    with pytest.raises(NotPSD):
-        ks_r_partition(ensemble([diag(0.5, -0.1)]), [1.0])
-    with pytest.raises(SumExceedsIdentity):
-        ks_r_partition(ensemble([diag(1.5, 0.0)]), [1.0])
 
 
 def test_mixed_bound_reference_values():
