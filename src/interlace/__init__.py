@@ -34,7 +34,6 @@ from .discrepancy import (
 from .errors import (
     BadDelta,
     BadProportions,
-    BadSlot,
     EmptyMatrix,
     EpsilonOutOfRange,
     InterlaceError,
@@ -61,7 +60,6 @@ from .linalg import (
     MatrixEnsemble,
     as_hermitian,
     absolute_value,
-    block_diagonal_lift,
     eigenvalues,
     ensemble,
     ensemble_stats,
@@ -91,6 +89,7 @@ from .mixedchar import (
     truncated_ring_oracle,
 )
 from .polynomials import (
+    MaxRoot,
     RealPolynomial,
     RootReport,
     maxroot_certified,

@@ -70,6 +70,13 @@ def _fmt_poly(coeffs) -> str:
     return "[" + ", ".join(f"{c:.12g}" for c in coeffs) + "]"
 
 
+def _set_certificate(rep: _Report, cert) -> None:
+    """The max-root chain, its widest enclosure and its closest branch decision."""
+    rep.set("certificate_maxroots", _fmt_poly(cert.maxroots))
+    rep.set("certificate_max_band", max(cert.bands, default=0.0))
+    rep.set("certificate_min_margin", min(cert.margins, default=math.inf))
+
+
 def cmd_mcp_eval(args) -> int:
     ef = parse_ensemble(args.input)
     ens = ef.ensemble()
@@ -94,7 +101,7 @@ def cmd_mcp_eval(args) -> int:
     rep.set("coefficients_ascending", _fmt_poly(poly.coeffs))
     rep.set("real_rooted", report.real_rooted)
     if report.real_rooted:
-        rep.set("maxroot", maxroot_certified(poly, rootedness_tol=max(args.tol, 1e-7)))
+        rep.set("maxroot", maxroot_certified(poly, rootedness_tol=max(args.tol, 1e-7)).hi)
         rep.set("minroot", report.minroot)
     return rep.finish(args.json)
 
@@ -120,7 +127,7 @@ def cmd_discrepancy(args) -> int:
         rep.set("bound", f"{bound} (violation injected)")
     else:
         rep.set("bound", bound)
-    rep.set("certificate_maxroots", _fmt_poly(res.certificate.maxroots))
+    _set_certificate(rep, res.certificate)
     rep.check("achieved <= bound", achieved, bound + RESULT_SLACK)
     worst = max(res.certificate.residuals) if res.certificate.residuals else 0.0
     rep.check("certificate monotone", worst, RESULT_SLACK)
@@ -157,7 +164,7 @@ def cmd_hermitian(args) -> int:
     achieved = _norm_of_outcome(mats, dists, res.outcome)
     rep.set("achieved_recomputed", achieved)
     rep.set("bound", res.bound)
-    rep.set("certificate_maxroots", _fmt_poly(res.certificate.maxroots))
+    _set_certificate(rep, res.certificate)
     rep.check("achieved <= bound", achieved, res.bound + RESULT_SLACK)
     return rep.finish(args.json)
 
@@ -180,6 +187,7 @@ def cmd_lyapunov(args) -> int:
     )
     rep.set("achieved_recomputed", achieved)
     rep.set("bound_two_sqrt_eps", sel.bound)
+    _set_certificate(rep, sel.solver.certificate)
     rep.check("achieved <= 2 sqrt(eps)", achieved, sel.bound + RESULT_SLACK)
     return rep.finish(args.json)
 
@@ -212,7 +220,7 @@ def cmd_partition(args) -> int:
         rep.check(f"block {k} two-sided deviation", two_sided[k], spread + RESULT_SLACK)
         sharper = max(res.proportions[k], 1.0 - res.proportions[k]) * spread
         rep.set(f"block[{k}]_sharper_deviation_bound", f"{sharper:.12g} (informational)")
-    rep.set("certificate_maxroots", _fmt_poly(res.certificate.maxroots))
+    _set_certificate(rep, res.certificate)
     return rep.finish(args.json)
 
 

@@ -4,8 +4,9 @@ Both descents walk an assignment tree level by level.  At each level the
 conditional expected polynomial of every positive-probability branch is
 evaluated; since the parent polynomial is their probability mixture and the
 family is interlacing, some branch has max root at most the parent's.  The
-argmin branch is taken (ties break to the smallest value, respectively the
-lowest index) and the chain of max roots is recorded as a certificate.
+branch with the least certified upper end is taken (ties break to the
+smallest value, respectively the lowest index) and the chain of max-root
+enclosures is recorded as a certificate.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from .errors import NotPSD, NotRealRooted, ValueNotInSupport
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
 from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
 # root_report is unused here but kept for perfbench's tracer, which hooks this namespace.
-from .polynomials import RealPolynomial, maxroot_certified, root_report  # noqa: F401
+from .polynomials import MAXROOT_TOL, MaxRoot, RealPolynomial, maxroot_certified, root_report  # noqa: F401
 
-MAXROOT_TOL = 1e-10
 TIE_TOL = 1e-9
 ROOTEDNESS_TOL = 1e-7
 
@@ -88,16 +88,29 @@ class FiniteDistribution:
 
 @dataclass(frozen=True)
 class DescentCertificate:
-    """Audit trail: chosen branch per level and the max-root chain.
+    """Audit trail: chosen branch per level and the max-root enclosures.
 
-    maxroots has one entry for the root polynomial followed by one per level;
-    residuals[k] is the observed violation of maxroots[k+1] <= maxroots[k]
-    (zero when the chain is monotone, as the theory guarantees).
+    enclosures has one entry for the root polynomial followed by the chosen
+    branch's per level.  residuals[k] is the certified violation
+    max(0, lo[k+1] - hi[k]) of the monotone chain (zero, as the theory
+    guarantees), and margins[k] is the runner-up's hi minus the chosen hi
+    at level k (inf when the level has one candidate).
     """
 
     assignment: tuple
-    maxroots: tuple[float, ...]
+    enclosures: tuple[MaxRoot, ...]
     residuals: tuple[float, ...]
+    margins: tuple[float, ...]
+
+    @property
+    def maxroots(self) -> tuple[float, ...]:
+        """Certified upper ends of the chain."""
+        return tuple(e.hi for e in self.enclosures)
+
+    @property
+    def bands(self) -> tuple[float, ...]:
+        """Per level, the width hi - lo of the chosen branch's enclosure."""
+        return tuple(e.hi - e.lo for e in self.enclosures[1:])
 
     def monotone_within(self, slack: float) -> bool:
         return all(r <= slack for r in self.residuals)
@@ -136,33 +149,41 @@ def _run_descent(
 ) -> DescentCertificate:
     """Shared greedy loop; candidates(k) must come pre-sorted in tie order.
 
-    Every max root is certified; a polynomial that is not real-rooted
-    aborts the descent with the root or branch it came from.
+    Branches are ranked by the certified upper end of their max root.  A
+    polynomial that is not real-rooted aborts the descent with the root or
+    branch it came from.
     """
     context = "root"
     fixed: dict = {}
     residuals = []
+    margins = []
     try:
-        maxroots = [maxroot_certified(root_poly(), MAXROOT_TOL, ROOTEDNESS_TOL)]
+        chain = [maxroot_certified(root_poly(), MAXROOT_TOL, ROOTEDNESS_TOL)]
         for level in range(num_levels):
             best = None
-            best_root = np.inf
+            best_root = MaxRoot(np.inf, np.inf)
+            runner_up = np.inf
             for cand in candidates(level):
                 context = f"level {level}, branch {cand!r}"
-                r = maxroot_certified(branch_poly(level, fixed, cand), MAXROOT_TOL, ROOTEDNESS_TOL)
-                if r < best_root - TIE_TOL:
-                    best, best_root = cand, r
+                root = maxroot_certified(branch_poly(level, fixed, cand), MAXROOT_TOL, ROOTEDNESS_TOL)
+                if root.hi < best_root.hi - TIE_TOL:
+                    runner_up = min(runner_up, best_root.hi)
+                    best, best_root = cand, root
+                else:
+                    runner_up = min(runner_up, root.hi)
             fixed[level] = best
-            residuals.append(max(0.0, best_root - maxroots[-1]))
-            maxroots.append(best_root)
+            residuals.append(max(0.0, best_root.lo - chain[-1].hi))
+            margins.append(runner_up - best_root.hi)
+            chain.append(best_root)
     except NotRealRooted as exc:
         raise NotRealRooted(
             f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
         ) from exc
     return DescentCertificate(
         assignment=tuple(fixed.values()),
-        maxroots=tuple(maxroots),
+        enclosures=tuple(chain),
         residuals=tuple(residuals),
+        margins=tuple(margins),
     )
 
 

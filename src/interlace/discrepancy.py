@@ -31,6 +31,7 @@ from .linalg import (
     positive_negative_parts,
     weighted_sum,
 )
+from .polynomials import MaxRoot
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResu
     if sigma == 0.0:
         outcome = _degenerate_outcome(dists)
         achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
-        cert = DescentCertificate(outcome, (0.0,) * (m + 1), (0.0,) * m)
+        cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (m + 1), (0.0,) * m, (np.inf,) * m)
         return DiscrepancyResult(outcome, achieved, 0.0, 0.0, cert)
     scaled = []
     back = []

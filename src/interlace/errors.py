@@ -25,10 +25,6 @@ class NotContraction(InterlaceError):
     """A matrix required to satisfy A <= I is not a contraction."""
 
 
-class BadSlot(InterlaceError):
-    """Block slot index outside [1..r]."""
-
-
 class NotMonic(InterlaceError):
     """Polynomial required to be monic is not."""
 

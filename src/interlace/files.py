@@ -6,8 +6,8 @@ order.  Serialization is canonical so identical data yields identical bytes.
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,20 +50,41 @@ class EnsembleFile:
         return out
 
 
+def _number(x, where: str) -> float:
+    """A finite JSON number; booleans, NaN and infinities are not."""
+    # bool is a subclass of int, but JSON true and false are not numbers
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ParseError(f"{where}: must be finite, got {x!r}")
+    return v
+
+
+def _numbers(seq, where: str) -> list[float]:
+    if not isinstance(seq, list):
+        raise ParseError(f"{where}: expected a list of numbers, got {seq!r}")
+    return [_number(x, f"{where}[{k}]") for k, x in enumerate(seq)]
+
+
 def _entry_to_complex(e, where: str) -> complex:
     if not (isinstance(e, (list, tuple)) and len(e) == 2):
         raise ParseError(f"{where}: entry must be a [re, im] pair, got {e!r}")
-    # bool is a subclass of int, but JSON true and false are not numbers
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e):
-        raise ParseError(f"{where}: entry components must be numbers")
-    try:
-        z = complex(*e)
-        finite = cmath.isfinite(z)
-    except OverflowError:  # an integer literal beyond the float range
-        finite = False
-    if not finite:
-        raise ParseError(f"{where}: entry components must be finite, got {e!r}")
-    return z
+    return complex(_number(e[0], where), _number(e[1], where))
+
+
+def _distributions(seq, where: str) -> list[dict]:
+    if not isinstance(seq, list):
+        raise ParseError(f"{where}: expected a list of distributions, got {seq!r}")
+    out = []
+    for k, dd in enumerate(seq):
+        if not (isinstance(dd, dict) and {"values", "probs"} <= dd.keys()):
+            raise ParseError(f"{where}[{k}]: expected an object with values and probs")
+        out.append({key: _numbers(dd[key], f"{where}[{k}].{key}") for key in ("values", "probs")})
+    return out
 
 
 def parse_ensemble(path: str) -> EnsembleFile:
@@ -84,6 +105,8 @@ def parse_ensemble(path: str) -> EnsembleFile:
     dim = raw["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{path}: dim must be a positive integer")
+    if not isinstance(raw["matrices"], list):
+        raise ParseError(f"{path}: matrices must be a list")
     mats = []
     for mi, M in enumerate(raw["matrices"]):
         where = f"{path}: matrix {mi}"
@@ -102,14 +125,18 @@ def parse_ensemble(path: str) -> EnsembleFile:
         mats.append(A)
     if not mats:
         raise ValidationError(f"{path}: matrices section is empty")
+
+    def section(key, read, where):
+        return None if raw.get(key) is None else read(raw[key], f"{path}: {where}")
+
     ef = EnsembleFile(
         schema_version=str(raw.get("schema_version", SCHEMA_VERSION)),
         dim=dim,
         matrices=mats,
-        weights=raw.get("weights"),
-        distributions=raw.get("distributions"),
-        proportions=raw.get("proportions"),
-        epsilon_override=raw.get("epsilon_override"),
+        weights=section("weights", _numbers, "weights"),
+        distributions=section("distributions", _distributions, "distributions"),
+        proportions=section("proportions", _numbers, "proportions"),
+        epsilon_override=section("epsilon_override", _number, "epsilon_override (the declared trace cap)"),
     )
     for name in ("weights", "distributions"):
         sec = getattr(ef, name)

@@ -8,7 +8,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
-    BadSlot,
     EmptyMatrix,
     NotContraction,
     NotHermitian,
@@ -128,8 +127,8 @@ def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
     """Split I - A into PSD rank-one pieces with trace at most ``epsilon``.
 
     Requires 0 <= A <= I. Each eigenvalue lam of I - A is divided into
-    ceil(lam / epsilon) equal multiples of its eigenprojector, so the output
-    length never exceeds d * ceil(1 / epsilon).
+    max(1, ceil(lam / epsilon)) equal multiples of its eigenprojector, so the
+    output length never exceeds d * ceil(1 / epsilon).
     """
     A = as_hermitian(A)
     if epsilon <= 0:
@@ -147,27 +146,13 @@ def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
         lam = float(resid_w[j])
         if lam <= floor:
             continue
-        pieces = int(np.ceil(lam / epsilon - 1e-12))
+        pieces = max(1, int(np.ceil(lam / epsilon - 1e-12)))
         v = V[:, j]
         proj = np.outer(v, v.conj())
         share = lam / pieces
         for _ in range(pieces):
             out.append(make_hermitian(share * proj, tol=np.inf))
     return out
-
-
-def block_diagonal_lift(A, r: int, slot: int, scale: float) -> HermitianMatrix:
-    """Place scale * A in the slot-th diagonal block of an r-block matrix."""
-    A = as_hermitian(A)
-    if not (1 <= slot <= r):
-        raise BadSlot(f"slot {slot} outside [1..{r}]")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    d = A.dim
-    out = np.zeros((d * r, d * r), dtype=np.complex128)
-    k = (slot - 1) * d
-    out[k : k + d, k : k + d] = scale * A.entries
-    return make_hermitian(out, tol=np.inf)
 
 
 @dataclass(frozen=True)

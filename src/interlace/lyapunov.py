@@ -66,7 +66,9 @@ RESULT_SLACK = 1e-7
 def _trace_capped(ensemble, epsilon: float | None) -> tuple[MatrixEnsemble, float]:
     """The PSD ensemble with sum at most I, and its trace cap.
 
-    The cap is the maximum trace unless ``epsilon`` declares a larger one.
+    The cap is the maximum trace unless ``epsilon`` declares a larger one,
+    at most the dimension: 0 <= A <= I has trace at most d, so a larger cap
+    bounds nothing.
     """
     ens = as_ensemble(ensemble)
     stats = ensemble_stats(ens)
@@ -75,10 +77,10 @@ def _trace_capped(ensemble, epsilon: float | None) -> tuple[MatrixEnsemble, floa
     if not stats.sum_leq_identity:
         raise SumExceedsIdentity(f"||sum|| = {stats.sum_norm:.6g} exceeds 1")
     eps = stats.epsilon if epsilon is None else float(epsilon)
-    if not stats.epsilon - 1e-12 <= eps < math.inf:  # also rejects a NaN cap
+    if not stats.epsilon - 1e-12 <= eps <= ens.dim:  # also rejects a NaN cap
         raise ValidationError(
-            f"declared trace cap {eps:.6g} must be finite and at least the actual maximum"
-            f" trace {stats.epsilon:.6g}"
+            f"declared trace cap {eps:.6g} must lie between the actual maximum trace"
+            f" {stats.epsilon:.6g} and the dimension {ens.dim}"
         )
     return ens, eps
 

@@ -136,14 +136,6 @@ class DerivativeSpec:
         a, b, c = zip(*triples) if triples else ((), (), ())
         return cls(tuple(map(float, a)), tuple(map(float, b)), tuple(map(float, c)))
 
-    @property
-    def stability_safe(self) -> tuple[bool, ...]:
-        """Per index: the factor matches (1 + t dz - t dw - s^2 dz dw), t^2 <= s^2."""
-        out = []
-        for ai, bi, ci in zip(self.a, self.b, self.c):
-            out.append(ai == -bi and ci <= 0.0 and ai * ai <= -ci + 1e-15)
-        return tuple(out)
-
 
 def _graded_poly(sizes: np.ndarray, weights: np.ndarray, deg: int) -> RealPolynomial:
     """sum_S weights[S] x^(deg - sizes[S]) over masks S with sizes[S] <= deg."""

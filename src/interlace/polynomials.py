@@ -1,20 +1,32 @@
 """Univariate real polynomials, real-rootedness testing, certified max roots.
 
 Coefficients are stored in ascending degree order. Roots come from the
-companion matrix with one Newton polish step; the extreme root is then
-re-certified by bisection on a sign predicate that is robust to multiple
-roots.
+companion matrix with one Newton polish step. The max root is then
+certified as an enclosure [lo, hi]: at hi every derivative is provably
+positive and at lo some derivative is provably negative, decided by one
+stacked evaluation of the derivative chain per pass with a rigorous bound
+on its rounding error. Using the whole chain keeps the test sound at
+multiple roots, where the highest vanishing derivative has a simple zero.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotMonic, NotRealRooted, NumericalFailure
 
 DEFAULT_ROOT_TOL = 1e-9
+MAXROOT_TOL = 1e-10
+# Enclosure seeds: the companion root offset by (1 + |r|) times these
+# (1e-13 up to 7.0).
+_SEED_OFFSETS = 1e-13 * 4.0 ** np.arange(24)
+# Interior points evaluated per tightening pass.
+_PASS_POINTS = 16
 # Relative coefficient distance at which a polynomial with a noisy complex
 # root cluster is accepted as real-rooted (see root_report).
 REALITY_RESCUE_TOL = 1e-8
@@ -80,17 +92,6 @@ class RealPolynomial:
     def scale(self, t: float) -> "RealPolynomial":
         return RealPolynomial.from_coeffs([t * c for c in self.coeffs])
 
-    def compose_affine(self, alpha: float, beta: float) -> "RealPolynomial":
-        """p(alpha * x + beta) via Horner over the affine factor."""
-        if self.is_zero:
-            return self
-        acc = np.array([self.coeffs[-1]])
-        lin = np.array([beta, alpha])
-        for c in reversed(self.coeffs[:-1]):
-            acc = np.convolve(acc, lin)
-            acc[0] += c
-        return RealPolynomial.from_coeffs(acc)
-
     def derivative(self) -> "RealPolynomial":
         if self.degree < 1:
             return RealPolynomial(())
@@ -135,15 +136,18 @@ class RootReport:
     roots: tuple[complex, ...] = ()
 
 
-def _newton_polish(coeffs_desc: np.ndarray, deriv_desc: np.ndarray, r: complex) -> complex:
-    p = np.polyval(coeffs_desc, r)
-    dp = np.polyval(deriv_desc, r)
-    if abs(dp) <= 1e-300 or abs(dp) * 1e12 < abs(p):
-        return r
-    step = p / dp
-    if abs(step) > 1.0 + abs(r):
-        return r
-    return r - step
+def _newton_polish(desc: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """One Newton step per root, all roots in one polyval pass.
+
+    A root keeps its companion value where p' is negligible against p or
+    the step would exceed 1 + |root|.
+    """
+    p = np.polyval(desc, raw)
+    dp = np.polyval(np.polyder(desc), raw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = p / dp
+    keep = (np.abs(dp) <= 1e-300) | (np.abs(dp) * 1e12 < np.abs(p)) | (np.abs(step) > 1.0 + np.abs(raw))
+    return np.where(keep, raw, raw - step)
 
 
 def root_report(p: RealPolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
@@ -168,8 +172,7 @@ def root_report(p: RealPolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
             raw = np.roots(desc)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"companion eigensolver failed: {exc}") from exc
-        deriv = np.polyder(desc)
-        roots.extend(_newton_polish(desc, deriv, r) for r in raw)
+        roots.extend(_newton_polish(desc, raw))
     roots_arr = np.array(roots, dtype=np.complex128)
     max_mod = float(np.max(np.abs(roots_arr)))
     max_imag = float(np.max(np.abs(roots_arr.imag)))
@@ -201,73 +204,95 @@ def root_report(p: RealPolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
     )
 
 
-def _derivative_chain(p: RealPolynomial) -> list[np.ndarray]:
-    chain = []
-    cur = np.array(p.coeffs[::-1], dtype=np.float64)
-    while len(cur) > 1:
-        chain.append(cur)
-        cur = np.polyder(cur)
-    return chain
-
-
-def _eval_with_error(coeffs_desc: np.ndarray, x: float) -> tuple[float, float]:
-    """Horner value and a running bound on its floating-point error."""
-    v = 0.0
-    s = 0.0
-    ax = abs(x)
-    for c in coeffs_desc:
-        v = v * x + c
-        s = s * ax + abs(c)
-    n = len(coeffs_desc)
-    return v, 4.0 * n * np.finfo(np.float64).eps * s
-
-
-def _above_all_roots(chain: list[np.ndarray], x: float) -> bool:
-    """x strictly above every root of p, decided through the derivative chain.
-
-    Using all derivatives keeps the test well conditioned at multiple roots:
-    the highest derivative vanishing there has a simple zero.
-    """
-    for coeffs in chain:
-        v, err = _eval_with_error(coeffs, x)
-        if v <= -err:
-            return False
-    return True
-
-
 def cauchy_bound(p: RealPolynomial) -> float:
     lead = abs(p.leading())
     return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree >= 1 else 1.0
 
 
+class MaxRoot(NamedTuple):
+    """Certified enclosure lo < max root < hi."""
+
+    lo: float
+    hi: float
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather index, binomial weights and error factor of the degree-n chain.
+
+    Row j holds p^(j)(x) / j! = sum_i C(i + j, j) c_(i+j) x^i for j < n; the
+    binomials are exact in float64 up to degree 56.  Its error factor is
+    4 * (n + 1 - j) * eps for its n + 1 - j terms (see _classify).
+    """
+    j = np.arange(n)[:, None]
+    idx = np.minimum(j + np.arange(n + 1)[None, :], n + 1)
+    weights = np.array(
+        [[math.comb(k, jj) if k <= n else 0 for k in row] for jj, row in enumerate(idx)],
+        dtype=np.float64,
+    )
+    factor = 4.0 * (n + 1 - np.arange(n)) * np.finfo(np.float64).eps
+    for shared in (idx, weights, factor):  # cached: every caller gets these arrays
+        shared.flags.writeable = False
+    return idx, weights, factor
+
+
+def _classify(chain: np.ndarray, factor: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point: every row provably positive, and some row provably negative.
+
+    The chain is evaluated as one power matrix times the stacked rows.  A
+    row of m terms accumulates at most 2m - 1 unit roundoffs of
+    sum_i |row_i| |x|^i: the rounded coefficient, the power (m - 2
+    products), the product and the sum in any order.  The bound charges
+    factor = 8m unit roundoffs, enough to spare for rounding in the bound
+    itself.
+    """
+    powers = np.vander(xs, chain.shape[1], increasing=True)
+    values = powers @ chain.T
+    bounds = (np.abs(powers) @ np.abs(chain).T) * factor
+    return (values > bounds).all(axis=1), (values < -bounds).any(axis=1)
+
+
 def maxroot_certified(
     p: RealPolynomial,
-    tol: float = 1e-10,
+    tol: float = MAXROOT_TOL,
     rootedness_tol: float = DEFAULT_ROOT_TOL,
-) -> float:
-    """Largest root refined by bisection to within ``tol``.
+) -> MaxRoot:
+    """Enclosure of the largest root, seeded from the companion root.
 
-    The bisection predicate asks for all derivatives to be positive, which
-    flips exactly at the largest root and stays reliable under floating-point
-    noise near multiple roots.
+    With a positive leading coefficient, every derivative is positive above
+    the max root, so ``hi`` (all of them provably positive) lies above every
+    root; and since the derivatives' roots interlace, a provably negative
+    derivative puts ``lo`` below the max root.  Both ends start at the
+    Newton-polished companion root r, offset by (1 + |r|) 1e-13 4^k for all k
+    at once, with the Cauchy bound as the last resort; passes of evenly
+    spaced interior points then tighten [lo, hi] until it is ``tol`` wide
+    or a pass no longer shrinks it.
     """
     report = root_report(p, rootedness_tol)
     if not report.real_rooted:
         raise NotRealRooted(
             f"residual {report.max_imag_residual:.3e} exceeds tolerance"
         )
-    if p.leading() < 0:
-        p = p.scale(-1.0)  # same roots, positive tail for the sign predicate
-    chain = _derivative_chain(p)
-    hi = cauchy_bound(p) + 1.0
-    lo = report.maxroot - 1.0
-    floor = -cauchy_bound(p) - 1.0
-    while lo > floor and _above_all_roots(chain, lo):
-        lo = max(floor, lo - 2.0 * (hi - lo))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _above_all_roots(chain, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    n = p.degree
+    idx, weights, factor = _taylor_layout(n)
+    sign = 1.0 if p.leading() > 0 else -1.0  # same roots, positive tail
+    coeffs = np.append(np.array(p.coeffs, dtype=np.float64) * sign, 0.0)
+    chain = coeffs[idx] * weights
+    r = report.maxroot
+    offsets = (1.0 + abs(r)) * _SEED_OFFSETS
+    far = cauchy_bound(p) + 1.0
+    xs = np.concatenate(([-far], r - offsets[::-1], r + offsets, [far]))
+    lo, hi = -np.inf, np.inf
+    while True:
+        above, below = _classify(chain, factor, xs)
+        new_lo = max(lo, xs[below].max(initial=-np.inf))
+        new_hi = min(hi, xs[above].min(initial=np.inf))
+        if (new_lo, new_hi) == (lo, hi):
+            break
+        lo, hi = new_lo, new_hi
+        if hi - lo <= tol:
+            break
+        xs = np.linspace(lo, hi, _PASS_POINTS + 2)[1:-1]
+    if not -np.inf < lo < hi < np.inf:
+        raise NumericalFailure(f"max root enclosure [{lo!r}, {hi!r}] is not certified")
+    return MaxRoot(float(lo), float(hi))

@@ -101,9 +101,9 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
     worst = 0.0
     for _ in range(count):
         p = _random_real_rooted(rng, int(rng.integers(1, 7)))
-        mr = maxroot_certified(p, rootedness_tol=1e-6)
+        mr = maxroot_certified(p, rootedness_tol=1e-6).hi
         for t in (0.1, 2.0, 10.0):
-            mrs = maxroot_certified(root_scaling(p, t), rootedness_tol=1e-6)
+            mrs = maxroot_certified(root_scaling(p, t), rootedness_tol=1e-6).hi
             worst = max(worst, abs(mrs - t * mr) / max(1.0, abs(t * mr)))
     out.append(_result("root-scaling-maxroot", worst, 1e-8))
 
@@ -134,7 +134,7 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
         p = _random_real_rooted(rng, int(rng.integers(1, 7)), separated=True)
         worst = max(
             worst,
-            abs(maxroot_certified(p, 1e-10, 1e-6) - root_report(p, 1e-6).maxroot),
+            abs(maxroot_certified(p, 1e-10, 1e-6).hi - root_report(p, 1e-6).maxroot),
         )
     out.append(_result("certified-vs-companion-maxroot", worst, 1e-9))
     return out
@@ -318,11 +318,11 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         mA = maxroot_certified(
             mixed_char_poly(MatrixEnsemble.from_arrays(mats, tol=np.inf), eps),
             rootedness_tol=TOL_ROOTED,
-        )
+        ).hi
         mB = maxroot_certified(
             mixed_char_poly(MatrixEnsemble.from_arrays([mats[0] + inc] + mats[1:], tol=np.inf), eps),
             rootedness_tol=TOL_ROOTED,
-        )
+        ).hi
         worst = max(worst, mA - mB)
     out.append(_result("maxroot-psd-monotonicity", worst, TOL_ROOT))
 
@@ -335,7 +335,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         ens = MatrixEnsemble.from_arrays(
             [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
         )
-        worst = max(worst, maxroot_certified(mixed_char_poly(ens, -np.ones(m)), rootedness_tol=TOL_ROOTED))
+        worst = max(worst, maxroot_certified(mixed_char_poly(ens, -np.ones(m)), rootedness_tol=TOL_ROOTED).hi)
     out.append(_result("negative-ensemble-maxroot-nonpositive", worst, TOL_ROOT))
 
     # signed-sum norm bound through the product polynomial, and the plain sum
@@ -350,10 +350,10 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         eps = rng.choice([-1.0, 1.0], size=m)
         table = SubsetTable.build(ens)
         f = mixed_char_poly(ens, eps, table) * mixed_char_poly(ens, -eps, table)
-        mr = maxroot_certified(f, rootedness_tol=TOL_ROOTED)
+        mr = maxroot_certified(f, rootedness_tol=TOL_ROOTED).hi
         total = sum(e * H.entries for e, H in zip(eps, ens))
         worst_signed = max(worst_signed, operator_norm(make_hermitian(total, tol=np.inf)) - mr)
-        mr_sum = maxroot_certified(mixed_char_poly(ens, np.ones(m), table), rootedness_tol=TOL_ROOTED)
+        mr_sum = maxroot_certified(mixed_char_poly(ens, np.ones(m), table), rootedness_tol=TOL_ROOTED).hi
         worst_sum = max(worst_sum, ensemble_stats(ens).sum_norm - mr_sum)
     out.append(_result("signed-sum-norm-bound", worst_signed, TOL_ROOT))
     out.append(_result("plain-sum-norm-bound", worst_sum, TOL_ROOT))
@@ -383,11 +383,11 @@ def reversed_slot_monotonicity(seed: int = 0, count: int = 100) -> CheckResult:
         mA = maxroot_certified(
             mixed_char_poly(MatrixEnsemble.from_arrays(mats, tol=np.inf), eps),
             rootedness_tol=TOL_ROOTED,
-        )
+        ).hi
         mB = maxroot_certified(
             mixed_char_poly(MatrixEnsemble.from_arrays([mats[0] + inc] + mats[1:], tol=np.inf), eps),
             rootedness_tol=TOL_ROOTED,
-        )
+        ).hi
         if mB - mA > worst:
             worst = mB - mA
             moved = "rose" if mB > mA else "fell"
@@ -407,7 +407,7 @@ def suite_bounds(seed: int = 0, count: int = 100) -> list[CheckResult]:
         d = int(rng.integers(2, 7))
         m = int(rng.integers(2, 9))
         ens = trace_capped_ensemble(rng, d, m, float(rng.uniform(0.05, 0.6)))
-        mr = maxroot_certified(mixed_char_poly(ens, np.ones(m)), rootedness_tol=TOL_ROOTED)
+        mr = maxroot_certified(mixed_char_poly(ens, np.ones(m)), rootedness_tol=TOL_ROOTED).hi
         worst = max(worst, mr - mixed_bound_reference(ens))
     out.append(_result("trace-capped-maxroot", worst, TOL_ROOT))
 
@@ -418,7 +418,7 @@ def suite_bounds(seed: int = 0, count: int = 100) -> list[CheckResult]:
             m = int(rng.integers(2, 9))
             cap = (k - 1) ** 2 / k
             ens = trace_capped_ensemble(rng, d, m, float(rng.uniform(0.05, 0.9)) * cap, rank=k)
-            mr = maxroot_certified(mixed_char_poly(ens, np.ones(m)), rootedness_tol=TOL_ROOTED)
+            mr = maxroot_certified(mixed_char_poly(ens, np.ones(m)), rootedness_tol=TOL_ROOTED).hi
             worst = max(worst, mr - mixed_bound_reference(ens, k))
         out.append(_result(f"rank-{k}-capped-maxroot", worst, TOL_ROOT))
 
@@ -427,7 +427,7 @@ def suite_bounds(seed: int = 0, count: int = 100) -> list[CheckResult]:
         d = int(rng.integers(2, 6))
         m = int(rng.integers(1, 7))
         ens = qx_normalized_ensemble(rng, d, m)
-        mr = maxroot_certified(quadratic_mixed_char_poly(ens), rootedness_tol=TOL_ROOTED)
+        mr = maxroot_certified(quadratic_mixed_char_poly(ens), rootedness_tol=TOL_ROOTED).hi
         worst = max(worst, mr - 4.0)
     out.append(_result("quadratic-maxroot-cap-4", worst, TOL_ROOT))
     return out
@@ -459,7 +459,7 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
         root_mr = maxroot_certified(
             expected_product_poly(ens, conditional_spec_quadratic(dists, {}), table),
             rootedness_tol=TOL_ROOTED,
-        )
+        ).hi
         cert = greedy_descent_quadratic(ens, dists, table=table)
         worst = max(worst, cert.maxroots[-1] - root_mr)
         leaves = []
@@ -467,7 +467,7 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
             leaf = expected_product_poly(
                 ens, conditional_spec_quadratic(dists, dict(enumerate(combo))), table
             )
-            leaves.append(maxroot_certified(leaf, rootedness_tol=TOL_ROOTED))
+            leaves.append(maxroot_certified(leaf, rootedness_tol=TOL_ROOTED).hi)
         worst_leaf = max(worst_leaf, min(leaves) - root_mr)
     out.append(_result("greedy-leaf-vs-root", worst, TOL_ROOT))
     out.append(_result("some-leaf-meets-bound", worst_leaf, TOL_ROOT))

@@ -150,7 +150,7 @@ def test_criterion_09_reversed_slot_monotonicity():
         for path, p in (("fast-path", fast), ("oracle", truncated_ring_oracle(E, signs))):
             ok = len(p.coeffs) == len(want) and max(abs(a - b) for a, b in zip(p.coeffs, want)) <= TOL_COEFF
             checks.append(CheckResult(f"counterexample-{label}-{path}-coeffs", ok, str(p.coeffs)))
-        root = maxroot_certified(fast, rootedness_tol=TOL_ROOTED)
+        root = maxroot_certified(fast, rootedness_tol=TOL_ROOTED).hi
         checks.append(CheckResult(f"counterexample-{label}-maxroot", abs(root - want_root) <= TOL_ROOT, f"{root:.10g}"))
     res = reversed_slot_monotonicity(seed=SEED, count=100)
     checks.append(CheckResult("seeded-search-finds-violation", not res.passed and res.worst >= 1e-3, res.detail))

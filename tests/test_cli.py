@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from interlace import ParseError, ValidationError, parse_ensemble, serialize_ensemble
 from interlace.cli import main
@@ -187,7 +189,7 @@ def test_cli_epsilon_override(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["lyapunov", "partition"])
-@pytest.mark.parametrize("cap", [0.1, math.nan, math.inf])
+@pytest.mark.parametrize("cap", [0.1, math.nan, math.inf, 1e13])
 def test_cli_bad_epsilon_override_is_input_error(tmp_path, capsys, command, cap):
     doc = {
         "dim": 2,
@@ -199,3 +201,86 @@ def test_cli_bad_epsilon_override_is_input_error(tmp_path, capsys, command, cap)
     path = write(tmp_path, "cap.json", doc)
     assert main([command, "--input", path]) == 1
     assert "declared trace cap" in capsys.readouterr().err
+
+
+def test_rank_one_completion_takes_one_piece_under_a_huge_cap():
+    from interlace import rank_one_completion
+
+    pieces = rank_one_completion(np.diag([0.25, 0.0]), 1e13)
+    np.testing.assert_allclose(sum(B.entries for B in pieces), np.diag([0.75, 1.0]))
+
+
+_VALID = {
+    "dim": 1,
+    "matrices": [[[[0.25, 0.0]]], [[[0.5, 0.0]]]],
+    "weights": [0.5, 0.25],
+    "distributions": [{"values": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 2,
+    "proportions": [0.5, 0.5],
+    "epsilon_override": 0.75,
+}
+_NOT_A_NUMBER = st.one_of(
+    st.booleans(), st.text(max_size=3), st.just(math.nan), st.just(math.inf),
+    st.just(-math.inf), st.just(10**400), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# null is also junk, except for a whole optional section, where it means absent
+_JUNK = st.one_of(_NOT_A_NUMBER, st.none(), st.integers(), st.floats(allow_nan=False))
+# (path into the valid document, junk for that place); every path holds a number
+_NUMERIC_SLOTS = [
+    ("weights", 0), ("proportions", 1), ("epsilon_override",),
+    ("distributions", 0, "values", 1), ("distributions", 1, "probs", 0),
+    ("matrices", 0, 0, 0, 0), ("matrices", 1, 0, 0, 1),
+]
+_ANY_SLOTS = _NUMERIC_SLOTS + [
+    ("weights",), ("proportions",), ("distributions",), ("distributions", 0),
+    ("distributions", 1, "probs"), ("matrices",), ("matrices", 0), ("matrices", 0, 0, 0), ("dim",),
+]
+
+
+def _replaced(path, value):
+    doc = json.loads(json.dumps(_VALID))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_ANY_SLOTS), _JUNK)
+def test_parse_fuzz_rejects_malformed_fields_as_input_errors(tmp_path, slot, junk):
+    path = write(tmp_path, "fuzz.json", _replaced(slot, junk))
+    try:
+        ef = parse_ensemble(path)
+        ef.ensemble()
+        if ef.distributions is not None:
+            ef.finite_distributions()
+    except (ParseError, ValidationError):
+        pass
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_NUMERIC_SLOTS), _NOT_A_NUMBER)
+def test_parse_rejects_non_numbers_in_numeric_fields(tmp_path, slot, junk):
+    path = write(tmp_path, "fuzz.json", _replaced(slot, junk))
+    with pytest.raises(ParseError):
+        parse_ensemble(path)
+
+
+def test_cli_lyapunov_rejects_boolean_weights_and_cap(tmp_path, capsys):
+    doc = {**_VALID, "weights": [True, 0.5], "epsilon_override": True}
+    assert main(["lyapunov", "--input", write(tmp_path, "b.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["discrepancy", "lyapunov", "partition"])
+def test_cli_json_reports_certificate_band_and_margin(tmp_path, command):
+    kind = {"discrepancy": "psd-trace-capped", "lyapunov": "lyapunov", "partition": "ksr"}[command]
+    inst, rep = tmp_path / "i.json", tmp_path / "rep.json"
+    assert main(["gen", "--kind", kind, "--dim", "3", "--count", "5", "--epsilon", "0.2",
+                 "--seed", "4", "--out", str(inst)]) == 0
+    assert main([command, "--input", str(inst), "--json", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    assert 0.0 <= doc["certificate_max_band"] <= 1e-9
+    assert doc["certificate_min_margin"] >= -1e-9

@@ -64,7 +64,9 @@ def test_quadratic_descent_identity_partition_norm():
     from interlace import make_hermitian
 
     assert operator_norm(make_hermitian(signed, tol=np.inf)) <= cert.maxroots[0] + 1e-7
-    assert cert.maxroots[0] == pytest.approx(1.0, abs=1e-8)
+    # the root polynomial (x^2 - 1)^2 has a double max root at 1
+    lo, hi = cert.enclosures[0]
+    assert lo <= 1.0 <= hi <= 1.0 + 1e-7
 
 
 def test_quadratic_descent_rejects_non_psd():
@@ -132,3 +134,18 @@ def test_descent_aborts_on_non_real_rooted_branch():
                 candidates=lambda k: [0],
                 branch_poly=lambda k, fixed, c: bad,
             )
+
+
+def test_certificate_records_enclosures_bands_and_margins():
+    md = MatrixDistribution.make([diag(0.0), diag(2.0)], [0.5, 0.5])
+    cert = greedy_descent_linear([md, MatrixDistribution.deterministic(diag(1.0))])
+    assert cert.assignment == (0, 0)
+    assert cert.maxroots == tuple(e.hi for e in cert.enclosures)
+    for (lo, hi), exact in zip(cert.enclosures, (2.0, 1.0, 1.0)):
+        assert lo <= exact <= hi
+    assert cert.bands == tuple(e.hi - e.lo for e in cert.enclosures[1:])
+    assert max(cert.bands) <= 1e-10
+    # level 0: the runner-up (value 2) has max root 3; level 1 has one value
+    assert cert.margins[0] == pytest.approx(2.0, abs=1e-9)
+    assert cert.margins[1] == np.inf
+    assert cert.residuals == (0.0, 0.0)

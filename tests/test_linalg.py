@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from interlace import (
-    BadSlot,
     EmptyMatrix,
     NotContraction,
     NotHermitian,
     NotPSD,
-    block_diagonal_lift,
     eigenvalues,
     ensemble,
     ensemble_stats,
@@ -162,28 +160,6 @@ def test_rank_one_completion_rejections():
         rank_one_completion(np.diag([-0.5, 0.5]), 0.5)
     with pytest.raises(NotContraction):
         rank_one_completion(np.diag([2.0]), 0.5)
-
-
-def test_block_diagonal_lift_examples():
-    L = block_diagonal_lift(np.diag([1.0]), 2, 1, 2.0)
-    np.testing.assert_allclose(L.entries, np.diag([2.0, 0.0]))
-    L = block_diagonal_lift(np.eye(2), 1, 1, 1.0)
-    np.testing.assert_allclose(L.entries, np.eye(2))
-    L = block_diagonal_lift(np.diag([1.0, 0.0]), 2, 2, 0.5)
-    np.testing.assert_allclose(L.entries, np.diag([0.0, 0.0, 0.5, 0.0]))
-    with pytest.raises(BadSlot):
-        block_diagonal_lift(np.eye(2), 2, 3, 1.0)
-
-
-def test_block_diagonal_lift_trace_and_norm():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        d = int(rng.integers(1, 5))
-        A = make_hermitian(random_psd(rng, d), tol=np.inf)
-        s = float(rng.uniform(0.2, 3.0))
-        L = block_diagonal_lift(A, 3, 2, s)
-        assert L.trace() == pytest.approx(s * A.trace())
-        assert operator_norm(L) == pytest.approx(s * operator_norm(A))
 
 
 def test_ensemble_stats_examples():

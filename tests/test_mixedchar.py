@@ -384,14 +384,6 @@ def test_table_is_shared_and_consistent():
     assert a.coeffs == b.coeffs
 
 
-def test_stability_safe_flag():
-    spec = DerivativeSpec((-1.0, 0.0), (1.0, 0.0), (-1.0, -0.5))
-    assert spec.stability_safe == (True, True)
-    # a = -b but a^2 > -c
-    spec = DerivativeSpec((-2.0,), (2.0,), (-1.0,))
-    assert spec.stability_safe == (False,)
-
-
 def test_mixed_operator_below_diagonal_operator_single_index():
     # For one matrix B the two second-order restrictions have closed forms in
     # the elementary symmetric functions e_k of the spectrum:

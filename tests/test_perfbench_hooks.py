@@ -7,9 +7,14 @@ metrics.  This file only reads perfbench: it loads its tracer by path.
 
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from interlace import DiscrepancyInstance, discrepancy
 from interlace.descent import _run_descent
+from interlace.generate import random_two_valued, trace_capped_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +32,18 @@ def test_every_tracer_hook_resolves():
 
 def test_run_descent_keeps_the_parameters_the_tracer_binds():
     assert {"num_levels", "branch_poly"} <= inspect.signature(_run_descent).parameters.keys()
+
+
+def test_every_max_root_is_certified_inside_the_hooked_names():
+    # one maxroot_certified call, with one root_report inside it, per branch
+    # plus one for the root polynomial: certification work moved out of
+    # these names would show here rather than as a drop in their self time
+    rng = np.random.default_rng(5)
+    inst = DiscrepancyInstance(trace_capped_ensemble(rng, 3, 4, 1.0), tuple(random_two_valued(rng) for _ in range(4)))
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        discrepancy.solve_kls(inst)
+    spans = Counter(span[0] for span in tracer.spans)
+    assert tracer.counts["descent.levels"] == 4
+    assert spans["polynomials.maxroot"] == tracer.counts["descent.branches"] + 1
+    assert spans["polynomials.root_report"] == tracer.counts["descent.branches"] + 1

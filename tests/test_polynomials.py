@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, reflect, root_report, root_scaling
+from interlace.polynomials import _newton_polish
 
 
 def P(*coeffs):
@@ -14,11 +16,6 @@ def test_mul_difference_of_squares():
 
 def test_scale():
     assert P(-1, 0, 1).scale(2).coeffs == (-2.0, 0.0, 2.0)
-
-
-def test_compose_affine_shift():
-    # x^2 composed with x - 1 gives (x-1)^2
-    assert P(0, 0, 1).compose_affine(1.0, -1.0).coeffs == (1.0, -2.0, 1.0)
 
 
 def test_add_sub_zero():
@@ -88,8 +85,11 @@ def test_root_report_rejects_constants():
 
 
 def test_maxroot_certified_examples():
-    assert maxroot_certified(P(1, -2, 1), 1e-10) == pytest.approx(1.0, abs=1e-9)
-    assert maxroot_certified(P(-4, 0, 1), 1e-10) == pytest.approx(2.0, abs=1e-9)
+    # a double root bounds the certified upper end at about sqrt(eps) above
+    lo, hi = maxroot_certified(P(1, -2, 1), 1e-10)
+    assert lo <= 1.0 <= hi <= 1.0 + 2e-7
+    lo, hi = maxroot_certified(P(-4, 0, 1), 1e-10)
+    assert lo <= 2.0 <= hi <= lo + 1e-10
     with pytest.raises(NotRealRooted):
         maxroot_certified(P(2, 0, 1))
 
@@ -104,14 +104,16 @@ def test_maxroot_certified_matches_companion():
         p = RealPolynomial.from_coeffs(np.poly(roots)[::-1])
         a = maxroot_certified(p, 1e-10, rootedness_tol=1e-6)
         b = root_report(p, 1e-6).maxroot
-        assert a == pytest.approx(b, abs=1e-9)
+        assert a.hi == pytest.approx(b, abs=1e-9)
+        assert a.lo == pytest.approx(b, abs=1e-9)
 
 
 def test_maxroot_certified_multiple_root_cluster():
     # (x-1)^3 (x+2): companion roots of the triple cluster spread, the
-    # certified value may not
+    # enclosure still holds the root; its upper end sits about eps^(1/3) above
     p = RealPolynomial.from_coeffs(np.poly([1.0, 1.0, 1.0, -2.0])[::-1])
-    assert maxroot_certified(p, 1e-10, rootedness_tol=1e-6) == pytest.approx(1.0, abs=1e-5)
+    lo, hi = maxroot_certified(p, 1e-10, rootedness_tol=1e-6)
+    assert lo <= 1.0 <= hi <= 1.0 + 1e-4
     rep = root_report(p, 1e-7)
     assert rep.real_rooted  # realness rescue covers the noisy triple root
 
@@ -126,3 +128,123 @@ def test_derivative_shift_property():
         q = p + p.derivative().scale(c)
         x0 = root_report(q, 1e-6).maxroot + 1e-6
         assert root_report(p, 1e-6).maxroot <= x0 + c + 1e-9
+
+
+def _exact_taylor(p, x):
+    """p^(j)(x) / j! for j = 0..deg, from the float coefficients at 60 digits."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(c) for c in reversed(p.coeffs)]
+        x = mpmath.mpf(x)
+        n = len(a) - 1
+        for j in range(n):
+            for i in range(1, n + 1 - j):
+                a[i] += a[i - 1] * x
+        return a[::-1]
+
+
+def _exact_enclosure_holds(p, lo, hi):
+    """Exact signs behind lo <= max root <= hi.
+
+    Every Taylor coefficient of p positive at hi (leading sign normalised)
+    puts hi above every real root; a negative one at lo puts lo below the
+    max root, since the derivatives' roots interlace.
+    """
+    sign = 1 if p.leading() > 0 else -1
+    above = all(sign * t > 0 for t in _exact_taylor(p, hi))
+    below = any(sign * t < 0 for t in _exact_taylor(p, lo))
+    return above and below
+
+
+def _top_roots(kind, rng):
+    if kind == "spread":
+        return rng.uniform(-1.0, 2.0, 8)
+    if kind == "clustered":
+        return np.concatenate([1.5 + 1e-4 * rng.standard_normal(3), rng.uniform(-1.0, 1.0, 5)])
+    values = rng.choice([-1.0, -0.5, 0.5, 1.0, 1.5, 2.0], 3, replace=False)
+    return values.repeat(rng.integers(1, 4, 3))  # exact multiples, exact coefficients
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered", "multiple"])
+def test_maxroot_enclosure_holds_the_exact_root(kind):
+    # the nonzero roots sit on an exact zero root of rising multiplicity, so
+    # the degree reaches 48 while the polynomial stays real-rooted in float
+    rng = np.random.default_rng(11)
+    for degree in (2, 5, 8, 12, 16, 24, 32, 40, 48):
+        top = _top_roots(kind, rng)[:degree]
+        roots = np.concatenate([top, np.zeros(degree - len(top))])
+        scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0))
+        p = RealPolynomial.from_coeffs(np.poly(roots)[::-1] * scale)
+        lo, hi = maxroot_certified(p, rootedness_tol=1e-6)
+        assert lo < hi
+        assert _exact_enclosure_holds(p, lo, hi), (kind, degree, lo, hi)
+        if kind == "multiple":
+            assert lo <= roots.max() <= hi
+
+
+def test_maxroot_enclosure_degree_20_spread_roots():
+    # roots uniform on [-1, 2]: the Horner-undecided band is 2.4e-6 wide,
+    # and its lower edge lies 1.1e-6 below the exact max root
+    roots = np.random.default_rng(0).uniform(-1.0, 2.0, 20)
+    p = RealPolynomial.from_coeffs(np.poly(roots)[::-1])
+    with mpmath.workdps(60):
+        exact = max(
+            mpmath.re(z)
+            for z in mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=200)
+        )
+    lo, hi = maxroot_certified(p, rootedness_tol=1e-6)
+    assert lo <= exact <= hi
+    assert hi - lo < 1e-5
+
+
+def _per_root_newton(desc, r):
+    p = np.polyval(desc, r)
+    dp = np.polyval(np.polyder(desc), r)
+    if abs(dp) <= 1e-300 or abs(dp) * 1e12 < abs(p):
+        return r
+    step = p / dp
+    if abs(step) > 1.0 + abs(r):
+        return r
+    return r - step
+
+
+def test_root_report_polish_matches_per_root_newton_bit_for_bit():
+    rng = np.random.default_rng(4)
+    cases = [P(1, -2, 1), P(2, 0, 1), P(0, 0, -2, 1), P(-1, 0, 0, 0, 1)]
+    for _ in range(60):
+        degree = int(rng.integers(1, 25))
+        roots = rng.uniform(-2.0, 2.0, degree)
+        roots[: degree // 3] = roots[0]  # a multiple root
+        cases.append(RealPolynomial.from_coeffs(np.poly(roots)[::-1] * rng.uniform(-3.0, 3.0)))
+        cases.append(RealPolynomial.from_coeffs(rng.standard_normal(degree + 1)))
+    for p in cases:
+        rep = root_report(p, 1e-7)
+        asc = list(p.coeffs)
+        zeros = 0
+        while asc[0] == 0.0:
+            asc.pop(0)
+            zeros += 1
+        desc = np.array(asc[::-1])
+        want = [0j] * zeros + [complex(_per_root_newton(desc, r)) for r in np.roots(desc)]
+        if rep.max_imag_residual == max(abs(z.imag) for z in want):
+            assert rep.roots == tuple(want)
+        else:  # accepted through the realness rescue, which keeps real parts
+            assert rep.roots == tuple(complex(z.real) for z in want)
+        assert rep.maxroot == max(z.real for z in want)
+        assert rep.minroot == min(z.real for z in want)
+
+
+def test_newton_polish_rules_match_per_root_newton_bit_for_bit():
+    # points chosen to reach every rule and its threshold: a critical point
+    # (p' = 0), p/p' above 1e12, steps just over 1 + |r| (x = 0.3 on x^2 - 1)
+    # and far from the root (x = 1e12, where p/p' = 5e11 < |r|), and plain
+    # Newton steps
+    rng = np.random.default_rng(6)
+    moved = []
+    for desc in (np.array([1.0, 0.0, -1.0]), np.array([1.0, 0.0, 1e13]), rng.standard_normal(9)):
+        crit = np.roots(np.polyder(desc))
+        raw = np.concatenate([crit, [0.0, 1e-3, 0.01, 0.3, 3.0, 1e12, 1e13], rng.uniform(-2, 2, 8) + 1j * rng.uniform(-1, 1, 8)])
+        want = [_per_root_newton(desc, r) for r in raw]
+        got = _newton_polish(desc, raw)
+        assert [complex(z) for z in got] == [complex(z) for z in want]
+        moved.extend(got != raw)
+    assert any(moved) and not all(moved)
