@@ -52,7 +52,7 @@ from .errors import (
     ValueNotInSupport,
     WeightOutOfRange,
 )
-from .files import EnsembleFile, parse_ensemble, serialize_ensemble, write_ensemble
+from .files import EnsembleFile, parse_ensemble, serialize_ensemble
 from .generate import gen_instance
 from .linalg import (
     EnsembleStats,

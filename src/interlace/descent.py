@@ -11,6 +11,7 @@ enclosures is recorded as a certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -20,10 +21,20 @@ from .errors import NotPSD, NotRealRooted, ValueNotInSupport
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
 from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
 # root_report is unused here but kept for perfbench's tracer, which hooks this namespace.
-from .polynomials import MAXROOT_TOL, MaxRoot, RealPolynomial, maxroot_certified, root_report  # noqa: F401
+from .polynomials import MaxRoot, RealPolynomial, maxroot_certified, root_report  # noqa: F401
 
 TIE_TOL = 1e-9
 ROOTEDNESS_TOL = 1e-7
+
+
+def _check_probs(values: Sequence, probs: Sequence[float]) -> None:
+    """One probability per value, nonnegative and summing to 1; NaN fails."""
+    if len(values) != len(probs) or not values:
+        raise ValueError("values and probs must be nonempty and match")
+    if not all(p >= 0.0 for p in probs):
+        raise ValueError("probabilities must be nonnegative")
+    if not abs(sum(probs) - 1.0) <= 1e-12:
+        raise ValueError("probabilities must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -34,12 +45,9 @@ class FiniteDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.probs) or not self.values:
-            raise ValueError("values and probs must be nonempty and match")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        _check_probs(self.values, self.probs)
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("support values must be finite")
         if len(set(self.values)) != len(self.values):
             raise ValueError("support values must be distinct")
 
@@ -94,7 +102,9 @@ class DescentCertificate:
     branch's per level.  residuals[k] is the certified violation
     max(0, lo[k+1] - hi[k]) of the monotone chain (zero, as the theory
     guarantees), and margins[k] is the runner-up's hi minus the chosen hi
-    at level k (inf when the level has one candidate).
+    at level k (inf when the level has one candidate).  A margin may be
+    negative within TIE_TOL: a branch wins only by more than TIE_TOL, so a
+    tie goes to the earlier candidate even when its hi is a few ulps higher.
     """
 
     assignment: tuple
@@ -158,14 +168,14 @@ def _run_descent(
     residuals = []
     margins = []
     try:
-        chain = [maxroot_certified(root_poly(), MAXROOT_TOL, ROOTEDNESS_TOL)]
+        chain = [maxroot_certified(root_poly(), rootedness_tol=ROOTEDNESS_TOL)]
         for level in range(num_levels):
             best = None
             best_root = MaxRoot(np.inf, np.inf)
             runner_up = np.inf
             for cand in candidates(level):
                 context = f"level {level}, branch {cand!r}"
-                root = maxroot_certified(branch_poly(level, fixed, cand), MAXROOT_TOL, ROOTEDNESS_TOL)
+                root = maxroot_certified(branch_poly(level, fixed, cand), rootedness_tol=ROOTEDNESS_TOL)
                 if root.hi < best_root.hi - TIE_TOL:
                     runner_up = min(runner_up, best_root.hi)
                     best, best_root = cand, root
@@ -226,12 +236,7 @@ class MatrixDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.probs) or not self.values:
-            raise ValueError("values and probs must be nonempty and match")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        _check_probs(self.values, self.probs)
 
     @classmethod
     def make(cls, values, probs) -> "MatrixDistribution":

@@ -23,7 +23,6 @@ from .errors import NotPSD
 from .linalg import (
     MatrixEnsemble,
     as_hermitian,
-    absolute_value,
     ensemble as as_ensemble,
     is_psd,
     make_hermitian,
@@ -129,10 +128,8 @@ def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResu
     instance is deterministic (or supported on zero matrices) and the
     answer is immediate with achieved = 0.
     """
-    sigma = sigma_bound(inst)
     dists = tuple(two_point_reduction(d) for d in inst.dists) if reduce else inst.dists
-    if reduce:
-        sigma = sigma_bound(DiscrepancyInstance(inst.ensemble, dists))
+    sigma = _sigma(inst.ensemble, dists)
     m = len(inst.ensemble)
     if sigma == 0.0:
         outcome = _degenerate_outcome(dists)
@@ -159,21 +156,24 @@ def solve_hermitian(
 
     sigma is computed with |B_i| in place of A_i; the solver runs on the
     2d x 2d block-diagonal lift diag((B_i)+, (B_i)-) and the outcome is
-    evaluated on the original matrices.
+    evaluated on the original matrices.  Both |B_i| = (B_i)+ + (B_i)- and
+    the lift come from one spectral split of B_i.
     """
     mats = [as_hermitian(M) for M in matrices]
     dists = tuple(dists)
     if len(dists) != len(mats):
         raise ValueError("one distribution per matrix required")
-    sigma = _sigma([absolute_value(B) for B in mats], dists)
     d = mats[0].dim
+    absolute = []
     lifted = []
     for B in mats:
         pos, neg = positive_negative_parts(B)
+        absolute.append(make_hermitian(pos.entries + neg.entries, tol=np.inf))
         block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
         block[:d, :d] = pos.entries
         block[d:, d:] = neg.entries
         lifted.append(make_hermitian(block, tol=np.inf))
+    sigma = _sigma(absolute, dists)
     inner = solve_kls(DiscrepancyInstance.make(lifted, dists), reduce=reduce)
     achieved = _recompute_achieved(mats, dists, inner.outcome)
     return DiscrepancyResult(inner.outcome, achieved, sigma, 8.0 * sigma, inner.certificate)

@@ -32,9 +32,9 @@ class EnsembleFile:
     proportions: list[float] | None = None
     epsilon_override: float | None = None
 
-    def ensemble(self, tol: float | None = None) -> MatrixEnsemble:
+    def ensemble(self) -> MatrixEnsemble:
         try:
-            return MatrixEnsemble.from_arrays(self.matrices, tol)
+            return MatrixEnsemble.from_arrays(self.matrices)
         except NotHermitian as exc:
             raise ValidationError(f"NotHermitian: {exc}") from exc
 
@@ -170,8 +170,3 @@ def serialize_ensemble(ef: EnsembleFile) -> str:
     if ef.epsilon_override is not None:
         doc["epsilon_override"] = float(ef.epsilon_override)
     return json.dumps(doc, indent=2) + "\n"
-
-
-def write_ensemble(ef: EnsembleFile, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_ensemble(ef))

@@ -7,9 +7,7 @@ import numpy as np
 from .descent import FiniteDistribution
 from .errors import SizeGuard
 from .linalg import MatrixEnsemble, make_hermitian, operator_norm
-
-MAX_GEN_DIM = 10
-MAX_GEN_COUNT = 14
+from .mixedchar import MAX_DIM, MAX_INDICES
 
 
 def random_psd(rng: np.random.Generator, d: int, rank: int | None = None, trace: float | None = None) -> np.ndarray:
@@ -89,8 +87,8 @@ def gen_instance(kind: str, d: int, m: int, epsilon: float, seed: int) -> "Ensem
     rank-one, lyapunov, ksr)."""
     from .files import EnsembleFile
 
-    if d > MAX_GEN_DIM or m > MAX_GEN_COUNT:
-        raise SizeGuard(f"generator limited to d <= {MAX_GEN_DIM}, m <= {MAX_GEN_COUNT}")
+    if d > MAX_DIM or m > MAX_INDICES:
+        raise SizeGuard(f"generator limited to d <= {MAX_DIM}, m <= {MAX_INDICES}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(seed)

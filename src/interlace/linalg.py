@@ -98,14 +98,12 @@ def operator_norm(H) -> float:
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
-def is_psd(H, slack: float | None = None) -> bool:
+def is_psd(H) -> bool:
     """PSD test with relative slack on the most negative eigenvalue."""
     H = as_hermitian(H)
     w = eigenvalues(H)
     norm = float(np.max(np.abs(w))) if w.size else 0.0
-    if slack is None:
-        slack = PSD_SLACK * (1.0 + norm)
-    return bool(w[0] >= -slack)
+    return bool(w[0] >= -PSD_SLACK * (1.0 + norm))
 
 
 def positive_negative_parts(H) -> tuple[HermitianMatrix, HermitianMatrix]:

@@ -7,11 +7,13 @@ with sum at most the identity and traces at most eps.
 ``ks_r_partition`` splits such an ensemble into r blocks whose sums stay
 below t_k (sum A + (2 sqrt(r eps) + r eps) I) in the PSD order, hence with
 norms at most t_k (1 + sqrt(r eps))^2.  The construction lifts each matrix
-to an r-block diagonal slot choice, completes the identity with rank-one
-pieces, and runs the linear greedy descent.  All polynomial work stays at
-block scale: the lifted determinant factors over blocks, each factor only
-rescales entries of one shared subset-derivative table, and the factors are
-combined by a ranked subset convolution.
+to an r-block diagonal slot choice (t_k^{-1} A_i in block k), completes the
+identity with rank-one pieces that sit in every block, and descends the
+linear family over slot choices.  All polynomial work stays at block scale:
+one subset-derivative table is built over the matrices and the pieces, the
+lifted determinant factors over blocks, each factor rescales that table by
+per-index slot weights, and the factors are combined by a ranked subset
+convolution.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .linalg import (
     weighted_sum,
 )
 from .mixedchar import (
-    MAX_INDICES,
     SubsetTable,
     _graded_poly,
     _ranked_mobius_collapse,
@@ -198,46 +199,6 @@ def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
     return _ranked_mobius_collapse(acc, n, pc)
 
 
-class _BlockLiftedProblem:
-    """Linear-descent evaluator for slot-choice ensembles, at block scale.
-
-    Index i < m picks a slot k and contributes t_k^{-1} A_i to block k only;
-    the remaining indices are deterministic and contribute B_j to every
-    block.  The mixed characteristic polynomial of the lifted dr x dr
-    ensemble is assembled from one d x d subset table: factor k sees matrix
-    i rescaled by a per-index weight (t_k^{-1}, 1, or 0), the tables are
-    combined by subset convolution, and the x power depends only on |S|.
-    """
-
-    def __init__(self, A: Sequence, B: Sequence, proportions: Sequence[float]):
-        self.m = len(A)
-        self.mp = len(B)
-        self.n = self.m + self.mp
-        self.r = len(proportions)
-        self.t = [float(x) for x in proportions]
-        mats = list(A) + list(B)
-        self.d = mats[0].dim
-        if self.d * self.r > MAX_LIFTED_DIM:
-            raise SizeGuard(f"lifted dimension {self.d * self.r} exceeds {MAX_LIFTED_DIM}")
-        if self.n > MAX_INDICES:
-            raise SizeGuard(
-                f"{self.n} indices after completion exceed the guard {MAX_INDICES}"
-            )
-        self.table = SubsetTable.build(mats)
-        self.pc = self.table.sizes
-        self.signed = np.where(self.pc % 2 == 1, -self.table.coeffs, self.table.coeffs)
-
-    def conditional_poly(self, fixed: dict[int, int]) -> RealPolynomial:
-        """mu with fixed indices in their slots and free indices at their means."""
-        tables = []
-        for k in range(self.r):
-            w = np.ones(self.n)
-            for i, slot in fixed.items():
-                w[i] = 1.0 / self.t[k] if slot == k else 0.0
-            tables.append(self.signed * subset_products(w))
-        return _graded_poly(self.pc, subset_convolve(tables, self.n), self.r * self.d)
-
-
 def ks_r_partition(
     ensemble, proportions: Sequence[float], epsilon: float | None = None
 ) -> PartitionResult:
@@ -248,7 +209,7 @@ def ks_r_partition(
     bound ||sum_{I_k} A_i|| <= t_k (1 + sqrt(r eps))^2.
     """
     t = [float(x) for x in proportions]
-    if not t or any(x <= 0 for x in t) or abs(sum(t) - 1.0) > 1e-12:
+    if not t or not all(x > 0 for x in t) or not abs(sum(t) - 1.0) <= 1e-12:  # NaN fails
         raise BadProportions("proportions must be positive and sum to 1")
     ens, eps = _trace_capped(ensemble, epsilon)
     r = len(t)
@@ -259,13 +220,30 @@ def ks_r_partition(
     recon = total.entries + sum((B.entries for B in completion), np.zeros((d, d), dtype=np.complex128))
     if float(np.linalg.norm(recon - np.eye(d))) > 1e-8 * d:
         raise ValidationError("completion failed to reconstruct the identity")
-    problem = _BlockLiftedProblem(list(ens.matrices), completion, t)
+    if d * r > MAX_LIFTED_DIM:
+        raise SizeGuard(f"lifted dimension {d * r} exceeds {MAX_LIFTED_DIM}")
+    table = SubsetTable.build(list(ens) + completion)
+    n = table.n
+
+    def poly_for(fixed: dict[int, int]) -> RealPolynomial:
+        """mu with fixed indices in their slots and free indices at their means.
+
+        Slot k sees index i with weight 1 when i is free, 1/t_k when i is
+        fixed to slot k and 0 when fixed elsewhere; the sign of mu folds into
+        the negated weights.
+        """
+        w = np.ones((r, n))
+        for i, slot in fixed.items():
+            w[:, i] = 0.0
+            w[slot, i] = 1.0 / t[slot]
+        tables = [table.coeffs * subset_products(-w[k]) for k in range(r)]
+        return _graded_poly(table.sizes, subset_convolve(tables, n), r * d)
 
     cert = _run_descent(
         num_levels=m,
-        root_poly=lambda: problem.conditional_poly({}),
+        root_poly=lambda: poly_for({}),
         candidates=lambda k: range(r),
-        branch_poly=lambda k, fixed, slot: problem.conditional_poly({**fixed, k: slot}),
+        branch_poly=lambda k, fixed, slot: poly_for({**fixed, k: slot}),
     )
     blocks = tuple(
         tuple(i for i in range(m) if cert.assignment[i] == k) for k in range(r)

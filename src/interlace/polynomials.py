@@ -21,6 +21,7 @@ import numpy as np
 from .errors import NotMonic, NotRealRooted, NumericalFailure
 
 DEFAULT_ROOT_TOL = 1e-9
+# Enclosure width at which maxroot_certified stops tightening.
 MAXROOT_TOL = 1e-10
 # Enclosure seeds: the companion root offset by (1 + |r|) times these
 # (1e-13 up to 7.0).
@@ -62,17 +63,11 @@ class RealPolynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self, tol: float = 1e-9) -> bool:
+    def is_monic(self) -> bool:
         if self.is_zero:
             return False
         scale = max(1.0, max(abs(c) for c in self.coeffs))
-        return abs(self.leading() - 1.0) <= tol * scale
-
-    def __call__(self, x: float) -> float:
-        v = 0.0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
+        return abs(self.leading() - 1.0) <= 1e-9 * scale
 
     def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -252,11 +247,7 @@ def _classify(chain: np.ndarray, factor: np.ndarray, xs: np.ndarray) -> tuple[np
     return (values > bounds).all(axis=1), (values < -bounds).any(axis=1)
 
 
-def maxroot_certified(
-    p: RealPolynomial,
-    tol: float = MAXROOT_TOL,
-    rootedness_tol: float = DEFAULT_ROOT_TOL,
-) -> MaxRoot:
+def maxroot_certified(p: RealPolynomial, rootedness_tol: float = DEFAULT_ROOT_TOL) -> MaxRoot:
     """Enclosure of the largest root, seeded from the companion root.
 
     With a positive leading coefficient, every derivative is positive above
@@ -265,7 +256,7 @@ def maxroot_certified(
     derivative puts ``lo`` below the max root.  Both ends start at the
     Newton-polished companion root r, offset by (1 + |r|) 1e-13 4^k for all k
     at once, with the Cauchy bound as the last resort; passes of evenly
-    spaced interior points then tighten [lo, hi] until it is ``tol`` wide
+    spaced interior points then tighten [lo, hi] until it is MAXROOT_TOL wide
     or a pass no longer shrinks it.
     """
     report = root_report(p, rootedness_tol)
@@ -290,7 +281,7 @@ def maxroot_certified(
         if (new_lo, new_hi) == (lo, hi):
             break
         lo, hi = new_lo, new_hi
-        if hi - lo <= tol:
+        if hi - lo <= MAXROOT_TOL:
             break
         xs = np.linspace(lo, hi, _PASS_POINTS + 2)[1:-1]
     if not -np.inf < lo < hi < np.inf:

@@ -134,7 +134,7 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
         p = _random_real_rooted(rng, int(rng.integers(1, 7)), separated=True)
         worst = max(
             worst,
-            abs(maxroot_certified(p, 1e-10, 1e-6).hi - root_report(p, 1e-6).maxroot),
+            abs(maxroot_certified(p, rootedness_tol=1e-6).hi - root_report(p, 1e-6).maxroot),
         )
     out.append(_result("certified-vs-companion-maxroot", worst, 1e-9))
     return out

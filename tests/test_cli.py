@@ -284,3 +284,44 @@ def test_cli_json_reports_certificate_band_and_margin(tmp_path, command):
     doc = json.loads(rep.read_text())
     assert 0.0 <= doc["certificate_max_band"] <= 1e-9
     assert doc["certificate_min_margin"] >= -1e-9
+
+
+def test_cli_partition_rejects_nan_proportions(tmp_path, capsys):
+    inst = tmp_path / "ksr.json"
+    assert main(["gen", "--kind", "ksr", "--dim", "2", "--count", "4", "--out", str(inst)]) == 0
+    assert main(["partition", "--input", str(inst), "--proportions", "nan,nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: BadProportions:")
+
+
+def _eig_norm(M) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(M))))
+
+
+@pytest.mark.parametrize("command", ["discrepancy", "hermitian", "lyapunov", "partition"])
+def test_cli_reported_norms_match_a_plain_numpy_eigensolve(tmp_path, command):
+    kind = {"discrepancy": "psd-trace-capped", "hermitian": "psd-trace-capped",
+            "lyapunov": "lyapunov", "partition": "ksr"}[command]
+    inst, rep = tmp_path / "i.json", tmp_path / "rep.json"
+    assert main(["gen", "--kind", kind, "--dim", "3", "--count", "6", "--epsilon", "0.3",
+                 "--seed", "11", "--out", str(inst)]) == 0
+    doc = json.loads(inst.read_text())
+    if command == "hermitian":  # make the instance indefinite
+        doc["matrices"] = [[[[-x for x in e] for e in row] for row in M] if i % 2 else M
+                           for i, M in enumerate(doc["matrices"])]
+        inst.write_text(json.dumps(doc))
+    mats = [np.array([[complex(*e) for e in row] for row in M]) for M in doc["matrices"]]
+    assert main([command, "--input", str(inst), "--json", str(rep)]) == 0
+    out = json.loads(rep.read_text())
+    if command == "partition":
+        for k in range(len(out["proportions"])):
+            block_sum = sum((mats[i] for i in out[f"block[{k}]"]), np.zeros_like(mats[0]))
+            assert abs(out[f"block[{k}]_norm"] - _eig_norm(block_sum)) <= 1e-12
+        return
+    if command == "lyapunov":
+        chosen = set(out["selected_indices"])
+        coeffs = [float(i in chosen) - t for i, t in enumerate(doc["weights"])]
+    else:
+        means = [float(np.dot(dd["values"], dd["probs"])) for dd in doc["distributions"]]
+        coeffs = [s - mu for s, mu in zip(out["outcome"], means)]
+    deviation = sum(c * A for c, A in zip(coeffs, mats))
+    assert abs(out["achieved_recomputed"] - _eig_norm(deviation)) <= 1e-12

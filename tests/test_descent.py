@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,27 @@ def test_descent_assignment_values_lie_in_support():
     cert = greedy_descent_quadratic(E, dists)
     for s, dd in zip(cert.assignment, dists):
         assert s in dd.support()
+
+
+@pytest.mark.parametrize(
+    "values, probs",
+    [
+        ([0.0, 1.0], [math.nan, math.nan]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 1.0], [0.5, math.inf]),
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([0.0, -math.inf], [0.5, 0.5]),
+    ],
+)
+def test_finite_distribution_rejects_nan_and_non_finite(values, probs):
+    with pytest.raises(ValueError):
+        FD.make(values, probs)
+
+
+@pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.inf]])
+def test_matrix_distribution_rejects_nan_and_non_finite_probs(probs):
+    with pytest.raises(ValueError):
+        MatrixDistribution.make([diag(0.0), diag(2.0)], probs)
 
 
 def test_descent_aborts_on_non_real_rooted_branch():

@@ -19,10 +19,14 @@ from interlace import (
     mixed_bound_reference,
     operator_norm,
     partition_two_sided_deviations,
+    rank_one_completion,
     weighted_approx,
 )
+from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, trace_capped_ensemble
 from interlace.lyapunov import subset_convolve
+from interlace.mixedchar import mixed_char_poly
+from interlace.polynomials import maxroot_certified
 
 
 def diag(*vals):
@@ -189,6 +193,44 @@ def test_ks_r_validation():
         ks_r_partition(E, [0.7, 0.7])
     with pytest.raises(BadProportions):
         ks_r_partition(E, [])
+    for bad in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.5]):
+        with pytest.raises(BadProportions):
+            ks_r_partition(E, bad)
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    d = blocks[0].shape[0]
+    out = np.zeros((d * len(blocks), d * len(blocks)), dtype=np.complex128)
+    for k, B in enumerate(blocks):
+        out[k * d : (k + 1) * d, k * d : (k + 1) * d] = B
+    return out
+
+
+@pytest.mark.parametrize("d, m, r", [(2, 5, 3), (3, 6, 3), (2, 6, 4), (5, 5, 2)])
+def test_partition_chain_matches_the_explicit_lifted_ensemble(d, m, r):
+    # At every level, rebuild the d r x d r slot-choice ensemble: a fixed
+    # index i as A_i / t_k in its block k, a free index as its mean A_i in
+    # every block, and each completion piece in every block.  Its mixed
+    # characteristic polynomial, evaluated without the block-scale table,
+    # must reproduce the certified chain.
+    rng = np.random.default_rng(100 * d + 10 * m + r)
+    E = covering_ensemble(rng, d, m, 0.9)
+    props = [k / (r * (r + 1) / 2) for k in range(1, r + 1)]
+    props[-1] = 1.0 - sum(props[:-1])
+    res = ks_r_partition(E, props)
+    completion = [B.entries for B in rank_one_completion(E.sum(), res.epsilon)]
+    zero = np.zeros((d, d))
+    for level, expected in enumerate(res.certificate.maxroots):
+        lifted = []
+        for i, A in enumerate(E):
+            if i < level:
+                k = res.certificate.assignment[i]
+                lifted.append(_block_diagonal([A.entries / props[j] if j == k else zero for j in range(r)]))
+            else:
+                lifted.append(_block_diagonal([A.entries] * r))
+        lifted += [_block_diagonal([B] * r) for B in completion]
+        poly = mixed_char_poly(ensemble(lifted), np.ones(len(lifted)))
+        assert maxroot_certified(poly, rootedness_tol=ROOTEDNESS_TOL).hi == pytest.approx(expected, abs=1e-9)
 
 
 def test_mixed_bound_reference_values():

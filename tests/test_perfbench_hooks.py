@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from interlace import DiscrepancyInstance, discrepancy
+from interlace import DiscrepancyInstance, discrepancy, lyapunov
 from interlace.descent import _run_descent
-from interlace.generate import random_two_valued, trace_capped_ensemble
+from interlace.generate import covering_ensemble, random_two_valued, trace_capped_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,3 +47,18 @@ def test_every_max_root_is_certified_inside_the_hooked_names():
     assert tracer.counts["descent.levels"] == 4
     assert spans["polynomials.maxroot"] == tracer.counts["descent.branches"] + 1
     assert spans["polynomials.root_report"] == tracer.counts["descent.branches"] + 1
+
+
+def test_partition_convolves_every_branch_inside_the_hooked_name():
+    # one table build per partition and one subset convolution per branch
+    # plus one for the root polynomial, all through the names the tracer
+    # rebinds in interlace.lyapunov
+    rng = np.random.default_rng(5)
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        lyapunov.ks_r_partition(covering_ensemble(rng, 2, 5, 0.9), [0.4, 0.6])
+    spans = Counter(span[0] for span in tracer.spans)
+    assert tracer.counts["descent.levels"] == 5
+    assert tracer.counts["descent.branches"] == 10
+    assert spans["lyapunov.convolve"] == tracer.counts["descent.branches"] + 1
+    assert spans["mixedchar.table_build"] == 1

@@ -86,9 +86,9 @@ def test_root_report_rejects_constants():
 
 def test_maxroot_certified_examples():
     # a double root bounds the certified upper end at about sqrt(eps) above
-    lo, hi = maxroot_certified(P(1, -2, 1), 1e-10)
+    lo, hi = maxroot_certified(P(1, -2, 1))
     assert lo <= 1.0 <= hi <= 1.0 + 2e-7
-    lo, hi = maxroot_certified(P(-4, 0, 1), 1e-10)
+    lo, hi = maxroot_certified(P(-4, 0, 1))
     assert lo <= 2.0 <= hi <= lo + 1e-10
     with pytest.raises(NotRealRooted):
         maxroot_certified(P(2, 0, 1))
@@ -102,7 +102,7 @@ def test_maxroot_certified_matches_companion():
         deg = int(rng.integers(1, 8))
         roots = rng.choice(np.arange(-6, 7), size=deg, replace=False) + rng.uniform(-0.2, 0.2, deg)
         p = RealPolynomial.from_coeffs(np.poly(roots)[::-1])
-        a = maxroot_certified(p, 1e-10, rootedness_tol=1e-6)
+        a = maxroot_certified(p, rootedness_tol=1e-6)
         b = root_report(p, 1e-6).maxroot
         assert a.hi == pytest.approx(b, abs=1e-9)
         assert a.lo == pytest.approx(b, abs=1e-9)
@@ -112,7 +112,7 @@ def test_maxroot_certified_multiple_root_cluster():
     # (x-1)^3 (x+2): companion roots of the triple cluster spread, the
     # enclosure still holds the root; its upper end sits about eps^(1/3) above
     p = RealPolynomial.from_coeffs(np.poly([1.0, 1.0, 1.0, -2.0])[::-1])
-    lo, hi = maxroot_certified(p, 1e-10, rootedness_tol=1e-6)
+    lo, hi = maxroot_certified(p, rootedness_tol=1e-6)
     assert lo <= 1.0 <= hi <= 1.0 + 1e-4
     rep = root_report(p, 1e-7)
     assert rep.real_rooted  # realness rescue covers the noisy triple root
