@@ -89,8 +89,8 @@ def gen_instance(kind: str, d: int, m: int, epsilon: float, seed: int) -> "Ensem
 
     if d > MAX_DIM or m > MAX_INDICES:
         raise SizeGuard(f"generator limited to d <= {MAX_DIM}, m <= {MAX_INDICES}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:  # also rejects NaN
+        raise ValueError(f"epsilon must be positive and finite; got {epsilon}")
     rng = np.random.default_rng(seed)
     weights = None
     distributions = None

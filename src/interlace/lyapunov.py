@@ -12,8 +12,10 @@ identity with rank-one pieces that sit in every block, and descends the
 linear family over slot choices.  All polynomial work stays at block scale:
 one subset-derivative table is built over the matrices and the pieces, the
 lifted determinant factors over blocks, each factor rescales that table by
-per-index slot weights, and the factors are combined by a ranked subset
-convolution.
+per-index slot weights, and the factors are combined by
+``mixedchar.subset_convolve``, whose rank arrays hold only the rows a
+c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for the
+product).
 """
 
 from __future__ import annotations
@@ -50,13 +52,7 @@ from .linalg import (
     rank_one_completion,
     weighted_sum,
 )
-from .mixedchar import (
-    SubsetTable,
-    _graded_poly,
-    _ranked_mobius_collapse,
-    popcounts,
-    subset_products,
-)
+from .mixedchar import SubsetTable, _graded_poly, subset_convolve, subset_products
 from .polynomials import RealPolynomial
 
 MAX_LIFTED_DIM = 48
@@ -125,10 +121,7 @@ def lyapunov_select(inst: LyapunovInstance) -> SelectionResult:
     dists = tuple(FiniteDistribution.bernoulli(t) for t in inst.weights)
     res = solve_kls(DiscrepancyInstance(inst.ensemble, dists))
     chosen = tuple(i for i, s in enumerate(res.outcome) if s == 1.0)
-    achieved = operator_norm(
-        weighted_sum(inst.ensemble, [float(i in chosen) - t for i, t in enumerate(inst.weights)])
-    )
-    return SelectionResult(chosen, achieved, 2.0 * math.sqrt(inst.epsilon), res)
+    return SelectionResult(chosen, res.achieved, 2.0 * math.sqrt(inst.epsilon), res)
 
 
 @dataclass(frozen=True)
@@ -168,37 +161,6 @@ class PartitionResult:
     proportions: tuple[float, ...]
 
 
-# ---------------------------------------------------------------------------
-# Ranked subset convolution over scalar tables.
-# ---------------------------------------------------------------------------
-
-
-def _ranked_zeta(table: np.ndarray, n: int, pc: np.ndarray) -> np.ndarray:
-    R = np.zeros((n + 1, 1 << n))
-    R[pc, np.arange(1 << n)] = table
-    for b in range(n):
-        view = R.reshape(n + 1, 1 << (n - b - 1), 2, 1 << b)
-        view[:, :, 1, :] += view[:, :, 0, :]
-    return R
-
-
-def _rank_product(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    H = np.zeros_like(A)
-    for j in range(n + 1):
-        H[j] = np.einsum("is,is->s", A[: j + 1], B[j::-1])
-    return H
-
-
-def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """h(S) = sum over ordered disjoint decompositions S_1 | ... | S_r = S
-    of prod_k tables[k][S_k]."""
-    pc = popcounts(n)
-    acc = _ranked_zeta(np.asarray(tables[0], dtype=np.float64), n, pc)
-    for t in tables[1:]:
-        acc = _rank_product(acc, _ranked_zeta(np.asarray(t, dtype=np.float64), n, pc), n)
-    return _ranked_mobius_collapse(acc, n, pc)
-
-
 def ks_r_partition(
     ensemble, proportions: Sequence[float], epsilon: float | None = None
 ) -> PartitionResult:
@@ -236,8 +198,7 @@ def ks_r_partition(
         for i, slot in fixed.items():
             w[:, i] = 0.0
             w[slot, i] = 1.0 / t[slot]
-        tables = [table.coeffs * subset_products(-w[k]) for k in range(r)]
-        return _graded_poly(table.sizes, subset_convolve(tables, n), r * d)
+        return _graded_poly(table.sizes, subset_convolve(table.coeffs * subset_products(-w), n), r * d)
 
     cert = _run_descent(
         num_levels=m,

@@ -23,11 +23,18 @@ One batched eigensolve over the subset sums, the elementary-symmetric
 recurrence on their eigenvalues and one ranked Moebius pass give every c_S.
 Signs, scalar multiples and operator coefficients enter only through
 per-subset weights, since c_S is multilinear in the matrix arguments.
+
+``subset_convolve`` combines weighted copies of the table (the block
+factors of a lifted determinant) by a ranked subset convolution.  Its rank
+arrays follow the table's depth rule: rows stop at the largest |S| a table
+can fill, min(n, d) for a c_S table, and a product of ranked arrays at the
+sum of their depths, capped at n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,22 +55,26 @@ def popcounts(n: int) -> np.ndarray:
 
 
 def subset_products(weights) -> np.ndarray:
-    """w[mask] = prod_{i in mask} weights[i], for all masks."""
+    """w[..., mask] = prod_{i in mask} weights[..., i]; one row per weight row."""
     weights = np.asarray(weights, dtype=np.float64)
-    n = len(weights)
-    out = np.ones(1 << n)
+    n = weights.shape[-1]
+    out = np.ones(weights.shape[:-1] + (1 << n,))
     for i in range(n):
         step = 1 << i
-        out[step : 2 * step] = out[:step] * weights[i]
+        out[..., step : 2 * step] = out[..., :step] * weights[..., i, None]
     return out
 
 
 def _ranked_mobius_collapse(R: np.ndarray, n: int, pc: np.ndarray) -> np.ndarray:
-    """In-place Moebius transform of every rank row of R; row pc[S] at mask S."""
+    """In-place Moebius transform of every rank row of R; row pc[S] at mask S.
+
+    R holds the rows 0..top that can be nonzero; masks with pc[S] > top read 0.
+    """
     for b in range(n):
         view = R.reshape(len(R), 1 << (n - b - 1), 2, 1 << b)
         view[:, :, 1, :] -= view[:, :, 0, :]
-    return R[pc, np.arange(1 << n)]
+    top = len(R) - 1
+    return np.where(pc <= top, R[np.minimum(pc, top), np.arange(1 << n)], 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,33 @@ class SubsetTable:
                 low[k] += col * low[k - 1]
         E = np.zeros((top + 1, 1 << n))
         E[:, keep] = low
-        coeffs = np.where(sizes <= top, _ranked_mobius_collapse(E, n, np.minimum(sizes, top)), 0.0)
+        coeffs = _ranked_mobius_collapse(E, n, sizes)
         return cls(dim=dim, n=n, coeffs=coeffs, sizes=sizes)
+
+
+def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """h(S) = sum over ordered disjoint decompositions S_1 | ... | S_r = S
+    of prod_k tables[k][S_k].
+
+    Ranked zeta transforms, rank products and one ranked Moebius collapse,
+    each on the rows the depth rule keeps; every skipped row is exactly zero.
+    """
+    pc = popcounts(n)
+    cols = np.arange(1 << n)
+    acc = np.ones((1, 1 << n))  # zeta of the empty-set indicator
+    for t in tables:
+        t = np.asarray(t, dtype=np.float64)
+        depth = int(pc[t != 0].max(initial=0))
+        R = np.zeros((depth + 1, 1 << n))
+        R[np.minimum(pc, depth), cols] = t
+        for b in range(n):
+            view = R.reshape(depth + 1, 1 << (n - b - 1), 2, 1 << b)
+            view[:, :, 1, :] += view[:, :, 0, :]
+        H = np.zeros((min(len(acc) - 1 + depth, n) + 1, 1 << n))
+        for i, row in enumerate(acc):
+            H[i : i + depth + 1] += row * R[: len(H) - i]
+        acc = H
+    return _ranked_mobius_collapse(acc, n, pc)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from interlace import ParseError, ValidationError, parse_ensemble, serialize_ensemble
+from interlace import ParseError, ValidationError, parse_ensemble, serialize_ensemble, solve_kls
 from interlace.cli import main
 from interlace.generate import gen_instance
 
@@ -92,16 +93,37 @@ def test_gen_rank_one_matrices():
         assert w[-2] <= 1e-10
 
 
-def test_cli_discrepancy_exit_codes(tmp_path, capsys):
+def test_cli_discrepancy_exit_codes(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--kind", "psd-trace-capped", "--dim", "3", "--count", "4",
                  "--epsilon", "0.3", "--seed", "1", "--out", str(inst)]) == 0
     assert main(["discrepancy", "--input", str(inst)]) == 0
     out = capsys.readouterr().out
     assert "achieved_recomputed" in out
-    # injected violation must flip the exit code and print the inequality
-    assert main(["discrepancy", "--input", str(inst), "--inject-violation"]) == 2
+
+    # a bound below the achieved norm must flip the exit code and print the inequality
+    def violated(*args, **kwargs):
+        res = solve_kls(*args, **kwargs)
+        return dataclasses.replace(res, bound=res.achieved - 1.0)
+
+    monkeypatch.setattr("interlace.cli.solve_kls", violated)
+    assert main(["discrepancy", "--input", str(inst)]) == 2
     assert "VIOLATED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, bad, name",
+    [("--epsilon", "nan", "epsilon"), ("--epsilon", "inf", "epsilon"),
+     ("--signs", "nan,1,1", "--signs"), ("--signs", "1,inf,1", "--signs")],
+)
+def test_cli_rejects_non_finite_arguments(tmp_path, capsys, flag, bad, name):
+    inst = str(tmp_path / "inst.json")
+    gen = ["gen", "--kind", "psd-trace-capped", "--dim", "2", "--count", "3", "--out", inst]
+    assert main(gen) == 0
+    argv = gen + [flag, bad] if flag == "--epsilon" else ["mcp-eval", "--input", inst, flag, bad]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err, err
 
 
 def test_cli_mcp_eval_non_real_rooted_pair(tmp_path, capsys):

@@ -25,7 +25,7 @@ from interlace import (
 from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, trace_capped_ensemble
 from interlace.lyapunov import subset_convolve
-from interlace.mixedchar import mixed_char_poly
+from interlace.mixedchar import mixed_char_poly, popcounts
 from interlace.polynomials import maxroot_certified
 
 
@@ -106,20 +106,40 @@ def test_weighted_approx_identity_partition():
     assert res.achieved <= 2.0 + 1e-7
 
 
+def _convolve_by_enumeration(tables, n):
+    """sum over every slot assignment of the bits of S of prod_k tables[k][S_k]."""
+    out = np.zeros(1 << n)
+    for S in range(1 << n):
+        bits = [i for i in range(n) if S >> i & 1]
+        for asg in itertools.product(range(len(tables)), repeat=len(bits)):
+            masks = [0] * len(tables)
+            for b, a in zip(bits, asg):
+                masks[a] |= 1 << b
+            out[S] += math.prod(t[mask] for t, mask in zip(tables, masks))
+    return out
+
+
 def test_subset_convolve_matches_enumeration():
     rng = np.random.default_rng(0)
     n = 5
     tables = [rng.standard_normal(1 << n) for _ in range(3)]
     fast = subset_convolve(tables, n)
-    for S in range(1 << n):
-        bits = [i for i in range(n) if S >> i & 1]
-        total = 0.0
-        for asg in itertools.product(range(3), repeat=len(bits)):
-            masks = [0, 0, 0]
-            for b, a in zip(bits, asg):
-                masks[a] |= 1 << b
-            total += tables[0][masks[0]] * tables[1][masks[1]] * tables[2][masks[2]]
-        assert fast[S] == pytest.approx(total, rel=1e-9, abs=1e-9)
+    assert fast == pytest.approx(_convolve_by_enumeration(tables, n), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("ranks", [(1, 2, 3), (2, 2, 2), (0, 3, 1), (3,)])
+def test_subset_convolve_keeps_every_rank_a_table_fills(ranks):
+    # Each table is zero above its rank, as a c_S table is above min(n, d),
+    # and one has scattered zeros below it; the convolution reads only the
+    # rows such tables can fill, so a row cut one short shows here.
+    rng = np.random.default_rng(sum(ranks))
+    n = 7
+    sizes = popcounts(n)
+    tables = [np.where(sizes <= k, rng.standard_normal(1 << n), 0.0) for k in ranks]
+    tables[-1][rng.random(1 << n) < 0.3] = 0.0
+    fast = subset_convolve(tables, n)
+    assert np.max(np.abs(fast - _convolve_by_enumeration(tables, n))) <= 1e-12
+    assert np.all(fast[sizes > sum(ranks)] == 0.0)
 
 
 def test_ks_r_single_block():
