@@ -76,7 +76,6 @@ from .lyapunov import (
     ks_r_partition,
     lyapunov_select,
     mixed_bound_reference,
-    partition_two_sided_deviations,
     weighted_approx,
 )
 from .mixedchar import (

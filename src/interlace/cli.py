@@ -19,17 +19,17 @@ from .discrepancy import DiscrepancyInstance, _recompute_achieved, solve_hermiti
 from .errors import InterlaceError
 from .files import parse_ensemble, serialize_ensemble
 from .generate import gen_instance
-from .linalg import ensemble_stats, make_hermitian
-from .lyapunov import (
-    RESULT_SLACK,
-    LyapunovInstance,
-    ks_r_partition,
-    lyapunov_select,
-    partition_two_sided_deviations,
-)
+from .linalg import make_hermitian
+from .lyapunov import RESULT_SLACK, LyapunovInstance, ks_r_partition, lyapunov_select
 from .mixedchar import mixed_char_poly, quadratic_mixed_char_poly
 from .polynomials import maxroot_certified, root_report
 from .verification import SUITES, run_suites
+
+
+def _require_at_least(flag: str, value: float, low: float) -> None:
+    """Reject a command-line number below ``low``, infinite or NaN."""
+    if not low <= value < math.inf:
+        raise InterlaceError(f"{flag} must be finite and at least {low}; got {value}")
 
 
 def _fail_line(name: str, lhs: float, rhs: float) -> str:
@@ -109,16 +109,16 @@ def cmd_mcp_eval(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
+    _require_at_least("--compare-random", args.compare_random, 0)
     ef = parse_ensemble(args.input)
     ens = ef.ensemble()
     dists = ef.finite_distributions()
     inst = DiscrepancyInstance(ens, tuple(dists))
     rep = _Report("discrepancy", seed=args.seed)
     res = solve_kls(inst, reduce=not args.no_reduce)
-    stats = ensemble_stats(ens)
     rep.set("dim", ens.dim)
     rep.set("count", len(ens))
-    rep.set("epsilon_max_trace", stats.epsilon)
+    rep.set("epsilon_max_trace", float(np.max(ens.traces())))
     rep.set("sigma", res.sigma)
     rep.set("outcome", list(res.outcome))
     rep.set("achieved_recomputed", res.achieved)
@@ -196,7 +196,6 @@ def cmd_partition(args) -> int:
     rep.set("proportions", list(res.proportions))
     r = len(props)
     spread = 2.0 * math.sqrt(r * res.epsilon) + r * res.epsilon
-    two_sided = partition_two_sided_deviations(ens, res)
     for k, block in enumerate(res.blocks):
         rep.set(f"block[{k}]", list(block))
         rep.set(f"block[{k}]_norm", res.block_norms[k])
@@ -204,7 +203,7 @@ def cmd_partition(args) -> int:
         rep.check(
             f"block {k} psd certificate", 0.0, 1.0 if res.upper_cert[k] else -1.0
         )
-        rep.check(f"block {k} two-sided deviation", two_sided[k], spread + RESULT_SLACK)
+        rep.check(f"block {k} two-sided deviation", res.deviations[k], spread + RESULT_SLACK)
         sharper = max(res.proportions[k], 1.0 - res.proportions[k]) * spread
         rep.set(f"block[{k}]_sharper_deviation_bound", f"{sharper:.12g} (informational)")
     _set_certificate(rep, res.certificate)
@@ -216,6 +215,7 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             raise InterlaceError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    _require_at_least("--scale", args.scale, 0.0)
     print(f"seed {args.seed}  scale {args.scale}")
     failures = 0
     t0 = time.perf_counter()
@@ -228,6 +228,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _require_at_least("--dim", args.dim, 1)
+    _require_at_least("--count", args.count, 1)
     ef = gen_instance(args.kind, args.dim, args.count, args.epsilon, args.seed)
     text = serialize_ensemble(ef)
     if args.out:
@@ -258,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy", help="signed-combination discrepancy within 4 sigma")
     p.add_argument("--input", required=True)
     p.add_argument("--no-reduce", action="store_true", help="skip the two-point reduction")
-    p.add_argument("--compare-random", type=int, metavar="N", help="sample N random outcomes for contrast")
+    p.add_argument(
+        "--compare-random", type=int, default=0, metavar="N", help="sample N random outcomes for contrast"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json")
     p.set_defaults(fn=cmd_discrepancy)

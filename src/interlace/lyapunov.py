@@ -150,12 +150,17 @@ def weighted_approx(ensemble, t: float) -> WeightedApproxResult:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """r disjoint blocks covering [m], with per-block norms and certificates."""
+    """r disjoint blocks covering [m], with per-block norms and certificates.
+
+    ``deviations[k]`` is the two-sided deviation ||sum_{I_k} A - t_k sum A||,
+    bounded by 2 sqrt(r eps) + r eps.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
     block_norms: tuple[float, ...]
     bounds: tuple[float, ...]
     upper_cert: tuple[bool, ...]
+    deviations: tuple[float, ...]
     certificate: DescentCertificate
     epsilon: float
     proportions: tuple[float, ...]
@@ -213,9 +218,11 @@ def ks_r_partition(
     norms = []
     bounds = []
     upper = []
+    deviations = []
     for k in range(r):
         block_sum = weighted_sum(ens, [float(i in blocks[k]) for i in range(m)])
         norms.append(operator_norm(block_sum))
+        deviations.append(operator_norm(make_hermitian(block_sum.entries - t[k] * total.entries, tol=np.inf)))
         bounds.append(t[k] * (1.0 + math.sqrt(r * eps)) ** 2)
         gap = t[k] * (total.entries + spread * np.eye(d)) - block_sum.entries
         upper.append(bool(eigenvalues(make_hermitian(gap, tol=np.inf))[0] >= -RESULT_SLACK))
@@ -224,20 +231,11 @@ def ks_r_partition(
         block_norms=tuple(norms),
         bounds=tuple(bounds),
         upper_cert=tuple(upper),
+        deviations=tuple(deviations),
         certificate=cert,
         epsilon=eps,
         proportions=tuple(t),
     )
-
-
-def partition_two_sided_deviations(ens: MatrixEnsemble, result: PartitionResult) -> tuple[float, ...]:
-    """Per block: ||sum_{I_k} A - t_k sum A|| (bounded by 2 sqrt(r eps) + r eps)."""
-    total = ens.sum().entries
-    out = []
-    for k, block in enumerate(result.blocks):
-        s = weighted_sum(ens, [float(i in block) for i in range(len(ens))]).entries
-        out.append(operator_norm(make_hermitian(s - result.proportions[k] * total, tol=np.inf)))
-    return tuple(out)
 
 
 def mixed_bound_reference(ensemble, rank_cap: int | None = None) -> float:

@@ -37,7 +37,6 @@ from .lyapunov import (
     ks_r_partition,
     lyapunov_select,
     mixed_bound_reference,
-    partition_two_sided_deviations,
 )
 from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
 from .mixedchar import quadratic_mixed_char_poly, truncated_ring_oracle
@@ -73,6 +72,13 @@ def _coeff_gap(p: RealPolynomial, q: RealPolynomial) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
+def _psd_ensemble(rng, d: int, m: int, hi: float = 1.0) -> MatrixEnsemble:
+    """m random d x d PSD matrices with traces drawn from U(0.2, hi)."""
+    return MatrixEnsemble.from_arrays(
+        [random_psd(rng, d, trace=float(rng.uniform(0.2, hi))) for _ in range(m)], tol=np.inf
+    )
+
+
 def _random_real_rooted(rng, deg: int, separated: bool = False) -> RealPolynomial:
     if separated:
         roots = rng.choice(np.arange(-6, 7), size=deg, replace=False)
@@ -80,6 +86,21 @@ def _random_real_rooted(rng, deg: int, separated: bool = False) -> RealPolynomia
     else:
         roots = rng.uniform(-3.0, 3.0, size=deg)
     return RealPolynomial.from_coeffs(np.poly(roots)[::-1])
+
+
+def _shift_transfer(rng, count: int) -> float:
+    """Worst violation of: x0 above the roots of p + c p' puts x0 + c above the roots of p."""
+    worst = -np.inf
+    for _ in range(count):
+        p = _random_real_rooted(rng, int(rng.integers(2, 7)))
+        dp = p.derivative()
+        for c in (-0.5, 0.5, 1.0):
+            shifted = p + dp.scale(c)
+            if shifted.degree < 1:
+                continue
+            x0 = root_report(shifted, TOL_ROOTED).maxroot + 1e-6
+            worst = max(worst, root_report(p, TOL_ROOTED).maxroot - (x0 + c))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +137,7 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
         worst = max(worst, abs(rep2.maxroot + rep.minroot))
     out.append(_result("reflect-minroot-relation", worst, 1e-7))
 
-    # x0 above the roots of p + c p' puts x0 + c above the roots of p
-    worst = -np.inf
-    for _ in range(count):
-        p = _random_real_rooted(rng, int(rng.integers(2, 7)))
-        dp = p.derivative()
-        for c in (-0.5, 0.5, 1.0):
-            shifted = p + dp.scale(c)
-            if shifted.degree < 1:
-                continue
-            x0 = root_report(shifted, TOL_ROOTED).maxroot + 1e-6
-            worst = max(worst, root_report(p, TOL_ROOTED).maxroot - (x0 + c))
-    out.append(_result("derivative-shift-transfer", worst, 1e-9))
+    out.append(_result("derivative-shift-transfer", _shift_transfer(rng, count), 1e-9))
 
     worst = 0.0
     for _ in range(count):
@@ -148,10 +158,7 @@ def suite_oracle(seed: int = 0, count: int = 200) -> list[CheckResult]:
     for it in range(count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.5))) for _ in range(m)],
-            tol=np.inf,
-        )
+        ens = _psd_ensemble(rng, d, m, hi=1.5)
         table = SubsetTable.build(ens)
         if it % 2 == 0:
             scalars = rng.uniform(-1.5, 1.5, size=m)
@@ -181,6 +188,21 @@ def suite_oracle(seed: int = 0, count: int = 200) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _slot_growth_maxroots(rng, sign: float) -> tuple[float, float]:
+    """Max roots of mu[A1, rest] and mu[A1 + inc, rest] under random signs,
+    with slot 1 signed ``sign``: the draw behind both slot-monotonicity checks."""
+    d = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 5))
+    ens = _psd_ensemble(rng, d, m)
+    inc = random_psd(rng, d, trace=float(rng.uniform(0.1, 0.6)))
+    eps = rng.choice([-1.0, 1.0], size=m)
+    eps[0] = sign
+    grown = MatrixEnsemble.from_arrays([ens[0].entries + inc, *ens.matrices[1:]], tol=np.inf)
+    return tuple(
+        maxroot_certified(mixed_char_poly(e, eps), rootedness_tol=TOL_ROOTED).hi for e in (ens, grown)
+    )
 
 
 def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
@@ -240,11 +262,11 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        mats = [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)]
+        ens = _psd_ensemble(rng, d, m)
         t = float(rng.uniform(0.2, 3.0))
-        base = mixed_char_poly(MatrixEnsemble.from_arrays(mats, tol=np.inf), np.ones(m))
+        base = mixed_char_poly(ens, np.ones(m))
         scaled = mixed_char_poly(
-            MatrixEnsemble.from_arrays([t * M for M in mats], tol=np.inf), np.ones(m)
+            MatrixEnsemble.from_arrays([t * H.entries for H in ens], tol=np.inf), np.ones(m)
         )
         worst = max(worst, _coeff_gap(scaled, root_scaling(base, t)))
     out.append(_result("uniform-scaling-identity", worst, TOL_COEFF))
@@ -264,9 +286,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         eps = rng.choice([-1.0, 1.0], size=m)
         table = SubsetTable.build(ens)
         worst = max(
@@ -280,9 +300,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(2 * count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 6))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         eps = rng.choice([-1.0, 1.0], size=m)
         rep = root_report(mixed_char_poly(ens, eps), TOL_ROOTED)
         if not rep.real_rooted:
@@ -294,9 +312,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(2 * count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         dists = [random_distribution(rng) for _ in range(m)]
         nfix = int(rng.integers(0, m + 1))
         fixed = {i: dists[i].support()[0] for i in range(nfix)}
@@ -309,20 +325,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     # max-root monotone in the PSD order (positive slot)
     worst = -np.inf
     for _ in range(count):
-        d = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        mats = [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)]
-        inc = random_psd(rng, d, trace=float(rng.uniform(0.1, 0.6)))
-        eps = rng.choice([-1.0, 1.0], size=m)
-        eps[0] = 1.0
-        mA = maxroot_certified(
-            mixed_char_poly(MatrixEnsemble.from_arrays(mats, tol=np.inf), eps),
-            rootedness_tol=TOL_ROOTED,
-        ).hi
-        mB = maxroot_certified(
-            mixed_char_poly(MatrixEnsemble.from_arrays([mats[0] + inc] + mats[1:], tol=np.inf), eps),
-            rootedness_tol=TOL_ROOTED,
-        ).hi
+        mA, mB = _slot_growth_maxroots(rng, 1.0)
         worst = max(worst, mA - mB)
     out.append(_result("maxroot-psd-monotonicity", worst, TOL_ROOT))
 
@@ -332,9 +335,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         worst = max(worst, maxroot_certified(mixed_char_poly(ens, -np.ones(m)), rootedness_tol=TOL_ROOTED).hi)
     out.append(_result("negative-ensemble-maxroot-nonpositive", worst, TOL_ROOT))
 
@@ -344,9 +345,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(2 * count):
         d = int(rng.integers(2, 5))
         m = int(rng.integers(2, 6))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         eps = rng.choice([-1.0, 1.0], size=m)
         table = SubsetTable.build(ens)
         f = mixed_char_poly(ens, eps, table) * mixed_char_poly(ens, -eps, table)
@@ -374,20 +373,7 @@ def reversed_slot_monotonicity(seed: int = 0, count: int = 100) -> CheckResult:
     worst = -np.inf
     example = ""
     for it in range(count):
-        d = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        mats = [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)]
-        inc = random_psd(rng, d, trace=float(rng.uniform(0.1, 0.6)))
-        eps = rng.choice([-1.0, 1.0], size=m)
-        eps[0] = -1.0
-        mA = maxroot_certified(
-            mixed_char_poly(MatrixEnsemble.from_arrays(mats, tol=np.inf), eps),
-            rootedness_tol=TOL_ROOTED,
-        ).hi
-        mB = maxroot_certified(
-            mixed_char_poly(MatrixEnsemble.from_arrays([mats[0] + inc] + mats[1:], tol=np.inf), eps),
-            rootedness_tol=TOL_ROOTED,
-        ).hi
+        mA, mB = _slot_growth_maxroots(rng, -1.0)
         if mB - mA > worst:
             worst = mB - mA
             moved = "rose" if mB > mA else "fell"
@@ -649,10 +635,7 @@ def suite_partition(seed: int = 0, count: int = 30) -> list[CheckResult]:
         )
         worst_psd = max(worst_psd, 0.0 if all(res.upper_cert) else 1.0)
         spread = 2.0 * math.sqrt(r * res.epsilon) + r * res.epsilon
-        worst_two = max(
-            worst_two,
-            max(x - spread for x in partition_two_sided_deviations(ens, res)),
-        )
+        worst_two = max(worst_two, max(x - spread for x in res.deviations))
     return [
         _result("partition-blocks-cover", float(bad_cover), 0.0),
         _result("partition-norm-bounds", worst_norm, TOL_ROOT),
@@ -669,9 +652,7 @@ def suite_barriers(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         shifts = rng.uniform(0.0, 1.0, size=m)
         x = float(rng.uniform(0.5, 3.0))
         pt = BarrierPoint.make(ens, x, shifts)
@@ -694,25 +675,13 @@ def suite_barriers(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(count):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        ens = MatrixEnsemble.from_arrays(
-            [random_psd(rng, d, trace=float(rng.uniform(0.2, 1.0))) for _ in range(m)], tol=np.inf
-        )
+        ens = _psd_ensemble(rng, d, m)
         pt = BarrierPoint.make(ens, float(rng.uniform(0.5, 3.0)), rng.uniform(0.0, 1.0, size=m))
         if not barrier_shape_check(pt, int(rng.integers(0, m))).passed:
             bad += 1
     out.append(_result("barrier-shape-checks", float(bad), 0.0))
 
-    worst = -np.inf
-    for _ in range(count):
-        p = _random_real_rooted(rng, int(rng.integers(2, 7)))
-        dp = p.derivative()
-        for c in (-0.5, 0.5, 1.0):
-            shifted = p + dp.scale(c)
-            if shifted.degree < 1:
-                continue
-            x0 = root_report(shifted, TOL_ROOTED).maxroot + 1e-6
-            worst = max(worst, root_report(p, TOL_ROOTED).maxroot - (x0 + c))
-    out.append(_result("univariate-shift-transfer", worst, 1e-9))
+    out.append(_result("univariate-shift-transfer", _shift_transfer(rng, count), 1e-9))
 
     bad = 0
     for _ in range(count):

@@ -126,6 +126,35 @@ def test_cli_rejects_non_finite_arguments(tmp_path, capsys, flag, bad, name):
     assert err.startswith("error:") and name in err, err
 
 
+@pytest.mark.parametrize("kind", ["psd-trace-capped", "rank-one", "lyapunov", "ksr"])
+@pytest.mark.parametrize("flag, bad", [("--dim", "0"), ("--count", "0"), ("--count", "-2")])
+def test_cli_gen_rejects_sizes_below_one(capsys, kind, flag, bad):
+    sizes = {"--dim": "2", "--count": "3", flag: bad}
+    assert main(["gen", "--kind", kind] + [x for item in sizes.items() for x in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err, err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+def test_cli_verify_rejects_bad_scale_before_running(capsys, bad):
+    assert main(["verify", "--suite", "oracle", f"--scale={bad}"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "", cap.out
+    assert cap.err.startswith("error:") and "--scale" in cap.err, cap.err
+
+
+def test_cli_discrepancy_rejects_negative_compare_random(tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "--kind", "psd-trace-capped", "--dim", "2", "--count", "3", "--out", inst]) == 0
+    capsys.readouterr()
+    assert main(["discrepancy", "--input", inst, "--compare-random", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--compare-random" in err, err
+    # zero still means no sampling
+    assert main(["discrepancy", "--input", inst, "--compare-random", "0"]) == 0
+    assert "random_outcomes_norms" not in capsys.readouterr().out
+
+
 def test_cli_mcp_eval_non_real_rooted_pair(tmp_path, capsys):
     doc = {
         "dim": 2,

@@ -18,7 +18,6 @@ from interlace import (
     make_hermitian,
     mixed_bound_reference,
     operator_norm,
-    partition_two_sided_deviations,
     rank_one_completion,
     weighted_approx,
 )
@@ -183,9 +182,8 @@ def test_ks_r_blocks_always_partition():
     E = covering_ensemble(rng, 3, 6, 0.85)
     res = ks_r_partition(E, [0.3, 0.3, 0.4])
     assert sorted(i for b in res.blocks for i in b) == list(range(6))
-    devs = partition_two_sided_deviations(E, res)
     spread = 2 * math.sqrt(3 * res.epsilon) + 3 * res.epsilon
-    assert all(x <= spread + 1e-7 for x in devs)
+    assert all(x <= spread + 1e-7 for x in res.deviations)
 
 
 def test_ks_r_exact_cover_needs_no_completion():
