@@ -92,7 +92,6 @@ from .polynomials import (
     RealPolynomial,
     RootReport,
     maxroot_certified,
-    reflect,
     root_report,
     root_scaling,
 )

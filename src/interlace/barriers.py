@@ -7,7 +7,7 @@ barrier in direction j is the resolvent trace tr(M^{-1} A_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -97,7 +97,7 @@ def barrier_shape_check(
     for t in grid:
         shifts = list(pt.shifts)
         shifts[j] += t
-        vals.append(barrier_value(BarrierPoint.make(pt.ensemble, pt.x, shifts), j))
+        vals.append(barrier_value(replace(pt, shifts=tuple(shifts)), j))
     nonneg = all(v >= -CERT_SLACK for v in vals)
     noninc = all(vals[k + 1] <= vals[k] + CERT_SLACK for k in range(len(vals) - 1))
     slopes = [

@@ -19,7 +19,6 @@ from .discrepancy import DiscrepancyInstance, _recompute_achieved, solve_hermiti
 from .errors import InterlaceError
 from .files import parse_ensemble, serialize_ensemble
 from .generate import gen_instance
-from .linalg import make_hermitian
 from .lyapunov import RESULT_SLACK, LyapunovInstance, ks_r_partition, lyapunov_select
 from .mixedchar import mixed_char_poly, quadratic_mixed_char_poly
 from .polynomials import maxroot_certified, root_report
@@ -110,6 +109,7 @@ def cmd_mcp_eval(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     _require_at_least("--compare-random", args.compare_random, 0)
+    _require_at_least("--seed", args.seed, 0)
     ef = parse_ensemble(args.input)
     ens = ef.ensemble()
     dists = ef.finite_distributions()
@@ -145,12 +145,11 @@ def cmd_discrepancy(args) -> int:
 
 def cmd_hermitian(args) -> int:
     ef = parse_ensemble(args.input)
-    mats = [make_hermitian(M) for M in ef.matrices]
     dists = ef.finite_distributions()
     rep = _Report("hermitian")
-    res = solve_hermitian(mats, dists, reduce=not args.no_reduce)
-    rep.set("dim", mats[0].dim)
-    rep.set("count", len(mats))
+    res = solve_hermitian(ef.matrices, dists, reduce=not args.no_reduce)
+    rep.set("dim", ef.dim)
+    rep.set("count", len(ef.matrices))
     rep.set("sigma", res.sigma)
     rep.set("outcome", list(res.outcome))
     rep.set("achieved_recomputed", res.achieved)
@@ -216,6 +215,7 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             raise InterlaceError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     _require_at_least("--scale", args.scale, 0.0)
+    _require_at_least("--seed", args.seed, 0)
     print(f"seed {args.seed}  scale {args.scale}")
     failures = 0
     t0 = time.perf_counter()
@@ -230,6 +230,7 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     _require_at_least("--dim", args.dim, 1)
     _require_at_least("--count", args.count, 1)
+    _require_at_least("--seed", args.seed, 0)
     ef = gen_instance(args.kind, args.dim, args.count, args.epsilon, args.seed)
     text = serialize_ensemble(ef)
     if args.out:

@@ -99,9 +99,7 @@ class DescentCertificate:
     """Audit trail: chosen branch per level and the max-root enclosures.
 
     enclosures has one entry for the root polynomial followed by the chosen
-    branch's per level.  residuals[k] is the certified violation
-    max(0, lo[k+1] - hi[k]) of the monotone chain (zero, as the theory
-    guarantees), and margins[k] is the runner-up's hi minus the chosen hi
+    branch's per level.  margins[k] is the runner-up's hi minus the chosen hi
     at level k (inf when the level has one candidate).  A margin may be
     negative within TIE_TOL: a branch wins only by more than TIE_TOL, so a
     tie goes to the earlier candidate even when its hi is a few ulps higher.
@@ -109,7 +107,6 @@ class DescentCertificate:
 
     assignment: tuple
     enclosures: tuple[MaxRoot, ...]
-    residuals: tuple[float, ...]
     margins: tuple[float, ...]
 
     @property
@@ -121,6 +118,12 @@ class DescentCertificate:
     def bands(self) -> tuple[float, ...]:
         """Per level, the width hi - lo of the chosen branch's enclosure."""
         return tuple(e.hi - e.lo for e in self.enclosures[1:])
+
+    @property
+    def residuals(self) -> tuple[float, ...]:
+        """Per level, the certified violation max(0, lo[k+1] - hi[k]) of the
+        monotone chain (zero, as the theory guarantees)."""
+        return tuple(max(0.0, b.lo - a.hi) for a, b in zip(self.enclosures, self.enclosures[1:]))
 
     def monotone_within(self, slack: float) -> bool:
         return all(r <= slack for r in self.residuals)
@@ -155,9 +158,10 @@ def _run_descent(
     num_levels: int,
     root_poly: Callable[[], RealPolynomial],
     candidates: Callable[[int], Sequence],
-    branch_poly: Callable[[int, dict, object], RealPolynomial],
+    branch_poly: Callable[[dict], RealPolynomial],
 ) -> DescentCertificate:
-    """Shared greedy loop; candidates(k) must come pre-sorted in tie order.
+    """Shared greedy loop; candidates(k) must come pre-sorted in tie order,
+    and branch_poly receives each branch's assignment {level: value}.
 
     Branches are ranked by the certified upper end of their max root.  A
     polynomial that is not real-rooted aborts the descent with the root or
@@ -165,7 +169,6 @@ def _run_descent(
     """
     context = "root"
     fixed: dict = {}
-    residuals = []
     margins = []
     try:
         chain = [maxroot_certified(root_poly(), rootedness_tol=ROOTEDNESS_TOL)]
@@ -175,14 +178,13 @@ def _run_descent(
             runner_up = np.inf
             for cand in candidates(level):
                 context = f"level {level}, branch {cand!r}"
-                root = maxroot_certified(branch_poly(level, fixed, cand), rootedness_tol=ROOTEDNESS_TOL)
+                root = maxroot_certified(branch_poly({**fixed, level: cand}), rootedness_tol=ROOTEDNESS_TOL)
                 if root.hi < best_root.hi - TIE_TOL:
                     runner_up = min(runner_up, best_root.hi)
                     best, best_root = cand, root
                 else:
                     runner_up = min(runner_up, root.hi)
             fixed[level] = best
-            residuals.append(max(0.0, best_root.lo - chain[-1].hi))
             margins.append(runner_up - best_root.hi)
             chain.append(best_root)
     except NotRealRooted as exc:
@@ -192,16 +194,11 @@ def _run_descent(
     return DescentCertificate(
         assignment=tuple(fixed.values()),
         enclosures=tuple(chain),
-        residuals=tuple(residuals),
         margins=tuple(margins),
     )
 
 
-def greedy_descent_quadratic(
-    E: MatrixEnsemble,
-    dists: Sequence[FiniteDistribution],
-    table: SubsetTable | None = None,
-) -> DescentCertificate:
+def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistribution]) -> DescentCertificate:
     """Descend the product family mu[s A] * mu[-s A] over value assignments.
 
     The leaf reached satisfies maxroot f_(s_1..s_m) <= maxroot of the root
@@ -213,8 +210,7 @@ def greedy_descent_quadratic(
     for k, H in enumerate(E):
         if not is_psd(H):
             raise NotPSD(f"matrix {k} is not PSD")
-    if table is None:
-        table = SubsetTable.build(E)
+    table = SubsetTable.build(E)
 
     def poly_for(fixed: Mapping[int, float]) -> RealPolynomial:
         spec = conditional_spec_quadratic(dists, fixed)
@@ -224,7 +220,7 @@ def greedy_descent_quadratic(
         num_levels=len(E),
         root_poly=lambda: poly_for({}),
         candidates=lambda k: dists[k].support(),
-        branch_poly=lambda k, fixed, v: poly_for({**fixed, k: v}),
+        branch_poly=poly_for,
     )
 
 
@@ -288,5 +284,5 @@ def greedy_descent_linear(choices: Sequence[MatrixDistribution]) -> DescentCerti
         num_levels=len(choices),
         root_poly=lambda: poly_for({}),
         candidates=lambda k: choices[k].support_indices(),
-        branch_poly=lambda k, fixed, idx: poly_for({**fixed, k: idx}),
+        branch_poly=poly_for,
     )

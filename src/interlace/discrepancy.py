@@ -134,7 +134,7 @@ def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResu
     if sigma == 0.0:
         outcome = _degenerate_outcome(dists)
         achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
-        cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (m + 1), (0.0,) * m, (np.inf,) * m)
+        cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (m + 1), (np.inf,) * m)
         return DiscrepancyResult(outcome, achieved, 0.0, 0.0, cert)
     scaled = []
     back = []

@@ -15,28 +15,25 @@ import numpy as np
 
 from .descent import FiniteDistribution
 from .errors import NotHermitian, ParseError, ValidationError
-from .linalg import MatrixEnsemble, make_hermitian
+from .linalg import HermitianMatrix, MatrixEnsemble, make_hermitian
 
 SCHEMA_VERSION = "1"
 
 
 @dataclass
 class EnsembleFile:
-    """Parsed instance file: matrices plus optional per-command sections."""
+    """Parsed instance file: validated matrices plus optional per-command sections."""
 
     schema_version: str
     dim: int
-    matrices: list[np.ndarray]
+    matrices: list[HermitianMatrix]
     weights: list[float] | None = None
     distributions: list[dict] | None = None
     proportions: list[float] | None = None
     epsilon_override: float | None = None
 
     def ensemble(self) -> MatrixEnsemble:
-        try:
-            return MatrixEnsemble.from_arrays(self.matrices)
-        except NotHermitian as exc:
-            raise ValidationError(f"NotHermitian: {exc}") from exc
+        return MatrixEnsemble.from_arrays(self.matrices)
 
     def finite_distributions(self) -> list[FiniteDistribution]:
         if self.distributions is None:
@@ -119,10 +116,9 @@ def parse_ensemble(path: str) -> EnsembleFile:
             for ci, e in enumerate(row):
                 A[ri, ci] = _entry_to_complex(e, f"{where}[{ri}][{ci}]")
         try:
-            make_hermitian(A)
+            mats.append(make_hermitian(A))
         except NotHermitian as exc:
             raise ValidationError(f"{where}: NotHermitian: {exc}") from exc
-        mats.append(A)
     if not mats:
         raise ValidationError(f"{path}: matrices section is empty")
 

@@ -87,6 +87,8 @@ def gen_instance(kind: str, d: int, m: int, epsilon: float, seed: int) -> "Ensem
     rank-one, lyapunov, ksr)."""
     from .files import EnsembleFile
 
+    if d < 1 or m < 1:
+        raise ValueError(f"sizes must be at least 1; got d={d}, m={m}")
     if d > MAX_DIM or m > MAX_INDICES:
         raise SizeGuard(f"generator limited to d <= {MAX_DIM}, m <= {MAX_INDICES}")
     if not 0.0 < epsilon < np.inf:  # also rejects NaN
@@ -113,7 +115,7 @@ def gen_instance(kind: str, d: int, m: int, epsilon: float, seed: int) -> "Ensem
     return EnsembleFile(
         schema_version="1",
         dim=d,
-        matrices=[np.asarray(H.entries) for H in ens],
+        matrices=list(ens),
         weights=weights,
         distributions=(
             [{"values": list(dd.values), "probs": list(dd.probs)} for dd in distributions]

@@ -209,7 +209,7 @@ def ks_r_partition(
         num_levels=m,
         root_poly=lambda: poly_for({}),
         candidates=lambda k: range(r),
-        branch_poly=lambda k, fixed, slot: poly_for({**fixed, k: slot}),
+        branch_poly=poly_for,
     )
     blocks = tuple(
         tuple(i for i in range(m) if cert.assignment[i] == k) for k in range(r)
@@ -222,10 +222,11 @@ def ks_r_partition(
     for k in range(r):
         block_sum = weighted_sum(ens, [float(i in blocks[k]) for i in range(m)])
         norms.append(operator_norm(block_sum))
-        deviations.append(operator_norm(make_hermitian(block_sum.entries - t[k] * total.entries, tol=np.inf)))
+        # D_k = sum_{I_k} A - t_k sum A; the PSD certificate is t_k spread I - D_k >= 0
+        w = eigenvalues(make_hermitian(block_sum.entries - t[k] * total.entries, tol=np.inf))
+        deviations.append(float(np.max(np.abs(w))))
         bounds.append(t[k] * (1.0 + math.sqrt(r * eps)) ** 2)
-        gap = t[k] * (total.entries + spread * np.eye(d)) - block_sum.entries
-        upper.append(bool(eigenvalues(make_hermitian(gap, tol=np.inf))[0] >= -RESULT_SLACK))
+        upper.append(bool(t[k] * spread - w[-1] >= -RESULT_SLACK))
     return PartitionResult(
         blocks=blocks,
         block_norms=tuple(norms),

@@ -258,9 +258,9 @@ def quadratic_mixed_char_poly(
 
     Collapses to sum_S (-1)^|S| c_S^2 x^(2(d-|S|)).
     """
-    m = len(E)
-    spec = DerivativeSpec((0.0,) * m, (0.0,) * m, (-1.0,) * m)
-    return expected_product_poly(E, spec, table)
+    table = _require_table(E, table)
+    c, sizes = table.coeffs, table.sizes
+    return _graded_poly(2 * sizes, np.where(sizes % 2, -c, c) * c, 2 * table.dim)
 
 
 # ---------------------------------------------------------------------------

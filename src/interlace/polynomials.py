@@ -104,10 +104,6 @@ class RealPolynomial:
         )
 
 
-def reflect(p: RealPolynomial) -> RealPolynomial:
-    return p.reflect()
-
-
 def root_scaling(p: RealPolynomial, t: float) -> RealPolynomial:
     """t^d p(x / t): multiplies every root of a monic p by t > 0."""
     if t <= 0:

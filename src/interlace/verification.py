@@ -28,7 +28,6 @@ from .generate import (
 )
 from .linalg import (
     MatrixEnsemble,
-    ensemble_stats,
     make_hermitian,
     operator_norm,
 )
@@ -40,7 +39,7 @@ from .lyapunov import (
 )
 from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
 from .mixedchar import quadratic_mixed_char_poly, truncated_ring_oracle
-from .polynomials import RealPolynomial, maxroot_certified, reflect, root_report, root_scaling
+from .polynomials import RealPolynomial, maxroot_certified, root_report, root_scaling
 
 TOL_COEFF = 1e-8
 TOL_ROOT = 1e-7
@@ -115,7 +114,7 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
         p = RealPolynomial.from_coeffs(rng.uniform(-2, 2, size=int(rng.integers(2, 8))))
         if p.is_zero:
             continue
-        back = reflect(reflect(p))
+        back = p.reflect().reflect()
         worst = max(worst, max(abs(a - b) for a, b in zip(p.coeffs, back.coeffs)))
     out.append(_result("reflect-involution", worst, 0.0))
 
@@ -132,7 +131,7 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
     for _ in range(count):
         p = _random_real_rooted(rng, int(rng.integers(2, 7)))
         rep = root_report(p, TOL_ROOTED)
-        mrr = reflect(p)
+        mrr = p.reflect()
         rep2 = root_report(mrr, TOL_ROOTED)
         worst = max(worst, abs(rep2.maxroot + rep.minroot))
     out.append(_result("reflect-minroot-relation", worst, 1e-7))
@@ -291,7 +290,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         table = SubsetTable.build(ens)
         worst = max(
             worst,
-            _coeff_gap(mixed_char_poly(ens, -eps, table), reflect(mixed_char_poly(ens, eps, table))),
+            _coeff_gap(mixed_char_poly(ens, -eps, table), mixed_char_poly(ens, eps, table).reflect()),
         )
     out.append(_result("negation-reflection-identity", worst, 1e-12))
 
@@ -353,7 +352,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         total = sum(e * H.entries for e, H in zip(eps, ens))
         worst_signed = max(worst_signed, operator_norm(make_hermitian(total, tol=np.inf)) - mr)
         mr_sum = maxroot_certified(mixed_char_poly(ens, np.ones(m), table), rootedness_tol=TOL_ROOTED).hi
-        worst_sum = max(worst_sum, ensemble_stats(ens).sum_norm - mr_sum)
+        worst_sum = max(worst_sum, operator_norm(ens.sum()) - mr_sum)
     out.append(_result("signed-sum-norm-bound", worst_signed, TOL_ROOT))
     out.append(_result("plain-sum-norm-bound", worst_sum, TOL_ROOT))
     return out
@@ -446,7 +445,7 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
             expected_product_poly(ens, conditional_spec_quadratic(dists, {}), table),
             rootedness_tol=TOL_ROOTED,
         ).hi
-        cert = greedy_descent_quadratic(ens, dists, table=table)
+        cert = greedy_descent_quadratic(ens, dists)
         worst = max(worst, cert.maxroots[-1] - root_mr)
         leaves = []
         for combo in itertools.product(*[dd.support() for dd in dists]):

@@ -155,6 +155,78 @@ def test_cli_discrepancy_rejects_negative_compare_random(tmp_path, capsys):
     assert "random_outcomes_norms" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["verify", "gen", "discrepancy"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command):
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "--kind", "psd-trace-capped", "--dim", "2", "--count", "3", "--out", inst]) == 0
+    capsys.readouterr()
+    argv = {
+        "verify": ["verify", "--suite", "oracle"],
+        "gen": ["gen", "--kind", "ksr", "--dim", "2", "--count", "3"],
+        "discrepancy": ["discrepancy", "--input", inst, "--compare-random", "3"],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "", cap.out
+    assert cap.err.startswith("error:") and "--seed" in cap.err, cap.err
+
+
+@pytest.mark.parametrize("kind, d, m", [("ksr", 2, 0), ("psd-trace-capped", 0, 3), ("lyapunov", -1, -1)])
+def test_gen_instance_rejects_sizes_below_one(kind, d, m):
+    with pytest.raises(ValueError, match=f"d={d}, m={m}"):
+        gen_instance(kind, d, m, 0.25, 0)
+
+
+def test_gen_instance_rejects_sizes_above_the_guard():
+    from interlace import SizeGuard
+    from interlace.mixedchar import MAX_DIM
+
+    with pytest.raises(SizeGuard):
+        gen_instance("psd-trace-capped", MAX_DIM + 1, 3, 0.25, 0)
+
+
+def test_cli_gen_without_out_prints_a_readable_instance(tmp_path, capsys):
+    assert main(["gen", "--kind", "lyapunov", "--dim", "2", "--count", "3", "--seed", "4"]) == 0
+    p = tmp_path / "printed.json"
+    p.write_text(capsys.readouterr().out)
+    ef = parse_ensemble(str(p))
+    assert len(ef.matrices) == 3 and len(ef.weights) == 3
+    assert serialize_ensemble(ef) == serialize_ensemble(gen_instance("lyapunov", 2, 3, 0.25, 4))
+
+
+def _mcp_eval_report(tmp_path, *flags):
+    inst, rep = str(tmp_path / "inst.json"), tmp_path / "rep.json"
+    assert main(["gen", "--kind", "psd-trace-capped", "--dim", "3", "--count", "4", "--seed", "2", "--out", inst]) == 0
+    assert main(["mcp-eval", "--input", inst, "--json", str(rep), *flags]) == 0
+    return parse_ensemble(inst).ensemble(), json.loads(rep.read_text())
+
+
+def test_cli_mcp_eval_quadratic_reports_the_certified_max_root(tmp_path):
+    from interlace import maxroot_certified, quadratic_mixed_char_poly
+
+    ens, doc = _mcp_eval_report(tmp_path, "--quadratic")
+    assert doc["polynomial"] == "quadratic mixed characteristic" and doc["real_rooted"] is True
+    assert doc["maxroot"] == maxroot_certified(quadratic_mixed_char_poly(ens), rootedness_tol=1e-7).hi
+
+
+def test_cli_mcp_eval_real_rooted_prints_max_and_min_root(tmp_path):
+    from interlace import mixed_char_poly
+
+    ens, doc = _mcp_eval_report(tmp_path)
+    assert doc["real_rooted"] is True
+    roots = np.roots(mixed_char_poly(ens, np.ones(len(ens))).coeffs[::-1]).real
+    assert doc["maxroot"] == pytest.approx(roots.max(), abs=1e-7)
+    assert doc["minroot"] == pytest.approx(roots.min(), abs=1e-7)
+
+
+def test_cli_discrepancy_compare_random_reports_the_samples(tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "--kind", "psd-trace-capped", "--dim", "2", "--count", "3", "--out", inst]) == 0
+    assert main(["discrepancy", "--input", inst, "--compare-random", "5", "--seed", "3"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("random_outcomes_norms"))
+    assert "min " in line and "over 5 samples" in line, line
+
+
 def test_cli_mcp_eval_non_real_rooted_pair(tmp_path, capsys):
     doc = {
         "dim": 2,

@@ -112,6 +112,20 @@ def test_descent_monotone_on_random_instances():
         assert len(cert.residuals) == m
 
 
+def test_residuals_are_the_chain_violations():
+    from interlace import ks_r_partition
+    from interlace.generate import covering_ensemble
+
+    rng = np.random.default_rng(13)
+    E = trace_capped_ensemble(rng, 3, 5, 1.0)
+    quadratic = greedy_descent_quadratic(E, [random_two_valued(rng) for _ in range(5)])
+    partition = ks_r_partition(covering_ensemble(rng, 2, 5, 0.9), [0.4, 0.6]).certificate
+    for cert in (quadratic, partition):
+        chain = cert.enclosures
+        assert cert.residuals == tuple(max(0.0, chain[k + 1].lo - chain[k].hi) for k in range(len(chain) - 1))
+        assert len(cert.residuals) == 5
+
+
 def test_descent_assignment_values_lie_in_support():
     rng = np.random.default_rng(11)
     E = trace_capped_ensemble(rng, 3, 4, 1.0)
@@ -155,7 +169,7 @@ def test_descent_aborts_on_non_real_rooted_branch():
                 num_levels=1,
                 root_poly=lambda: root,
                 candidates=lambda k: [0],
-                branch_poly=lambda k, fixed, c: bad,
+                branch_poly=lambda assignment: bad,
             )
 
 

@@ -69,6 +69,11 @@ def test_two_point_mean_on_support():
     assert r.values == (1.0,)
 
 
+def test_two_point_drops_zero_probability_values():
+    r = two_point_reduction(FD.make([0.0, 5.0, 1.0], [0.25, 0.0, 0.75]))
+    assert r.values == (0.0, 1.0) and r.probs == (0.25, 0.75)
+
+
 def test_solve_kls_fair_signs_identity_partition():
     res = solve_kls(inst([diag(1, 0), diag(0, 1)], [FD.fair_signs()] * 2))
     assert res.sigma == pytest.approx(1.0)
@@ -88,6 +93,7 @@ def test_solve_kls_all_point_masses():
     assert res.sigma == 0.0
     assert res.achieved == 0.0
     assert res.outcome == (2.0, -1.0)
+    assert res.certificate.residuals == (0.0, 0.0)
 
 
 def test_solve_kls_outcomes_have_positive_probability():

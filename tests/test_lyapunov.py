@@ -205,6 +205,14 @@ def test_ks_r_size_guard_after_completion():
         ks_r_partition(E, [0.5, 0.5])
 
 
+def test_ks_r_size_guard_on_lifted_dimension():
+    from interlace import SizeGuard
+
+    E = covering_ensemble(np.random.default_rng(14), 10, 3, 0.9)
+    with pytest.raises(SizeGuard, match="lifted dimension 50 exceeds 48"):
+        ks_r_partition(E, [0.2] * 5)
+
+
 def test_ks_r_validation():
     E = ensemble([diag(0.5, 0.0)])
     with pytest.raises(BadProportions):

@@ -20,6 +20,7 @@ from interlace import (
 from interlace.descent import FiniteDistribution, conditional_spec_quadratic
 from interlace.generate import random_psd
 from interlace.mixedchar import _ring_determinant, popcounts, subset_products
+from interlace.verification import TOL_COEFF
 
 
 def diag(*vals):
@@ -300,6 +301,22 @@ def test_expected_product_all_fixed_is_two_sided_product(d, n):
     want = np.array((mixed_char_poly(E, s, table) * mixed_char_poly(E, -s, table)).coeffs)
     scale = _product_scale(table, d, np.maximum(np.abs(s), 1.0))
     assert np.all(np.abs(got - want) <= 1e-12 * scale), float(np.max(np.abs(got - want) / scale))
+
+
+def test_quadratic_closed_form_equals_the_product_pass():
+    # The closed form must stay the (0, 0, -1) product pass: bit for bit on
+    # the table, and within TOL_COEFF of the symbolic oracle where it runs.
+    rng = np.random.default_rng(12)
+    for d, n in itertools.product((1, 2, 3, 4, 6, 8, 10), (1, 2, 3, 4, 7, 12)):
+        ranks = rng.integers(1, d + 1, size=n)
+        E = ensemble([random_psd(rng, d, int(k), trace=rng.uniform(0.2, 1.0)) for k in ranks], tol=np.inf)
+        table = SubsetTable.build(E)
+        spec = DerivativeSpec((0.0,) * n, (0.0,) * n, (-1.0,) * n)
+        got = quadratic_mixed_char_poly(E, table)
+        assert got.coeffs == expected_product_poly(E, spec, table).coeffs, (d, n)
+        if d <= 4 and n <= 4:
+            want = truncated_ring_oracle(E, spec=spec).coeffs
+            assert np.max(np.abs(np.subtract(got.coeffs, want))) <= TOL_COEFF, (d, n)
 
 
 def test_quadratic_mixed_char_poly_is_signed_sum_of_squares_at_guard_limit():

@@ -62,3 +62,6 @@ def test_partition_convolves_every_branch_inside_the_hooked_name():
     assert tracer.counts["descent.branches"] == 10
     assert spans["lyapunov.convolve"] == tracer.counts["descent.branches"] + 1
     assert spans["mixedchar.table_build"] == 1
+    # per block, one eigensolve for the norm and one for D_k = sum_{I_k} A - t_k sum A,
+    # which gives both the deviation and the PSD certificate: 2r in all
+    assert spans["linalg.eigensolve"] == 4

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, reflect, root_report, root_scaling
+from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, root_report, root_scaling
 from interlace.polynomials import _newton_polish
 
 
@@ -36,7 +36,7 @@ def test_reflect_involution_exact():
         p = RealPolynomial.from_coeffs(rng.uniform(-3, 3, size=int(rng.integers(1, 9))))
         if p.is_zero:
             continue
-        assert reflect(reflect(p)).coeffs == p.coeffs
+        assert p.reflect().reflect().coeffs == p.coeffs
 
 
 def test_root_scaling_examples():
