@@ -21,7 +21,7 @@ from .files import parse_ensemble, serialize_ensemble
 from .generate import gen_instance
 from .lyapunov import RESULT_SLACK, LyapunovInstance, ks_r_partition, lyapunov_select
 from .mixedchar import mixed_char_poly, quadratic_mixed_char_poly
-from .polynomials import maxroot_certified, root_report
+from .polynomials import MACROSCOPIC_IMAG, maxroot_certified, root_report
 from .verification import SUITES, run_suites
 
 
@@ -77,6 +77,10 @@ def _set_certificate(rep: _Report, cert) -> None:
 
 
 def cmd_mcp_eval(args) -> int:
+    # a tolerance above a macroscopic imaginary part would certify a
+    # polynomial with no real root as real-rooted
+    if not 0.0 <= args.tol <= MACROSCOPIC_IMAG:
+        raise InterlaceError(f"--tol must lie in [0, {MACROSCOPIC_IMAG:g}]; got {args.tol}")
     ef = parse_ensemble(args.input)
     ens = ef.ensemble()
     rep = _Report("mcp-eval")
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--signs", help="comma-separated scalars, default all 1")
     p.add_argument("--quadratic", action="store_true", help="evaluate the quadratic variant")
-    p.add_argument("--tol", type=float, default=1e-9, help="real-rootedness tolerance")
+    p.add_argument("--tol", type=float, default=1e-9, help="real-rootedness tolerance, in [0, 1e-3]")
     p.add_argument("--json")
     p.set_defaults(fn=cmd_mcp_eval)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotPSD, NotRealRooted, ValueNotInSupport
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
-from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
+from .mixedchar import DerivativeSpec, ProductLevels, SubsetTable, expected_product_poly, mixed_char_poly
 # root_report is unused here but kept for perfbench's tracer, which hooks this namespace.
 from .polynomials import MaxRoot, RealPolynomial, maxroot_certified, root_report  # noqa: F401
 
@@ -211,16 +211,22 @@ def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistributi
         if not is_psd(H):
             raise NotPSD(f"matrix {k} is not PSD")
     table = SubsetTable.build(E)
+    spec = conditional_spec_quadratic(dists, {})
+    levels = ProductLevels(table, spec)
+    supports = [dist.support() for dist in dists]
 
-    def poly_for(fixed: Mapping[int, float]) -> RealPolynomial:
-        spec = conditional_spec_quadratic(dists, fixed)
-        return expected_product_poly(E, spec, table)
+    def branch_poly(assignment: Mapping[int, float]) -> RealPolynomial:
+        # indices out of range are left to the engine, which rejects them
+        for i, s in assignment.items():
+            if i in range(len(dists)) and s not in supports[i]:
+                raise ValueNotInSupport(f"value {s} not in support of index {i}")
+        return levels.poly(assignment)
 
     return _run_descent(
         num_levels=len(E),
-        root_poly=lambda: poly_for({}),
-        candidates=lambda k: dists[k].support(),
-        branch_poly=poly_for,
+        root_poly=lambda: expected_product_poly(E, spec, table),
+        candidates=lambda k: supports[k],
+        branch_poly=branch_poly,
     )
 
 

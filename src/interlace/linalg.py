@@ -98,12 +98,15 @@ def operator_norm(H) -> float:
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
-def is_psd(H) -> bool:
-    """PSD test with relative slack on the most negative eigenvalue."""
-    H = as_hermitian(H)
-    w = eigenvalues(H)
+def _psd_spectrum(w: np.ndarray) -> bool:
+    """PSD verdict on ascending eigenvalues: relative slack on the lowest."""
     norm = float(np.max(np.abs(w))) if w.size else 0.0
     return bool(w[0] >= -PSD_SLACK * (1.0 + norm))
+
+
+def is_psd(H) -> bool:
+    """PSD test with relative slack on the most negative eigenvalue."""
+    return _psd_spectrum(eigenvalues(H))
 
 
 def positive_negative_parts(H) -> tuple[HermitianMatrix, HermitianMatrix]:
@@ -131,9 +134,9 @@ def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
     A = as_hermitian(A)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if not is_psd(A):
-        raise NotPSD("completion requires A >= 0")
     w, V = eigh(A)
+    if not _psd_spectrum(w):
+        raise NotPSD("completion requires A >= 0")
     if w[-1] > 1.0 + PSD_SLACK:
         raise NotContraction(f"completion requires A <= I, max eigenvalue {w[-1]:.12g}")
     d = A.dim

@@ -12,7 +12,11 @@ every evaluation in this module is a weighted sum over the scalar table
 {c_S}.  The product variant applies prod_i (1 + a_i d/dz_i + b_i d/dw_i +
 c_i d/dz_i d/dw_i) to a product of two such determinants.  Its weight on a
 subset pair (S, T) factors over indices into 2x2 kernels, so one Kronecker
-pass per index over the rank-graded table replaces the sum over pairs.
+pass per index (``_apply_kernels``) over the rank-graded table replaces the
+sum over pairs.  A fixed value's kernel has rank one, so ``ProductLevels``
+contracts each index a descent fixes out of that table for good and reads
+every branch polynomial of a level from one kernel pass: the branches of a
+whole descent cost about as much as two full passes.
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -34,7 +38,8 @@ sum of their depths, capped at n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -220,6 +225,27 @@ def mixed_char_poly(
     return _graded_poly(table.sizes, subset_products(-scalars) * table.coeffs, E.dim)
 
 
+def _ranked_table(table: SubsetTable) -> np.ndarray:
+    """V[|T|, T] = c_T on rows 0..min(n, d); every other entry is zero."""
+    top = min(table.n, table.dim)
+    V = np.zeros((top + 1, 1 << table.n))
+    V[np.minimum(table.sizes, top), np.arange(1 << table.n)] = table.coeffs
+    return V
+
+
+def _apply_kernels(V: np.ndarray, kernels, first: int = 0) -> None:
+    """Apply the j-th kernel (a, b, c), K = [[1, b], [a, c]], in place along
+    bit first + j of V's masks (row: bit in S, column: bit in T)."""
+    rows, bits = len(V), V.shape[1].bit_length() - 1
+    for j, (a, b, c) in enumerate(kernels, first):
+        view = V.reshape(rows, 1 << (bits - j - 1), 2, 1 << j)
+        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+        new_hi = a * lo
+        new_hi += c * hi
+        lo += b * hi
+        hi[...] = new_hi
+
+
 def expected_product_poly(
     E: MatrixEnsemble, spec: DerivativeSpec, table: SubsetTable | None = None
 ) -> RealPolynomial:
@@ -231,24 +257,88 @@ def expected_product_poly(
 
     monic of degree 2d.  The pair weight is the Kronecker product of the
     per-index kernels K_i = [[1, b_i], [a_i, c_i]] (row: i in S, column:
-    i in T).  One pass per index applies K_i along bit i of the rank-graded
+    i in T).  ``_apply_kernels`` applies K_i along bit i of the rank-graded
     table V[|T|, T] = c_T, giving V[k, S] = sum_{|T|=k} K[S, T] c_T; the
     polynomial is then sum_{S,k} c_S V[k, S] x^(2d-|S|-k).  O(n 2^n d).
+    ``ProductLevels`` shares that pass and serves the branches of a descent.
     """
     table = _require_table(E, table)
     if len(spec) != len(E):
         raise ValueError(f"spec length {len(spec)} != ensemble size {len(E)}")
-    n, d = table.n, table.dim
-    top = min(n, d)
-    c, sizes = table.coeffs, table.sizes
-    V = np.zeros((top + 1, 1 << n))
-    V[np.minimum(sizes, top), np.arange(1 << n)] = c
-    for i, (ai, bi, ci) in enumerate(zip(spec.a, spec.b, spec.c)):
-        view = V.reshape(top + 1, 1 << (n - i - 1), 2, 1 << i)
-        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-        lo[...], hi[...] = lo + bi * hi, ai * lo + ci * hi
-    ranks = sizes + np.arange(top + 1)[:, None]
-    return _graded_poly(ranks.ravel(), (c * V).ravel(), 2 * d)
+    V = _ranked_table(table)
+    _apply_kernels(V, zip(spec.a, spec.b, spec.c))
+    ranks = table.sizes + np.arange(len(V))[:, None]
+    return _graded_poly(ranks.ravel(), (table.coeffs * V).ravel(), 2 * table.dim)
+
+
+def _contract_low_bit(R: np.ndarray, s: float) -> np.ndarray:
+    """Fix the lowest mask bit on the T side, kernel column [1, s]:
+    R[., S] + s R[., S | bit], over the masks without that bit."""
+    view = R.reshape(len(R), -1, 2)
+    out = s * view[:, :, 1]
+    out += view[:, :, 0]
+    return out
+
+
+class ProductLevels:
+    """Branch polynomials of ``expected_product_poly`` along a descent that
+    fixes indices 0, 1, ... in order.
+
+    A fixed index with value s has the rank-one kernel [1, -s]^T [1, s], so
+    it is contracted out of one rank-graded table R[sigma, S]: sigma is the
+    total rank |T| and S runs over the indices still free.  The S side needs
+    no table of its own: it is (-1)^(sigma - |S|) R.  The polynomial with
+    indices 0..k-1 contracted and index k set to v applies the free kernels
+    of ``spec`` to a copy of R once per level, then per value contracts bit
+    k with +v on that copy and with -v on the signed S side, which equals
+    the sign pattern times R contracted with +v.  The degree-2d coefficients
+    are the anti-diagonal sums of the (top+1) x (top+1) product of the two
+    sides.  A whole descent costs O(n 2^n d) instead of O(n^2 2^n d).
+    """
+
+    def __init__(self, table: SubsetTable, spec: DerivativeSpec):
+        if len(spec) != table.n:
+            raise ValueError(f"spec length {len(spec)} != table size {table.n}")
+        self._deg = 2 * table.dim
+        self.fixed: list[float] = []  # values contracted out of R, index order
+        self._table = table
+        self._kernels = list(zip(spec.a, spec.b, spec.c))
+        rows = np.arange(min(table.n, table.dim) + 1)
+        self._ranks = (rows[:, None] + rows).ravel()
+        self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
+        self._parity = np.where(table.sizes % 2, -1.0, 1.0)
+        self._free: np.ndarray | None = None  # R with the free kernels of this level
+
+    @cached_property
+    def _R(self) -> np.ndarray:
+        # built on first use, so it is not held beside the root polynomial's pass
+        return _ranked_table(self._table)
+
+    def poly(self, assignment: Mapping[int, float]) -> RealPolynomial:
+        """The polynomial with index i fixed to assignment[i] for i = 0..k and
+        the free kernels of ``spec`` on the rest.  The assignment must extend
+        the contracted prefix; its values not yet contracted are contracted
+        now, all but the one at index k."""
+        k, done = len(assignment) - 1, len(self.fixed)
+        if sorted(assignment) != list(range(k + 1)) or not done <= k < len(self._kernels):
+            raise ValueError(
+                f"assignment {dict(assignment)} must fix indices 0..k, k from {done} to {len(self._kernels) - 1}"
+            )
+        values = [float(assignment[i]) for i in range(k + 1)]
+        if values[:done] != self.fixed:
+            raise ValueError(f"assignment {dict(assignment)} changes the fixed prefix {self.fixed}")
+        for v in values[done:k]:
+            self._R = _contract_low_bit(self._R, v)
+            self.fixed.append(v)
+            self._free = None
+        if self._free is None:
+            self._free = self._R.copy()
+            _apply_kernels(self._free, self._kernels[k + 1 :], first=1)
+        v = values[k]
+        T = _contract_low_bit(self._free, v)
+        S = _contract_low_bit(self._R, v)
+        S *= self._parity[: S.shape[1]]
+        return _graded_poly(self._ranks, ((S @ T.T) * self._row_sign).ravel(), self._deg)
 
 
 def quadratic_mixed_char_poly(

@@ -31,6 +31,9 @@ _PASS_POINTS = 16
 # Relative coefficient distance at which a polynomial with a noisy complex
 # root cluster is accepted as real-rooted (see root_report).
 REALITY_RESCUE_TOL = 1e-8
+# Relative imaginary part that root_report treats as macroscopic: such a
+# root is never rescued as part of a noisy real cluster.
+MACROSCOPIC_IMAG = 1e-3
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def root_report(p: RealPolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
     max_imag = float(np.max(np.abs(roots_arr.imag)))
     residual = max_imag
     real_rooted = max_imag <= tol * (1.0 + max_mod)
-    if not real_rooted and max_imag <= 1e-3 * (1.0 + max_mod):
+    if not real_rooted and max_imag <= MACROSCOPIC_IMAG * (1.0 + max_mod):
         # Noisy multiple roots spread into conjugate pairs (spread grows as
         # backward_error^(1/multiplicity)); accept when the real projection
         # reproduces the input coefficients essentially as well as the

@@ -242,6 +242,23 @@ def test_cli_mcp_eval_non_real_rooted_pair(tmp_path, capsys):
     assert "real_rooted" in out and "False" in out
 
 
+@pytest.mark.parametrize("bad", ["10", "inf", "nan", "-1", "0.0011"])
+def test_cli_mcp_eval_rejects_bad_tol_before_solving(tmp_path, capsys, bad):
+    # x^2 + 2 has no real root; a loose --tol used to report it real-rooted
+    doc = {
+        "dim": 2,
+        "matrices": [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+            [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        ],
+    }
+    path = write(tmp_path, "h.json", doc)
+    assert main(["mcp-eval", "--input", path, "--signs", "1,1", f"--tol={bad}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--tol" in captured.err, captured.err
+
+
 def test_cli_input_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["discrepancy", "--input", missing]) == 1

@@ -162,6 +162,23 @@ def test_rank_one_completion_rejections():
         rank_one_completion(np.diag([2.0]), 0.5)
 
 
+def test_rank_one_completion_takes_the_psd_verdict_from_its_own_eigh(monkeypatch):
+    # the completion eigensolves A once: its PSD check reads the same spectrum
+    rng = np.random.default_rng(8)
+    A = random_psd(rng, 4)
+    A = A / (operator_norm(A) * 1.05)
+    want = rank_one_completion(A, 0.3)
+
+    def no_eigensolve(H):
+        raise AssertionError("second eigensolve")
+
+    monkeypatch.setattr("interlace.linalg.eigenvalues", no_eigensolve)
+    got = rank_one_completion(A, 0.3)
+    assert len(got) == len(want) > 0
+    for B, C in zip(got, want):
+        np.testing.assert_array_equal(B.entries, C.entries)
+
+
 def test_ensemble_stats_examples():
     st = ensemble_stats(ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
     assert st.epsilon == pytest.approx(1)

@@ -19,7 +19,7 @@ from interlace import (
 )
 from interlace.descent import FiniteDistribution, conditional_spec_quadratic
 from interlace.generate import random_psd
-from interlace.mixedchar import _ring_determinant, popcounts, subset_products
+from interlace.mixedchar import ProductLevels, _ring_determinant, popcounts, subset_products
 from interlace.verification import TOL_COEFF
 
 
@@ -199,6 +199,15 @@ def test_table_empty_set_and_oversize_subsets(d, n):
     assert np.all(table.coeffs[table.sizes <= d] != 0.0)
 
 
+def _mixed_distributions(rng, n):
+    """Point masses, two-point and three-point variables, in random order."""
+    dists = []
+    for _ in range(n):
+        k = int(rng.integers(1, 4))
+        dists.append(FiniteDistribution.make(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k))))
+    return dists
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 4),
@@ -351,10 +360,7 @@ def test_free_index_is_mixture_of_its_children(d, n, seed, i, fixed_bits):
     rng = np.random.default_rng(seed)
     E = ensemble([_indefinite(rng, d) for _ in range(n)], tol=np.inf)
     table = SubsetTable.build(E)
-    dists = []
-    for _ in range(n):
-        k = int(rng.integers(1, 4))
-        dists.append(FiniteDistribution.make(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k))))
+    dists = _mixed_distributions(rng, n)
     fixed = {
         j: dists[j].support()[int(rng.integers(len(dists[j].support())))]
         for j in range(n)
@@ -370,6 +376,74 @@ def test_free_index_is_mixture_of_its_children(d, n, seed, i, fixed_bits):
     bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
     scale = _product_scale(table, d, bound)
     assert np.all(np.abs(parent - mixture) <= 1e-12 * scale), float(np.max(np.abs(parent - mixture) / scale))
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 4), (6, 3), (3, 7), (4, 12), (7, 9), (3, 13), (10, 14)])
+def test_product_levels_match_the_full_pass_on_every_branch(d, n):
+    # Walk a random path: at every level each support value's polynomial
+    # from the engine equals the full kernel pass with that prefix fixed.
+    rng = np.random.default_rng(100 * d + n)
+    E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
+    table = SubsetTable.build(E)
+    dists = _mixed_distributions(rng, n)
+    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
+    scale = _product_scale(table, d, bound)
+    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    fixed = {}
+    for k in range(n):
+        support = dists[k].support()
+        for v in support:
+            assignment = {**fixed, k: v}
+            got = np.array(levels.poly(assignment).coeffs)
+            want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, assignment), table).coeffs)
+            assert got.shape == want.shape == (2 * d + 1,)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
+        fixed[k] = support[int(rng.integers(len(support)))]
+    assert levels.fixed == [fixed[k] for k in range(n - 1)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_levels_match_the_ring_oracle(seed):
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    E = ensemble([_indefinite(rng, d) for _ in range(n)], tol=np.inf)
+    dists = _mixed_distributions(rng, n)
+    levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
+    fixed = {}
+    for k in range(n):
+        for v in dists[k].support():
+            assignment = {**fixed, k: v}
+            want = truncated_ring_oracle(E, spec=conditional_spec_quadratic(dists, assignment)).coeffs
+            got = levels.poly(assignment).coeffs
+            assert len(got) == len(want)
+            assert np.max(np.abs(np.subtract(got, want))) <= TOL_COEFF, (d, n, k, v)
+        fixed[k] = dists[k].support()[-1]
+
+
+def test_product_levels_reject_an_assignment_off_the_fixed_prefix():
+    rng = np.random.default_rng(4)
+    E = ensemble([random_psd(rng, 3) for _ in range(4)], tol=np.inf)
+    dists = [FiniteDistribution.fair_signs()] * 4
+    levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
+    levels.poly({0: -1.0, 1: 1.0, 2: -1.0})
+    assert levels.fixed == [-1.0, 1.0]
+    bad = [
+        {0: -1.0, 2: 1.0},  # skips a level
+        {1: 1.0},  # does not start at index 0
+        {0: -1.0},  # goes back to a contracted level
+        {0: -1.0, 1: -1.0, 2: 1.0},  # changes a contracted value
+        {0: -1.0, 1: 1.0, 2: -1.0, 3: 1.0, 4: 1.0},  # past the last index
+        {},
+    ]
+    for assignment in bad:
+        with pytest.raises(ValueError):
+            levels.poly(assignment)
+    assert levels.fixed == [-1.0, 1.0]
+    # the prefix is intact: the next level still reads the full pass
+    assignment = {0: -1.0, 1: 1.0, 2: 1.0, 3: -1.0}
+    want = expected_product_poly(E, conditional_spec_quadratic(dists, assignment)).coeffs
+    got = levels.poly(assignment).coeffs
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_expected_product_rejects_spec_of_wrong_length():
