@@ -12,10 +12,14 @@ identity with rank-one pieces that sit in every block, and descends the
 linear family over slot choices.  All polynomial work stays at block scale:
 one subset-derivative table is built over the matrices and the pieces, the
 lifted determinant factors over blocks, each factor rescales that table by
-per-index slot weights, and the factors are combined by
-``mixedchar.subset_convolve``, whose rank arrays hold only the rows a
-c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for the
-product).
+per-index slot weights, and the factors are combined by ranked subset
+convolution.  The root polynomial is one ``mixedchar.subset_convolve``
+call.  The branches come from ``mixedchar.ConvolutionLevels``, which keeps
+the r ranked zeta transforms across the descent, updates them on half the
+masks when a level's slot is chosen, and reads every branch by a
+binomial-weighted sum instead of a Moebius pass.  Rank arrays hold only the
+rows a c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for
+the product).
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ from .linalg import (
     rank_one_completion,
     weighted_sum,
 )
-from .mixedchar import SubsetTable, _graded_poly, subset_convolve, subset_products
-from .polynomials import RealPolynomial
+from .mixedchar import ConvolutionLevels, SubsetTable, _graded_poly, subset_convolve
 
 MAX_LIFTED_DIM = 48
 # Slack on every inequality re-checked on a returned result.
@@ -192,24 +195,13 @@ def ks_r_partition(
     table = SubsetTable.build(list(ens) + completion)
     n = table.n
 
-    def poly_for(fixed: dict[int, int]) -> RealPolynomial:
-        """mu with fixed indices in their slots and free indices at their means.
-
-        Slot k sees index i with weight 1 when i is free, 1/t_k when i is
-        fixed to slot k and 0 when fixed elsewhere; the sign of mu folds into
-        the negated weights.
-        """
-        w = np.ones((r, n))
-        for i, slot in fixed.items():
-            w[:, i] = 0.0
-            w[slot, i] = 1.0 / t[slot]
-        return _graded_poly(table.sizes, subset_convolve(table.coeffs * subset_products(-w), n), r * d)
-
+    levels = ConvolutionLevels(table, [1.0 / x for x in t])
+    signed = np.where(table.sizes % 2, -table.coeffs, table.coeffs)
     cert = _run_descent(
         num_levels=m,
-        root_poly=lambda: poly_for({}),
+        root_poly=lambda: _graded_poly(table.sizes, subset_convolve([signed] * r, n), r * d),
         candidates=lambda k: range(r),
-        branch_poly=poly_for,
+        branch_poly=levels.poly,
     )
     blocks = tuple(
         tuple(i for i in range(m) if cert.assignment[i] == k) for k in range(r)

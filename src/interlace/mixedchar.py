@@ -32,11 +32,16 @@ per-subset weights, since c_S is multilinear in the matrix arguments.
 factors of a lifted determinant) by a ranked subset convolution.  Its rank
 arrays follow the table's depth rule: rows stop at the largest |S| a table
 can fill, min(n, d) for a c_S table, and a product of ranked arrays at the
-sum of their depths, capped at n.
+sum of their depths, capped at n.  ``ConvolutionLevels`` serves the branches
+of a partition descent from r ranked zeta transforms kept across levels:
+putting an index into a slot changes each transform on the masks that hold
+that index only, and a branch's coefficients are binomial-weighted sums of
+the rank product (``_graded_read``), with no Moebius pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -136,21 +141,32 @@ def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
     each on the rows the depth rule keeps; every skipped row is exactly zero.
     """
     pc = popcounts(n)
-    cols = np.arange(1 << n)
     acc = np.ones((1, 1 << n))  # zeta of the empty-set indicator
     for t in tables:
         t = np.asarray(t, dtype=np.float64)
-        depth = int(pc[t != 0].max(initial=0))
-        R = np.zeros((depth + 1, 1 << n))
-        R[np.minimum(pc, depth), cols] = t
-        for b in range(n):
-            view = R.reshape(depth + 1, 1 << (n - b - 1), 2, 1 << b)
-            view[:, :, 1, :] += view[:, :, 0, :]
-        H = np.zeros((min(len(acc) - 1 + depth, n) + 1, 1 << n))
-        for i, row in enumerate(acc):
-            H[i : i + depth + 1] += row * R[: len(H) - i]
-        acc = H
+        acc = _rank_product(acc, _ranked_zeta(t, pc, int(pc[t != 0].max(initial=0))), n)
     return _ranked_mobius_collapse(acc, n, pc)
+
+
+def _ranked_zeta(t: np.ndarray, pc: np.ndarray, depth: int) -> np.ndarray:
+    """Z[rho, U] = sum of t[S] over S subset U with |S| = rho, rows 0..depth;
+    t must vanish on masks with more than ``depth`` bits."""
+    n = len(pc).bit_length() - 1
+    Z = np.zeros((depth + 1, len(pc)))
+    Z[np.minimum(pc, depth), np.arange(len(pc))] = t
+    for b in range(n):
+        view = Z.reshape(depth + 1, 1 << (n - b - 1), 2, 1 << b)
+        view[:, :, 1, :] += view[:, :, 0, :]
+    return Z
+
+
+def _rank_product(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
+    """C[j] = sum_{i + l = j} A[i] * B[l] for ranks j <= cap, mask by mask:
+    the ranked zeta transform of the subset convolution of two tables."""
+    C = np.zeros((min(len(A) + len(B) - 2, cap) + 1,) + B.shape[1:])
+    for i, row in enumerate(A):
+        C[i : i + len(B)] += row * B[: len(C) - i]
+    return C
 
 
 @dataclass(frozen=True)
@@ -339,6 +355,133 @@ class ProductLevels:
         S = _contract_low_bit(self._R, v)
         S *= self._parity[: S.shape[1]]
         return _graded_poly(self._ranks, ((S @ T.T) * self._row_sign).ravel(), self._deg)
+
+
+def _binomial_weights(n: int, rows: int) -> np.ndarray:
+    """W[j, p] = (-1)^(j - p) C(n - p, j - p) for p <= j, else 0: the sum
+    over |S| = j of the Moebius transform of a rank row H[j] is
+    sum_U H[j, U] W[j, |U|]."""
+    return np.array(
+        [[(-1) ** (j - p) * math.comb(n - p, j - p) if p <= j else 0 for p in range(n + 1)] for j in range(rows)],
+        dtype=np.float64,
+    )
+
+
+def _graded_read(H: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """g[j] = sum_U H[j, U] W[j, U], one pairwise sum per row; W holds the
+    binomial weights at each mask's size.
+
+    Every weight is an exact integer, so each term is rounded once, and in
+    numpy's pairwise sum of N terms (a multiple of 8: 128-term blocks over 8
+    accumulators, halved above that) it meets at most ceil(log2(N / 128))
+    + 18 additions.  With N <= 2^n and u = 2^-53 that gives
+
+        |g[j] - exact| <= (n + 13) u sum_U |H[j, U] W[j, U]|,
+
+    which tests/test_mixedchar.py checks against exact rationals; on
+    partition tables up to n = 14 the error stayed below 1.7 u times that
+    sum.  Binning H by |U| first and then weighting the bins reached 10.8 u:
+    a bincount adds each bin one term at a time.
+    """
+    terms = H * W
+    return terms.reshape(len(H), -1).sum(axis=1)
+
+
+def _bit_halves(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the rows of Z on the masks without and with bit k."""
+    view = Z.reshape(len(Z), -1, 2, 1 << k)
+    return view[:, :, 0, :], view[:, :, 1, :]
+
+
+class ConvolutionLevels:
+    """Branch polynomials of the r-fold subset convolution along a descent
+    that puts indices 0, 1, ... into slots in order.
+
+    Slot k's table is c_S prod_{i in S} f_{k,i}, with factor -1 for a free
+    index, -scales[k] for an index put in slot k and 0 for an index put in
+    another slot.  The engine keeps the r ranked zeta transforms Z_k of
+    those tables; at the root they all equal the zeta of (-1)^|S| c_S.
+    Changing index i's factor from -1 to f changes Z_k only on the masks
+    that contain i:
+
+        Z[rho, U | i] <- Z[rho, U] - f (Z[rho, U | i] - Z[rho, U]),
+
+    one pass over half the masks, which commits a chosen slot in place.  The
+    branch polynomials are never Moebius-transformed: the coefficient of
+    x^(r d - j) is the graded read
+
+        g_j = sum_U H[j, U] (-1)^(j - |U|) C(n - |U|, j - |U|)
+
+    of the rank product H of the zetas.  The update is linear in the high
+    half, so at level k the product P of the low halves is read once, and
+    candidate slot s costs one product Q_s over half the masks (the low
+    halves with slot s's high half) read on the high half: with b and q the
+    high-half reads of P and Q_s, the branch reads a + b - f (q - b), the
+    same update applied to the reads.  A level costs r + 1 rank products
+    over half the masks, and a commit one update pass per slot; a ranked
+    convolution per branch ran r zeta transforms of n passes each, the rank
+    products and a Moebius collapse, all over every mask.
+    """
+
+    def __init__(self, table: SubsetTable, scales: Sequence[float]):
+        self.fixed: list[int] = []  # slots committed into the zetas, index order
+        self._table = table
+        self._scales = [float(s) for s in scales]
+        n, r = table.n, len(self._scales)
+        top = min(n, table.dim)
+        self._deg = r * table.dim
+        self._weights = _binomial_weights(n, min(n, r * top) + 1)
+        # this level's reads a and b of the low-half product and its high-half weights
+        self._level: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def _zetas(self) -> list[np.ndarray]:
+        # built on first use, so they are not held beside the root polynomial's convolution
+        t = self._table
+        top = min(t.n, t.dim)
+        Z = _ranked_zeta(np.where(t.sizes % 2, -t.coeffs, t.coeffs), t.sizes, top)
+        return [Z] + [Z.copy() for _ in self._scales[1:]]
+
+    def _product(self, factors) -> np.ndarray:
+        acc = factors[0]
+        for Z in factors[1:]:
+            acc = _rank_product(acc, Z, self._table.n)
+        return acc
+
+    def poly(self, assignment: Mapping[int, int]) -> RealPolynomial:
+        """The polynomial with index i in slot assignment[i] for i = 0..k and
+        the rest free.  The assignment must extend the committed prefix; its
+        slots not yet committed are committed now, all but the one at k."""
+        n, r = self._table.n, len(self._scales)
+        k, done = len(assignment) - 1, len(self.fixed)
+        if sorted(assignment) != list(range(k + 1)) or not done <= k < n:
+            raise ValueError(f"assignment {dict(assignment)} must fix indices 0..k, k from {done} to {n - 1}")
+        slots = [assignment[i] for i in range(k + 1)]
+        if slots[:done] != self.fixed:
+            raise ValueError(f"assignment {dict(assignment)} changes the committed prefix {self.fixed}")
+        if not all(s in range(r) for s in slots[done:]):
+            raise ValueError(f"assignment {dict(assignment)} names a slot outside 0..{r - 1}")
+        for i, s in enumerate(slots[done:k], done):
+            for slot, Z in enumerate(self._zetas):
+                f = -self._scales[s] if slot == s else 0.0
+                lo, hi = _bit_halves(Z, i)
+                hi -= lo
+                hi *= -f
+                hi += lo
+            self.fixed.append(s)
+            self._level = None
+        lows, highs = zip(*(_bit_halves(Z, k) for Z in self._zetas))
+        if self._level is None:
+            sizes = self._table.sizes.reshape(-1, 2, 1 << k)[:, 0, :]  # |U| of the low-half masks
+            P, W_high = self._product(lows), self._weights[:, sizes + 1]
+            self._level = _graded_read(P, self._weights[:, sizes]), _graded_read(P, W_high), W_high
+        a, b, W_high = self._level
+        s = slots[k]
+        q = _graded_read(self._product(lows[:s] + highs[s : s + 1] + lows[s + 1 :]), W_high)
+        g = a + b + self._scales[s] * (q - b)
+        coeffs = np.zeros(self._deg + 1)
+        coeffs[self._deg - len(g) + 1 :] = g[::-1]
+        return RealPolynomial.from_coeffs(coeffs)
 
 
 def quadratic_mixed_char_poly(

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,21 @@ from interlace import (
     truncated_ring_oracle,
 )
 from interlace.descent import FiniteDistribution, conditional_spec_quadratic
-from interlace.generate import random_psd
-from interlace.mixedchar import ProductLevels, _ring_determinant, popcounts, subset_products
+from interlace.generate import covering_ensemble, random_psd
+from interlace.linalg import ensemble_stats, rank_one_completion
+from interlace.mixedchar import (
+    ConvolutionLevels,
+    ProductLevels,
+    _binomial_weights,
+    _graded_poly,
+    _graded_read,
+    _rank_product,
+    _ranked_zeta,
+    _ring_determinant,
+    popcounts,
+    subset_convolve,
+    subset_products,
+)
 from interlace.verification import TOL_COEFF
 
 
@@ -444,6 +458,126 @@ def test_product_levels_reject_an_assignment_off_the_fixed_prefix():
     want = expected_product_poly(E, conditional_spec_quadratic(dists, assignment)).coeffs
     got = levels.poly(assignment).coeffs
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
+
+
+def _partition_table(rng, d, m, coverage):
+    """The table ks_r_partition builds: the matrices and their rank-one
+    completion.  Without a coverage, m PSD matrices whose sum is not a
+    multiple of the identity and no completion."""
+    if coverage is None:
+        return SubsetTable.build([random_psd(rng, d) for _ in range(m)])
+    E = covering_ensemble(rng, d, m, coverage)
+    return SubsetTable.build(list(E) + rank_one_completion(E.sum(), ensemble_stats(E).epsilon))
+
+
+def _slot_tables(table, t, fixed):
+    """Slot k's table c_S prod_{i in S} (-w_ki): w = 1 free, 1/t_k in the
+    index's own slot and 0 in the others."""
+    w = np.ones((len(t), table.n))
+    for i, slot in fixed.items():
+        w[:, i] = 0.0
+        w[slot, i] = 1.0 / t[slot]
+    return table.coeffs * subset_products(-w)
+
+
+def _convolution_scale(tables, n, deg):
+    """Per coefficient: the graded read of the rank product of the zetas of
+    |tables|, with |weights|.  It bounds sum_U |H[j, U] W[j, U]| for the
+    signed tables, the sum that scales the rounding of both the ranked
+    convolution and the engine."""
+    pc = popcounts(n)
+    H = np.ones((1, 1 << n))
+    for t in tables:
+        H = _rank_product(H, _ranked_zeta(np.abs(t), pc, n), n)
+    g = _graded_read(H, np.abs(_binomial_weights(n, len(H)))[:, pc])
+    out = np.zeros(deg + 1)
+    out[deg - np.arange(min(len(g), deg + 1))] = g[: deg + 1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, m, r, coverage, n",
+    [
+        (2, 4, 1, 0.9, 6),  # one slot
+        (2, 4, 2, 1.0, 4),  # exact cover: no completion pieces, every index is a level
+        (1, 6, 3, 0.8, 7),
+        (2, 8, 4, 0.9, 10),
+        (3, 9, 3, 0.9, 12),
+        (3, 8, 4, 0.9, 11),
+        (4, 10, 2, 0.9, 14),  # the index guard
+        (3, 9, 3, None, 9),  # a sum that is not isotropic
+    ],
+)
+def test_convolution_levels_match_the_ranked_convolution_on_every_branch(d, m, r, coverage, n):
+    # Walk a random path: at every level each slot's polynomial from the
+    # engine equals a ranked subset convolution of the slot tables with
+    # that prefix fixed, followed by a Moebius collapse.
+    rng = np.random.default_rng(10 * d + m + r)
+    table = _partition_table(rng, d, m, coverage)
+    assert table.n == n
+    t = rng.dirichlet(np.full(r, 3.0))
+    levels = ConvolutionLevels(table, 1.0 / t)
+    fixed = {}
+    for k in range(m):
+        for s in range(r):
+            assignment = {**fixed, k: s}
+            tables = _slot_tables(table, t, assignment)
+            want = np.array(_graded_poly(table.sizes, subset_convolve(tables, n), r * d).coeffs)
+            got = np.array(levels.poly(assignment).coeffs)
+            scale = _convolution_scale(tables, n, r * d)
+            assert got.shape == want.shape == (r * d + 1,)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, s, float(np.max(np.abs(got - want) / scale)))
+        fixed[k] = int(rng.integers(r))
+    assert levels.fixed == [fixed[k] for k in range(m - 1)]
+
+
+def test_convolution_levels_reject_an_assignment_off_the_committed_prefix():
+    rng = np.random.default_rng(6)
+    table = _partition_table(rng, 2, 4, 1.0)
+    t = [0.3, 0.7]
+    levels = ConvolutionLevels(table, [1 / x for x in t])
+    levels.poly({0: 1, 1: 0, 2: 1})
+    assert levels.fixed == [1, 0]
+    bad = [
+        {0: 1, 2: 0},  # skips a level
+        {1: 0},  # does not start at index 0
+        {0: 1},  # goes back to a committed level
+        {0: 1, 1: 1, 2: 0},  # changes a committed slot
+        {0: 1, 1: 0, 2: 2},  # names a slot that does not exist
+        {0: 1, 1: 0, 2: 1, 3: 0, 4: 0},  # past the last index
+        {},
+    ]
+    for assignment in bad:
+        with pytest.raises(ValueError):
+            levels.poly(assignment)
+    assert levels.fixed == [1, 0]
+    # the prefix is intact: the last level still reads the ranked convolution
+    assignment = {0: 1, 1: 0, 2: 0, 3: 1}
+    tables = _slot_tables(table, t, assignment)
+    want = np.array(_graded_poly(table.sizes, subset_convolve(tables, 4), 4).coeffs)
+    got = np.array(levels.poly(assignment).coeffs)
+    assert np.all(np.abs(got - want) <= 1e-12 * _convolution_scale(tables, 4, 4))
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_graded_read_stays_inside_its_error_bound(n):
+    # The read against exact rational arithmetic on the same float table:
+    # rank products of signed zetas, as the engine reads them, and plain
+    # noise of mixed signs.
+    rng = np.random.default_rng(n)
+    pc = popcounts(n)
+    signed = np.where(pc <= 3, rng.standard_normal(1 << n), 0.0) * (-1.0) ** pc
+    zeta = _ranked_zeta(signed, pc, 3)
+    product = _rank_product(_rank_product(zeta, zeta, n), zeta, n)
+    noise = rng.standard_normal((n + 1, 1 << n)) * 10.0 ** rng.uniform(-3, 3, (n + 1, 1 << n))
+    for H in (product, noise):
+        W = _binomial_weights(n, len(H))
+        got = _graded_read(H, W[:, pc])
+        for j in range(len(H)):
+            terms = [Fraction(float(H[j, U])) * int(W[j, pc[U]]) for U in range(1 << n)]
+            exact = sum(terms)
+            bound = (n + 13) * 2.0**-53 * float(sum(abs(x) for x in terms))
+            assert abs(Fraction(float(got[j])) - exact) <= bound, (j, float(abs(Fraction(float(got[j])) - exact)), bound)
 
 
 def test_expected_product_rejects_spec_of_wrong_length():
