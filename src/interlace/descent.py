@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -158,17 +158,19 @@ def _run_descent(
     num_levels: int,
     root_poly: Callable[[], RealPolynomial],
     candidates: Callable[[int], Sequence],
-    branch_poly: Callable[[dict], RealPolynomial],
+    branch_poly: Callable[[Any], RealPolynomial],
+    commit: Callable[[Any], None],
 ) -> DescentCertificate:
-    """Shared greedy loop; candidates(k) must come pre-sorted in tie order,
-    and branch_poly receives each branch's assignment {level: value}.
+    """Shared greedy loop; candidates(k) must come pre-sorted in tie order.
 
-    Branches are ranked by the certified upper end of their max root.  A
-    polynomial that is not real-rooted aborts the descent with the root or
-    branch it came from.
+    Level k reads branch_poly(cand) for each candidate, the polynomial with
+    the committed levels, k set to cand and the rest free, and then calls
+    commit(best) once.  Branches are ranked by the certified upper end of
+    their max root.  A polynomial that is not real-rooted aborts the descent,
+    with the root or branch it came from, before its level commits.
     """
     context = "root"
-    fixed: dict = {}
+    assignment = []
     margins = []
     try:
         chain = [maxroot_certified(root_poly(), rootedness_tol=ROOTEDNESS_TOL)]
@@ -178,13 +180,14 @@ def _run_descent(
             runner_up = np.inf
             for cand in candidates(level):
                 context = f"level {level}, branch {cand!r}"
-                root = maxroot_certified(branch_poly({**fixed, level: cand}), rootedness_tol=ROOTEDNESS_TOL)
+                root = maxroot_certified(branch_poly(cand), rootedness_tol=ROOTEDNESS_TOL)
                 if root.hi < best_root.hi - TIE_TOL:
                     runner_up = min(runner_up, best_root.hi)
                     best, best_root = cand, root
                 else:
                     runner_up = min(runner_up, root.hi)
-            fixed[level] = best
+            commit(best)
+            assignment.append(best)
             margins.append(runner_up - best_root.hi)
             chain.append(best_root)
     except NotRealRooted as exc:
@@ -192,7 +195,7 @@ def _run_descent(
             f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
         ) from exc
     return DescentCertificate(
-        assignment=tuple(fixed.values()),
+        assignment=tuple(assignment),
         enclosures=tuple(chain),
         margins=tuple(margins),
     )
@@ -213,20 +216,12 @@ def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistributi
     table = SubsetTable.build(E)
     spec = conditional_spec_quadratic(dists, {})
     levels = ProductLevels(table, spec)
-    supports = [dist.support() for dist in dists]
-
-    def branch_poly(assignment: Mapping[int, float]) -> RealPolynomial:
-        # indices out of range are left to the engine, which rejects them
-        for i, s in assignment.items():
-            if i in range(len(dists)) and s not in supports[i]:
-                raise ValueNotInSupport(f"value {s} not in support of index {i}")
-        return levels.poly(assignment)
-
     return _run_descent(
         num_levels=len(E),
         root_poly=lambda: expected_product_poly(E, spec, table),
-        candidates=lambda k: supports[k],
-        branch_poly=branch_poly,
+        candidates=lambda k: dists[k].support(),
+        branch_poly=levels.branch,
+        commit=levels.commit,
     )
 
 
@@ -277,18 +272,16 @@ def greedy_descent_linear(choices: Sequence[MatrixDistribution]) -> DescentCerti
                 raise NotPSD(f"candidate value of index {k} is not PSD")
     means = [ch.mean() for ch in choices]
     ones = np.ones(len(choices))
+    fixed: list[int] = []  # chosen value index per committed level
 
-    def poly_for(fixed: Mapping[int, int]) -> RealPolynomial:
-        mats = [
-            choices[i].values[fixed[i]] if i in fixed else means[i]
-            for i in range(len(choices))
-        ]
-        ens = MatrixEnsemble(tuple(mats))
-        return mixed_char_poly(ens, ones)
+    def poly_for(prefix: Sequence[int]) -> RealPolynomial:
+        mats = [choices[i].values[v] for i, v in enumerate(prefix)] + means[len(prefix) :]
+        return mixed_char_poly(MatrixEnsemble(tuple(mats)), ones)
 
     return _run_descent(
         num_levels=len(choices),
-        root_poly=lambda: poly_for({}),
+        root_poly=lambda: poly_for([]),
         candidates=lambda k: choices[k].support_indices(),
-        branch_poly=poly_for,
+        branch_poly=lambda v: poly_for(fixed + [v]),
+        commit=fixed.append,
     )

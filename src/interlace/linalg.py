@@ -132,8 +132,8 @@ def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
     output length never exceeds d * ceil(1 / epsilon).
     """
     A = as_hermitian(A)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:  # also rejects a NaN epsilon
+        raise ValueError(f"epsilon must be positive; got {epsilon}")
     w, V = eigh(A)
     if not _psd_spectrum(w):
         raise NotPSD("completion requires A >= 0")

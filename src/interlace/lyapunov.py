@@ -15,9 +15,10 @@ lifted determinant factors over blocks, each factor rescales that table by
 per-index slot weights, and the factors are combined by ranked subset
 convolution.  The root polynomial is one ``mixedchar.subset_convolve``
 call.  The branches come from ``mixedchar.ConvolutionLevels``, which keeps
-the r ranked zeta transforms across the descent, updates them on half the
-masks when a level's slot is chosen, and reads every branch by a
-binomial-weighted sum instead of a Moebius pass.  Rank arrays hold only the
+the r ranked zeta transforms across the descent: ``branch(s)`` reads the
+polynomial with the next index in slot s by a binomial-weighted sum
+instead of a Moebius pass, and ``commit(s)``, called once per level with
+the winning slot, updates the transforms on half the masks.  Rank arrays hold only the
 rows a c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for
 the product).
 """
@@ -56,7 +57,7 @@ from .linalg import (
     rank_one_completion,
     weighted_sum,
 )
-from .mixedchar import ConvolutionLevels, SubsetTable, _graded_poly, subset_convolve
+from .mixedchar import MAX_INDICES, ConvolutionLevels, SubsetTable, _graded_poly, subset_convolve
 
 MAX_LIFTED_DIM = 48
 # Slack on every inequality re-checked on a returned result.
@@ -186,6 +187,10 @@ def ks_r_partition(
     m = len(ens)
     d = ens.dim
     total = ens.sum()
+    # pieces of trace at most eps fill I - sum A: at least (d - tr sum A) / eps
+    # of them, less one per eigenvalue for rounding; refuse before building any
+    if eps > 0 and m + (d - total.trace()) / eps - d > MAX_INDICES:
+        raise SizeGuard(f"the rank-one completion at trace cap {eps:.6g} exceeds {MAX_INDICES} indices")
     completion = rank_one_completion(total, eps)
     recon = total.entries + sum((B.entries for B in completion), np.zeros((d, d), dtype=np.complex128))
     if float(np.linalg.norm(recon - np.eye(d))) > 1e-8 * d:
@@ -201,7 +206,8 @@ def ks_r_partition(
         num_levels=m,
         root_poly=lambda: _graded_poly(table.sizes, subset_convolve([signed] * r, n), r * d),
         candidates=lambda k: range(r),
-        branch_poly=levels.poly,
+        branch_poly=levels.branch,
+        commit=levels.commit,
     )
     blocks = tuple(
         tuple(i for i in range(m) if cert.assignment[i] == k) for k in range(r)

@@ -14,9 +14,10 @@ c_i d/dz_i d/dw_i) to a product of two such determinants.  Its weight on a
 subset pair (S, T) factors over indices into 2x2 kernels, so one Kronecker
 pass per index (``_apply_kernels``) over the rank-graded table replaces the
 sum over pairs.  A fixed value's kernel has rank one, so ``ProductLevels``
-contracts each index a descent fixes out of that table for good and reads
+contracts each index a descent commits out of that table for good and reads
 every branch polynomial of a level from one kernel pass: the branches of a
-whole descent cost about as much as two full passes.
+whole descent cost about as much as two full passes.  Both level engines
+answer a descent's ``branch(v)`` (next index set to v) and ``commit(v)`` (fix it).
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -300,25 +301,26 @@ class ProductLevels:
     """Branch polynomials of ``expected_product_poly`` along a descent that
     fixes indices 0, 1, ... in order.
 
+    ``branch(v)`` is the polynomial with the committed values, the next
+    index k set to v and the kernels of ``spec`` on the indices after k;
+    ``commit(v)`` fixes index k to v for good, and the next level is k + 1.
     A fixed index with value s has the rank-one kernel [1, -s]^T [1, s], so
-    it is contracted out of one rank-graded table R[sigma, S]: sigma is the
-    total rank |T| and S runs over the indices still free.  The S side needs
-    no table of its own: it is (-1)^(sigma - |S|) R.  The polynomial with
-    indices 0..k-1 contracted and index k set to v applies the free kernels
-    of ``spec`` to a copy of R once per level, then per value contracts bit
-    k with +v on that copy and with -v on the signed S side, which equals
-    the sign pattern times R contracted with +v.  The degree-2d coefficients
-    are the anti-diagonal sums of the (top+1) x (top+1) product of the two
-    sides.  A whole descent costs O(n 2^n d) instead of O(n^2 2^n d).
+    a commit contracts it out of one rank-graded table R[sigma, S]: sigma is
+    the total rank |T| and S runs over the indices still free.  The S side
+    needs no table of its own: it is (-1)^(sigma - |S|) R.  A branch applies
+    the free kernels to a copy of R once per level, then contracts bit k with
+    +v on that copy and with -v on the signed S side, which equals the sign
+    pattern times R contracted with +v.  The degree-2d coefficients are the
+    anti-diagonal sums of the (top+1) x (top+1) product of the two sides.
+    A whole descent costs O(n 2^n d) instead of O(n^2 2^n d).
     """
 
     def __init__(self, table: SubsetTable, spec: DerivativeSpec):
         if len(spec) != table.n:
             raise ValueError(f"spec length {len(spec)} != table size {table.n}")
         self._deg = 2 * table.dim
-        self.fixed: list[float] = []  # values contracted out of R, index order
         self._table = table
-        self._kernels = list(zip(spec.a, spec.b, spec.c))
+        self._kernels = list(zip(spec.a, spec.b, spec.c))  # of the indices not yet committed
         rows = np.arange(min(table.n, table.dim) + 1)
         self._ranks = (rows[:, None] + rows).ravel()
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
@@ -330,31 +332,27 @@ class ProductLevels:
         # built on first use, so it is not held beside the root polynomial's pass
         return _ranked_table(self._table)
 
-    def poly(self, assignment: Mapping[int, float]) -> RealPolynomial:
-        """The polynomial with index i fixed to assignment[i] for i = 0..k and
-        the free kernels of ``spec`` on the rest.  The assignment must extend
-        the contracted prefix; its values not yet contracted are contracted
-        now, all but the one at index k."""
-        k, done = len(assignment) - 1, len(self.fixed)
-        if sorted(assignment) != list(range(k + 1)) or not done <= k < len(self._kernels):
-            raise ValueError(
-                f"assignment {dict(assignment)} must fix indices 0..k, k from {done} to {len(self._kernels) - 1}"
-            )
-        values = [float(assignment[i]) for i in range(k + 1)]
-        if values[:done] != self.fixed:
-            raise ValueError(f"assignment {dict(assignment)} changes the fixed prefix {self.fixed}")
-        for v in values[done:k]:
-            self._R = _contract_low_bit(self._R, v)
-            self.fixed.append(v)
-            self._free = None
+    def _check_open(self) -> None:
+        if not self._kernels:
+            raise ValueError(f"all {self._table.n} indices are committed")
+
+    def branch(self, v: float) -> RealPolynomial:
+        """The polynomial with the next index set to v."""
+        self._check_open()
         if self._free is None:
             self._free = self._R.copy()
-            _apply_kernels(self._free, self._kernels[k + 1 :], first=1)
-        v = values[k]
+            _apply_kernels(self._free, self._kernels[1:], first=1)
         T = _contract_low_bit(self._free, v)
         S = _contract_low_bit(self._R, v)
         S *= self._parity[: S.shape[1]]
         return _graded_poly(self._ranks, ((S @ T.T) * self._row_sign).ravel(), self._deg)
+
+    def commit(self, v: float) -> None:
+        """Fix the next index to v."""
+        self._check_open()
+        self._R = _contract_low_bit(self._R, v)
+        del self._kernels[0]
+        self._free = None
 
 
 def _binomial_weights(n: int, rows: int) -> np.ndarray:
@@ -397,16 +395,18 @@ class ConvolutionLevels:
     """Branch polynomials of the r-fold subset convolution along a descent
     that puts indices 0, 1, ... into slots in order.
 
-    Slot k's table is c_S prod_{i in S} f_{k,i}, with factor -1 for a free
-    index, -scales[k] for an index put in slot k and 0 for an index put in
-    another slot.  The engine keeps the r ranked zeta transforms Z_k of
-    those tables; at the root they all equal the zeta of (-1)^|S| c_S.
-    Changing index i's factor from -1 to f changes Z_k only on the masks
-    that contain i:
+    ``branch(s)`` is the polynomial with the committed slots, the next index
+    k in slot s and the indices after k free; ``commit(s)`` puts index k into
+    slot s for good, and the next level is k + 1.  Slot k's table is
+    c_S prod_{i in S} f_{k,i}, with factor -1 for a free index, -scales[k]
+    for an index put in slot k and 0 for an index put in another slot.  The
+    engine keeps the r ranked zeta transforms Z_k of those tables; at the
+    root they all equal the zeta of (-1)^|S| c_S.  Changing index i's factor
+    from -1 to f changes Z_k only on the masks that contain i:
 
         Z[rho, U | i] <- Z[rho, U] - f (Z[rho, U | i] - Z[rho, U]),
 
-    one pass over half the masks, which commits a chosen slot in place.  The
+    one pass over half the masks, which is how a slot is committed.  The
     branch polynomials are never Moebius-transformed: the coefficient of
     x^(r d - j) is the graded read
 
@@ -424,9 +424,9 @@ class ConvolutionLevels:
     """
 
     def __init__(self, table: SubsetTable, scales: Sequence[float]):
-        self.fixed: list[int] = []  # slots committed into the zetas, index order
         self._table = table
         self._scales = [float(s) for s in scales]
+        self._next = 0  # the index the next level puts into a slot
         n, r = table.n, len(self._scales)
         top = min(n, table.dim)
         self._deg = r * table.dim
@@ -448,40 +448,40 @@ class ConvolutionLevels:
             acc = _rank_product(acc, Z, self._table.n)
         return acc
 
-    def poly(self, assignment: Mapping[int, int]) -> RealPolynomial:
-        """The polynomial with index i in slot assignment[i] for i = 0..k and
-        the rest free.  The assignment must extend the committed prefix; its
-        slots not yet committed are committed now, all but the one at k."""
+    def _check_open(self, s: int) -> None:
         n, r = self._table.n, len(self._scales)
-        k, done = len(assignment) - 1, len(self.fixed)
-        if sorted(assignment) != list(range(k + 1)) or not done <= k < n:
-            raise ValueError(f"assignment {dict(assignment)} must fix indices 0..k, k from {done} to {n - 1}")
-        slots = [assignment[i] for i in range(k + 1)]
-        if slots[:done] != self.fixed:
-            raise ValueError(f"assignment {dict(assignment)} changes the committed prefix {self.fixed}")
-        if not all(s in range(r) for s in slots[done:]):
-            raise ValueError(f"assignment {dict(assignment)} names a slot outside 0..{r - 1}")
-        for i, s in enumerate(slots[done:k], done):
-            for slot, Z in enumerate(self._zetas):
-                f = -self._scales[s] if slot == s else 0.0
-                lo, hi = _bit_halves(Z, i)
-                hi -= lo
-                hi *= -f
-                hi += lo
-            self.fixed.append(s)
-            self._level = None
+        if self._next >= n:
+            raise ValueError(f"all {n} indices are committed")
+        if s not in range(r):
+            raise ValueError(f"slot {s} outside 0..{r - 1}")
+
+    def branch(self, s: int) -> RealPolynomial:
+        """The polynomial with the next index in slot s."""
+        self._check_open(s)
+        k = self._next
         lows, highs = zip(*(_bit_halves(Z, k) for Z in self._zetas))
         if self._level is None:
             sizes = self._table.sizes.reshape(-1, 2, 1 << k)[:, 0, :]  # |U| of the low-half masks
             P, W_high = self._product(lows), self._weights[:, sizes + 1]
             self._level = _graded_read(P, self._weights[:, sizes]), _graded_read(P, W_high), W_high
         a, b, W_high = self._level
-        s = slots[k]
         q = _graded_read(self._product(lows[:s] + highs[s : s + 1] + lows[s + 1 :]), W_high)
         g = a + b + self._scales[s] * (q - b)
         coeffs = np.zeros(self._deg + 1)
         coeffs[self._deg - len(g) + 1 :] = g[::-1]
         return RealPolynomial.from_coeffs(coeffs)
+
+    def commit(self, s: int) -> None:
+        """Put the next index into slot s."""
+        self._check_open(s)
+        for slot, Z in enumerate(self._zetas):
+            f = -self._scales[s] if slot == s else 0.0
+            lo, hi = _bit_halves(Z, self._next)
+            hi -= lo
+            hi *= -f
+            hi += lo
+        self._next += 1
+        self._level = None
 
 
 def quadratic_mixed_char_poly(

@@ -108,9 +108,9 @@ class RealPolynomial:
 
 
 def root_scaling(p: RealPolynomial, t: float) -> RealPolynomial:
-    """t^d p(x / t): multiplies every root of a monic p by t > 0."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    """t^d p(x / t): multiplies every root of a monic p by a finite t > 0."""
+    if not 0.0 < t < math.inf:  # also rejects a NaN t
+        raise ValueError(f"t must be finite and positive; got {t}")
     if not p.is_monic():
         raise NotMonic("root scaling is defined for monic polynomials")
     d = p.degree

@@ -157,20 +157,63 @@ def test_matrix_distribution_rejects_nan_and_non_finite_probs(probs):
 
 
 def test_descent_aborts_on_non_real_rooted_branch():
-    # a broken evaluator must abort, not guess
+    # a broken evaluator must abort, not guess, and commit nothing
     from interlace import NotRealRooted, RealPolynomial
     from interlace.descent import _run_descent
 
     bad = RealPolynomial.from_coeffs([2.0, 0.0, 1.0])  # roots +-i sqrt(2)
     good = RealPolynomial.from_coeffs([-1.0, 0.0, 1.0])
     for root, context in ((bad, "root"), (good, "level 0, branch 0")):
+        committed = []
         with pytest.raises(NotRealRooted, match=rf"^{context}: .*residual .*; aborting descent$"):
             _run_descent(
                 num_levels=1,
                 root_poly=lambda: root,
                 candidates=lambda k: [0],
-                branch_poly=lambda assignment: bad,
+                branch_poly=lambda cand: bad,
+                commit=committed.append,
             )
+        assert committed == []
+
+
+def test_descent_commits_each_level_once_with_its_winner():
+    # A recording fake: branch v at a level has the single root
+    # maxroots[level][v].  Level 0 is won by candidate 1; at level 1
+    # candidates 0 and 2 tie within TIE_TOL, so the earlier one is committed
+    # even though its root is higher by TIE_TOL / 2.
+    from interlace import NotRealRooted, RealPolynomial
+    from interlace.descent import TIE_TOL, _run_descent
+
+    maxroots = [[3.0, 1.0, 2.0], [2.0, 5.0, 2.0 - TIE_TOL / 2]]
+    calls = []
+
+    def run(num_levels, broken=None):
+        def branch_poly(cand):
+            level = sum(1 for call in calls if call[0] == "commit")
+            calls.append(("branch", level, cand))
+            if (level, cand) == broken:
+                return RealPolynomial.from_coeffs([1.0, 0.0, 1.0])  # roots +-i
+            return RealPolynomial.from_coeffs([-maxroots[level][cand], 1.0])
+
+        calls.clear()
+        return _run_descent(
+            num_levels=num_levels,
+            root_poly=lambda: RealPolynomial.from_coeffs([-4.0, 1.0]),
+            candidates=lambda k: range(len(maxroots[k])),
+            branch_poly=branch_poly,
+            commit=lambda v: calls.append(("commit", v)),
+        )
+
+    cert = run(2)
+    assert [call for call in calls if call[0] == "commit"] == [("commit", 1), ("commit", 0)]
+    assert calls.index(("commit", 1)) == 3  # after all three branches of level 0
+    assert cert.assignment == (1, 0)
+    assert cert.maxroots == pytest.approx((4.0, 1.0, 2.0), abs=1e-9)
+    assert -TIE_TOL < cert.margins[1] < 0.0
+    # a branch that is not real-rooted aborts its level before the commit
+    with pytest.raises(NotRealRooted, match=r"^level 1, branch 1: "):
+        run(2, broken=(1, 1))
+    assert calls == [("branch", 0, 0), ("branch", 0, 1), ("branch", 0, 2), ("commit", 1), ("branch", 1, 0), ("branch", 1, 1)]
 
 
 def test_certificate_records_enclosures_bands_and_margins():

@@ -205,6 +205,27 @@ def test_ks_r_size_guard_after_completion():
         ks_r_partition(E, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("trace", [1e-5, 0.06])
+def test_ks_r_size_guard_fires_before_the_completion_is_built(monkeypatch, trace):
+    from interlace import SizeGuard, lyapunov
+
+    # 1 - 2 trace is filled by ceil((1 - 2 trace) / trace) pieces: about
+    # 2 * 10^5 (building them took 4 s before the index guard fired), and
+    # 15 at 0.06, one more than the 12 left beside the two matrices
+    def fail(*args):
+        raise AssertionError("the completion was built")
+
+    monkeypatch.setattr(lyapunov, "rank_one_completion", fail)
+    with pytest.raises(SizeGuard, match="rank-one completion"):
+        ks_r_partition([diag(trace), diag(trace)], [0.5, 0.5])
+
+
+def test_ks_r_admits_a_completion_that_fills_the_index_guard():
+    # 12 pieces of trace 0.85 / 12 beside the two matrices: 14 indices
+    res = ks_r_partition([diag(0.075), diag(0.075)], [0.5, 0.5])
+    assert sorted(res.blocks[0] + res.blocks[1]) == [0, 1]
+
+
 def test_ks_r_size_guard_on_lifted_dimension():
     from interlace import SizeGuard
 

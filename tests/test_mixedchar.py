@@ -407,13 +407,14 @@ def test_product_levels_match_the_full_pass_on_every_branch(d, n):
     for k in range(n):
         support = dists[k].support()
         for v in support:
-            assignment = {**fixed, k: v}
-            got = np.array(levels.poly(assignment).coeffs)
-            want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, assignment), table).coeffs)
+            got = np.array(levels.branch(v).coeffs)
+            want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
             assert got.shape == want.shape == (2 * d + 1,)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
         fixed[k] = support[int(rng.integers(len(support)))]
-    assert levels.fixed == [fixed[k] for k in range(n - 1)]
+        levels.commit(fixed[k])
+    with pytest.raises(ValueError):
+        levels.branch(fixed[n - 1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -426,38 +427,30 @@ def test_product_levels_match_the_ring_oracle(seed):
     fixed = {}
     for k in range(n):
         for v in dists[k].support():
-            assignment = {**fixed, k: v}
-            want = truncated_ring_oracle(E, spec=conditional_spec_quadratic(dists, assignment)).coeffs
-            got = levels.poly(assignment).coeffs
+            want = truncated_ring_oracle(E, spec=conditional_spec_quadratic(dists, {**fixed, k: v})).coeffs
+            got = levels.branch(v).coeffs
             assert len(got) == len(want)
             assert np.max(np.abs(np.subtract(got, want))) <= TOL_COEFF, (d, n, k, v)
         fixed[k] = dists[k].support()[-1]
+        levels.commit(fixed[k])
 
 
-def test_product_levels_reject_an_assignment_off_the_fixed_prefix():
+def test_product_levels_reject_a_level_past_the_last_index():
     rng = np.random.default_rng(4)
     E = ensemble([random_psd(rng, 3) for _ in range(4)], tol=np.inf)
     dists = [FiniteDistribution.fair_signs()] * 4
     levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
-    levels.poly({0: -1.0, 1: 1.0, 2: -1.0})
-    assert levels.fixed == [-1.0, 1.0]
-    bad = [
-        {0: -1.0, 2: 1.0},  # skips a level
-        {1: 1.0},  # does not start at index 0
-        {0: -1.0},  # goes back to a contracted level
-        {0: -1.0, 1: -1.0, 2: 1.0},  # changes a contracted value
-        {0: -1.0, 1: 1.0, 2: -1.0, 3: 1.0, 4: 1.0},  # past the last index
-        {},
-    ]
-    for assignment in bad:
+    for v in (-1.0, 1.0, 1.0):
+        levels.commit(v)
+    want = expected_product_poly(E, conditional_spec_quadratic(dists, {0: -1.0, 1: 1.0, 2: 1.0, 3: -1.0})).coeffs
+    assert np.max(np.abs(np.subtract(levels.branch(-1.0).coeffs, want))) <= 1e-12 * np.max(np.abs(want))
+    levels.commit(-1.0)
+    leaf = levels._R.copy()
+    for call in (levels.branch, levels.commit):
         with pytest.raises(ValueError):
-            levels.poly(assignment)
-    assert levels.fixed == [-1.0, 1.0]
-    # the prefix is intact: the next level still reads the full pass
-    assignment = {0: -1.0, 1: 1.0, 2: 1.0, 3: -1.0}
-    want = expected_product_poly(E, conditional_spec_quadratic(dists, assignment)).coeffs
-    got = levels.poly(assignment).coeffs
-    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
+            call(1.0)
+    # the rejected calls leave the fully contracted table as it was
+    assert np.array_equal(levels._R, leaf)
 
 
 def _partition_table(rng, d, m, coverage):
@@ -520,43 +513,39 @@ def test_convolution_levels_match_the_ranked_convolution_on_every_branch(d, m, r
     fixed = {}
     for k in range(m):
         for s in range(r):
-            assignment = {**fixed, k: s}
-            tables = _slot_tables(table, t, assignment)
+            tables = _slot_tables(table, t, {**fixed, k: s})
             want = np.array(_graded_poly(table.sizes, subset_convolve(tables, n), r * d).coeffs)
-            got = np.array(levels.poly(assignment).coeffs)
+            got = np.array(levels.branch(s).coeffs)
             scale = _convolution_scale(tables, n, r * d)
             assert got.shape == want.shape == (r * d + 1,)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, s, float(np.max(np.abs(got - want) / scale)))
         fixed[k] = int(rng.integers(r))
-    assert levels.fixed == [fixed[k] for k in range(m - 1)]
+        levels.commit(fixed[k])
 
 
-def test_convolution_levels_reject_an_assignment_off_the_committed_prefix():
+def test_convolution_levels_reject_a_missing_slot_or_a_level_past_the_last_index():
     rng = np.random.default_rng(6)
     table = _partition_table(rng, 2, 4, 1.0)
     t = [0.3, 0.7]
     levels = ConvolutionLevels(table, [1 / x for x in t])
-    levels.poly({0: 1, 1: 0, 2: 1})
-    assert levels.fixed == [1, 0]
-    bad = [
-        {0: 1, 2: 0},  # skips a level
-        {1: 0},  # does not start at index 0
-        {0: 1},  # goes back to a committed level
-        {0: 1, 1: 1, 2: 0},  # changes a committed slot
-        {0: 1, 1: 0, 2: 2},  # names a slot that does not exist
-        {0: 1, 1: 0, 2: 1, 3: 0, 4: 0},  # past the last index
-        {},
-    ]
-    for assignment in bad:
+    levels.commit(1)
+    levels.commit(0)
+    for call in (levels.branch, levels.commit):
+        for slot in (2, -1):  # names a slot that does not exist
+            with pytest.raises(ValueError):
+                call(slot)
+    # the rejected calls changed nothing: the next levels still read the ranked convolution
+    fixed = {0: 1, 1: 0}
+    for k, slot in ((2, 0), (3, 1)):
+        fixed[k] = slot
+        tables = _slot_tables(table, t, fixed)
+        want = np.array(_graded_poly(table.sizes, subset_convolve(tables, 4), 4).coeffs)
+        got = np.array(levels.branch(slot).coeffs)
+        assert np.all(np.abs(got - want) <= 1e-12 * _convolution_scale(tables, 4, 4))
+        levels.commit(slot)
+    for call in (levels.branch, levels.commit):  # past the last index
         with pytest.raises(ValueError):
-            levels.poly(assignment)
-    assert levels.fixed == [1, 0]
-    # the prefix is intact: the last level still reads the ranked convolution
-    assignment = {0: 1, 1: 0, 2: 0, 3: 1}
-    tables = _slot_tables(table, t, assignment)
-    want = np.array(_graded_poly(table.sizes, subset_convolve(tables, 4), 4).coeffs)
-    got = np.array(levels.poly(assignment).coeffs)
-    assert np.all(np.abs(got - want) <= 1e-12 * _convolution_scale(tables, 4, 4))
+            call(0)
 
 
 @pytest.mark.parametrize("n", [4, 7, 10])

@@ -11,10 +11,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from interlace import DiscrepancyInstance, discrepancy, lyapunov
-from interlace.descent import _run_descent
-from interlace.generate import covering_ensemble, random_two_valued, trace_capped_ensemble
+from interlace.descent import FiniteDistribution, _run_descent
+from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -69,3 +70,31 @@ def test_partition_convolves_every_branch_inside_the_hooked_name():
     # per block, one eigensolve for the norm and one for D_k = sum_{I_k} A - t_k sum A,
     # which gives both the deviation and the PSD certificate: 2r in all
     assert spans["linalg.eigensolve"] == 4
+
+
+def _lyapunov_select(rng):
+    # weights 0 and 1 are point masses: one branch each
+    weights = [0.3, 1.0, 0.5, 0.0, 0.7]
+    inst = lyapunov.LyapunovInstance.make(trace_capped_ensemble(rng, 2, 5, 0.25), weights)
+    return lambda: lyapunov.lyapunov_select(inst), [FiniteDistribution.bernoulli(t) for t in weights]
+
+
+def _solve_hermitian(rng):
+    mats = [random_psd(rng, 2) - random_psd(rng, 2) for _ in range(4)]
+    dists = [random_two_valued(rng), FiniteDistribution.point_mass(0.5), random_two_valued(rng), random_two_valued(rng)]
+    return lambda: discrepancy.solve_hermitian(mats, dists), dists
+
+
+@pytest.mark.parametrize("make", [_lyapunov_select, _solve_hermitian], ids=["lyapunov_select", "solve_hermitian"])
+def test_small_mix_solvers_count_every_level_and_branch(make):
+    # the two small-mix solvers besides solve_kls: one level per variable,
+    # one branch per support value, and one certified max root per branch
+    # plus one for the root polynomial
+    solve, dists = make(np.random.default_rng(5))
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        solve()
+    spans = Counter(span[0] for span in tracer.spans)
+    assert tracer.counts["descent.levels"] == len(dists)
+    assert tracer.counts["descent.branches"] == sum(len(dist.support()) for dist in dists)
+    assert spans["polynomials.maxroot"] == tracer.counts["descent.branches"] + 1

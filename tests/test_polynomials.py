@@ -1,8 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, root_report, root_scaling
+from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, rank_one_completion, root_report, root_scaling
 from interlace.polynomials import _newton_polish
 
 
@@ -45,6 +47,21 @@ def test_root_scaling_examples():
     assert root_scaling(P(0, 0, 1), 5.0).coeffs == (0.0, 0.0, 1.0)
     with pytest.raises(NotMonic):
         root_scaling(P(1, 2), 2.0)
+
+
+# an infinite trace cap is allowed: it gives one piece per eigenvalue
+HELPERS = {
+    "root_scaling": (lambda t: root_scaling(P(-1, 0, 1), t), (0.0, -1.0, math.nan, math.inf, -math.inf)),
+    "rank_one_completion": (lambda eps: rank_one_completion(np.diag([0.5, 0.25]), eps), (0.0, -1.0, math.nan, -math.inf)),
+}
+
+
+@pytest.mark.parametrize("helper, value", [(name, v) for name, (_, bad) in HELPERS.items() for v in bad])
+def test_public_helpers_reject_a_non_finite_or_non_positive_argument(helper, value):
+    # a NaN once passed both guards: root_scaling returned NaN coefficients
+    # (and (-inf, nan, 1) at t = inf), rank_one_completion failed converting NaN to an integer
+    with pytest.raises(ValueError, match="must be"):
+        HELPERS[helper][0](value)
 
 
 def test_root_scaling_maxroot_property():
