@@ -102,11 +102,11 @@ def cmd_mcp_eval(args) -> int:
         poly = mixed_char_poly(ens, signs)
         rep.set("polynomial", "mixed characteristic")
         rep.set("signs", signs)
-    report = root_report(poly, args.tol)
+    report = root_report([poly], args.tol)[0]
     rep.set("coefficients_ascending", _fmt_poly(poly.coeffs))
     rep.set("real_rooted", report.real_rooted)
     if report.real_rooted:
-        rep.set("maxroot", maxroot_certified(poly, rootedness_tol=max(args.tol, 1e-7)).hi)
+        rep.set("maxroot", maxroot_certified([poly], rootedness_tol=max(args.tol, 1e-7))[0].hi)
         rep.set("minroot", report.minroot)
     return rep.finish(args.json)
 

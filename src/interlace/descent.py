@@ -164,23 +164,24 @@ def _run_descent(
     """Shared greedy loop; candidates(k) must come pre-sorted in tie order.
 
     Level k reads branch_poly(cand) for each candidate, the polynomial with
-    the committed levels, k set to cand and the rest free, and then calls
-    commit(best) once.  Branches are ranked by the certified upper end of
-    their max root.  A polynomial that is not real-rooted aborts the descent,
-    with the root or branch it came from, before its level commits.
+    the committed levels, k set to cand and the rest free, certifies the
+    level's branches as one stack, and then calls commit(best) once.
+    Branches are ranked by the certified upper end of their max root.  A
+    polynomial that is not real-rooted aborts the descent, with the root or
+    the first such branch in tie order, before its level commits.
     """
-    context = "root"
+    level = None
     assignment = []
     margins = []
     try:
-        chain = [maxroot_certified(root_poly(), rootedness_tol=ROOTEDNESS_TOL)]
+        chain = maxroot_certified([root_poly()], rootedness_tol=ROOTEDNESS_TOL)
         for level in range(num_levels):
+            cands = tuple(candidates(level))
+            roots = maxroot_certified([branch_poly(cand) for cand in cands], rootedness_tol=ROOTEDNESS_TOL)
             best = None
             best_root = MaxRoot(np.inf, np.inf)
             runner_up = np.inf
-            for cand in candidates(level):
-                context = f"level {level}, branch {cand!r}"
-                root = maxroot_certified(branch_poly(cand), rootedness_tol=ROOTEDNESS_TOL)
+            for cand, root in zip(cands, roots):
                 if root.hi < best_root.hi - TIE_TOL:
                     runner_up = min(runner_up, best_root.hi)
                     best, best_root = cand, root
@@ -191,6 +192,7 @@ def _run_descent(
             margins.append(runner_up - best_root.hi)
             chain.append(best_root)
     except NotRealRooted as exc:
+        context = "root" if level is None else f"level {level}, branch {cands[exc.row]!r}"
         raise NotRealRooted(
             f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
         ) from exc

@@ -30,7 +30,14 @@ class NotMonic(InterlaceError):
 
 
 class NotRealRooted(InterlaceError):
-    """Polynomial required to be real-rooted fails the test."""
+    """Polynomial required to be real-rooted fails the test.
+
+    row is the failing polynomial's index in the certified stack, if any.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class SizeGuard(InterlaceError):

@@ -191,12 +191,12 @@ def ks_r_partition(
     # of them, less one per eigenvalue for rounding; refuse before building any
     if eps > 0 and m + (d - total.trace()) / eps - d > MAX_INDICES:
         raise SizeGuard(f"the rank-one completion at trace cap {eps:.6g} exceeds {MAX_INDICES} indices")
+    if d * r > MAX_LIFTED_DIM:
+        raise SizeGuard(f"lifted dimension {d * r} exceeds {MAX_LIFTED_DIM}")
     completion = rank_one_completion(total, eps)
     recon = total.entries + sum((B.entries for B in completion), np.zeros((d, d), dtype=np.complex128))
     if float(np.linalg.norm(recon - np.eye(d))) > 1e-8 * d:
         raise ValidationError("completion failed to reconstruct the identity")
-    if d * r > MAX_LIFTED_DIM:
-        raise SizeGuard(f"lifted dimension {d * r} exceeds {MAX_LIFTED_DIM}")
     table = SubsetTable.build(list(ens) + completion)
     n = table.n
 

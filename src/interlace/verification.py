@@ -97,8 +97,8 @@ def _shift_transfer(rng, count: int) -> float:
             shifted = p + dp.scale(c)
             if shifted.degree < 1:
                 continue
-            x0 = root_report(shifted, TOL_ROOTED).maxroot + 1e-6
-            worst = max(worst, root_report(p, TOL_ROOTED).maxroot - (x0 + c))
+            top_shifted, top = (rep.maxroot for rep in root_report([shifted, p], TOL_ROOTED))
+            worst = max(worst, top - (top_shifted + 1e-6 + c))
     return worst
 
 
@@ -121,18 +121,17 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
     worst = 0.0
     for _ in range(count):
         p = _random_real_rooted(rng, int(rng.integers(1, 7)))
-        mr = maxroot_certified(p, rootedness_tol=1e-6).hi
-        for t in (0.1, 2.0, 10.0):
-            mrs = maxroot_certified(root_scaling(p, t), rootedness_tol=1e-6).hi
+        scales = (0.1, 2.0, 10.0)
+        stack = [p] + [root_scaling(p, t) for t in scales]
+        mr, *scaled = (root.hi for root in maxroot_certified(stack, rootedness_tol=1e-6))
+        for t, mrs in zip(scales, scaled):
             worst = max(worst, abs(mrs - t * mr) / max(1.0, abs(t * mr)))
     out.append(_result("root-scaling-maxroot", worst, 1e-8))
 
     worst = 0.0
     for _ in range(count):
         p = _random_real_rooted(rng, int(rng.integers(2, 7)))
-        rep = root_report(p, TOL_ROOTED)
-        mrr = p.reflect()
-        rep2 = root_report(mrr, TOL_ROOTED)
+        rep, rep2 = root_report([p, p.reflect()], TOL_ROOTED)
         worst = max(worst, abs(rep2.maxroot + rep.minroot))
     out.append(_result("reflect-minroot-relation", worst, 1e-7))
 
@@ -143,7 +142,7 @@ def suite_polynomials(seed: int = 0, count: int = 100) -> list[CheckResult]:
         p = _random_real_rooted(rng, int(rng.integers(1, 7)), separated=True)
         worst = max(
             worst,
-            abs(maxroot_certified(p, rootedness_tol=1e-6).hi - root_report(p, 1e-6).maxroot),
+            abs(maxroot_certified([p], rootedness_tol=1e-6)[0].hi - root_report([p], 1e-6)[0].maxroot),
         )
     out.append(_result("certified-vs-companion-maxroot", worst, 1e-9))
     return out
@@ -199,9 +198,8 @@ def _slot_growth_maxroots(rng, sign: float) -> tuple[float, float]:
     eps = rng.choice([-1.0, 1.0], size=m)
     eps[0] = sign
     grown = MatrixEnsemble.from_arrays([ens[0].entries + inc, *ens.matrices[1:]], tol=np.inf)
-    return tuple(
-        maxroot_certified(mixed_char_poly(e, eps), rootedness_tol=TOL_ROOTED).hi for e in (ens, grown)
-    )
+    polys = [mixed_char_poly(e, eps) for e in (ens, grown)]
+    return tuple(root.hi for root in maxroot_certified(polys, rootedness_tol=TOL_ROOTED))
 
 
 def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
@@ -276,7 +274,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         d = int(rng.integers(1, 6))
         M = random_psd(rng, d, trace=float(rng.uniform(0.1, 3.0)))
         p = mixed_char_poly(MatrixEnsemble.from_arrays([M], tol=np.inf), [1.0])
-        mr = root_report(p, TOL_ROOTED).maxroot
+        mr = root_report([p], TOL_ROOTED)[0].maxroot
         worst = max(worst, abs(mr - float(np.trace(M).real)))
     out.append(_result("single-argument-trace-root", worst, TOL_COEFF))
 
@@ -301,7 +299,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         m = int(rng.integers(1, 6))
         ens = _psd_ensemble(rng, d, m)
         eps = rng.choice([-1.0, 1.0], size=m)
-        rep = root_report(mixed_char_poly(ens, eps), TOL_ROOTED)
+        rep = root_report([mixed_char_poly(ens, eps)], TOL_ROOTED)[0]
         if not rep.real_rooted:
             worst = max(worst, rep.max_imag_residual)
     out.append(_result("signed-ensemble-real-rootedness", worst, TOL_ROOTED))
@@ -316,7 +314,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         nfix = int(rng.integers(0, m + 1))
         fixed = {i: dists[i].support()[0] for i in range(nfix)}
         spec = conditional_spec_quadratic(dists, fixed)
-        rep = root_report(expected_product_poly(ens, spec), TOL_ROOTED)
+        rep = root_report([expected_product_poly(ens, spec)], TOL_ROOTED)[0]
         if not rep.real_rooted:
             worst = max(worst, rep.max_imag_residual)
     out.append(_result("expected-product-real-rootedness", worst, TOL_ROOTED))
@@ -335,7 +333,7 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
         ens = _psd_ensemble(rng, d, m)
-        worst = max(worst, maxroot_certified(mixed_char_poly(ens, -np.ones(m)), rootedness_tol=TOL_ROOTED).hi)
+        worst = max(worst, maxroot_certified([mixed_char_poly(ens, -np.ones(m))], rootedness_tol=TOL_ROOTED)[0].hi)
     out.append(_result("negative-ensemble-maxroot-nonpositive", worst, TOL_ROOT))
 
     # signed-sum norm bound through the product polynomial, and the plain sum
@@ -348,10 +346,10 @@ def suite_structural(seed: int = 0, count: int = 100) -> list[CheckResult]:
         eps = rng.choice([-1.0, 1.0], size=m)
         table = SubsetTable.build(ens)
         f = mixed_char_poly(ens, eps, table) * mixed_char_poly(ens, -eps, table)
-        mr = maxroot_certified(f, rootedness_tol=TOL_ROOTED).hi
+        mr = maxroot_certified([f], rootedness_tol=TOL_ROOTED)[0].hi
         total = sum(e * H.entries for e, H in zip(eps, ens))
         worst_signed = max(worst_signed, operator_norm(make_hermitian(total, tol=np.inf)) - mr)
-        mr_sum = maxroot_certified(mixed_char_poly(ens, np.ones(m), table), rootedness_tol=TOL_ROOTED).hi
+        mr_sum = maxroot_certified([mixed_char_poly(ens, np.ones(m), table)], rootedness_tol=TOL_ROOTED)[0].hi
         worst_sum = max(worst_sum, operator_norm(ens.sum()) - mr_sum)
     out.append(_result("signed-sum-norm-bound", worst_signed, TOL_ROOT))
     out.append(_result("plain-sum-norm-bound", worst_sum, TOL_ROOT))
@@ -392,7 +390,7 @@ def suite_bounds(seed: int = 0, count: int = 100) -> list[CheckResult]:
         d = int(rng.integers(2, 7))
         m = int(rng.integers(2, 9))
         ens = trace_capped_ensemble(rng, d, m, float(rng.uniform(0.05, 0.6)))
-        mr = maxroot_certified(mixed_char_poly(ens, np.ones(m)), rootedness_tol=TOL_ROOTED).hi
+        mr = maxroot_certified([mixed_char_poly(ens, np.ones(m))], rootedness_tol=TOL_ROOTED)[0].hi
         worst = max(worst, mr - mixed_bound_reference(ens))
     out.append(_result("trace-capped-maxroot", worst, TOL_ROOT))
 
@@ -403,7 +401,7 @@ def suite_bounds(seed: int = 0, count: int = 100) -> list[CheckResult]:
             m = int(rng.integers(2, 9))
             cap = (k - 1) ** 2 / k
             ens = trace_capped_ensemble(rng, d, m, float(rng.uniform(0.05, 0.9)) * cap, rank=k)
-            mr = maxroot_certified(mixed_char_poly(ens, np.ones(m)), rootedness_tol=TOL_ROOTED).hi
+            mr = maxroot_certified([mixed_char_poly(ens, np.ones(m))], rootedness_tol=TOL_ROOTED)[0].hi
             worst = max(worst, mr - mixed_bound_reference(ens, k))
         out.append(_result(f"rank-{k}-capped-maxroot", worst, TOL_ROOT))
 
@@ -412,7 +410,7 @@ def suite_bounds(seed: int = 0, count: int = 100) -> list[CheckResult]:
         d = int(rng.integers(2, 6))
         m = int(rng.integers(1, 7))
         ens = qx_normalized_ensemble(rng, d, m)
-        mr = maxroot_certified(quadratic_mixed_char_poly(ens), rootedness_tol=TOL_ROOTED).hi
+        mr = maxroot_certified([quadratic_mixed_char_poly(ens)], rootedness_tol=TOL_ROOTED)[0].hi
         worst = max(worst, mr - 4.0)
     out.append(_result("quadratic-maxroot-cap-4", worst, TOL_ROOT))
     return out
@@ -442,18 +440,17 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
         dists = [random_two_valued(rng) for _ in range(m)]
         table = SubsetTable.build(ens)
         root_mr = maxroot_certified(
-            expected_product_poly(ens, conditional_spec_quadratic(dists, {}), table),
+            [expected_product_poly(ens, conditional_spec_quadratic(dists, {}), table)],
             rootedness_tol=TOL_ROOTED,
-        ).hi
+        )[0].hi
         cert = greedy_descent_quadratic(ens, dists)
         worst = max(worst, cert.maxroots[-1] - root_mr)
-        leaves = []
-        for combo in itertools.product(*[dd.support() for dd in dists]):
-            leaf = expected_product_poly(
-                ens, conditional_spec_quadratic(dists, dict(enumerate(combo))), table
-            )
-            leaves.append(maxroot_certified(leaf, rootedness_tol=TOL_ROOTED).hi)
-        worst_leaf = max(worst_leaf, min(leaves) - root_mr)
+        leaves = [
+            expected_product_poly(ens, conditional_spec_quadratic(dists, dict(enumerate(combo))), table)
+            for combo in itertools.product(*[dd.support() for dd in dists])
+        ]
+        lowest = min(leaf.hi for leaf in maxroot_certified(leaves, rootedness_tol=TOL_ROOTED))
+        worst_leaf = max(worst_leaf, lowest - root_mr)
     out.append(_result("greedy-leaf-vs-root", worst, TOL_ROOT))
     out.append(_result("some-leaf-meets-bound", worst_leaf, TOL_ROOT))
 

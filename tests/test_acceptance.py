@@ -73,7 +73,7 @@ def test_criterion_01_exact_small_cases():
     r = mixed_char_poly(E_single3, [1.0])
     checks = [
         CheckResult("pair-gives-x2-plus-2", max(abs(a - b) for a, b in zip(p.coeffs, (2.0, 0.0, 1.0))) <= 1e-9, str(p.coeffs)),
-        CheckResult("pair-not-real-rooted", not root_report(p).real_rooted, ""),
+        CheckResult("pair-not-real-rooted", not root_report([p])[0].real_rooted, ""),
         CheckResult("single-gives-x-minus-trace", max(abs(a - b) for a, b in zip(q.coeffs, (-2.0, 1.0))) <= 1e-9, str(q.coeffs)),
         CheckResult("single-3x3-trace-factor", max(abs(a - b) for a, b in zip(r.coeffs, (0.0, 0.0, -1.5, 1.0))) <= 1e-9, str(r.coeffs)),
     ]
@@ -150,7 +150,7 @@ def test_criterion_09_reversed_slot_monotonicity():
         for path, p in (("fast-path", fast), ("oracle", truncated_ring_oracle(E, signs))):
             ok = len(p.coeffs) == len(want) and max(abs(a - b) for a, b in zip(p.coeffs, want)) <= TOL_COEFF
             checks.append(CheckResult(f"counterexample-{label}-{path}-coeffs", ok, str(p.coeffs)))
-        root = maxroot_certified(fast, rootedness_tol=TOL_ROOTED).hi
+        root = maxroot_certified([fast], rootedness_tol=TOL_ROOTED)[0].hi
         checks.append(CheckResult(f"counterexample-{label}-maxroot", abs(root - want_root) <= TOL_ROOT, f"{root:.10g}"))
     res = reversed_slot_monotonicity(seed=SEED, count=100)
     checks.append(CheckResult("seeded-search-finds-violation", not res.passed and res.worst >= 1e-3, res.detail))

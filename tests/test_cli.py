@@ -206,7 +206,7 @@ def test_cli_mcp_eval_quadratic_reports_the_certified_max_root(tmp_path):
 
     ens, doc = _mcp_eval_report(tmp_path, "--quadratic")
     assert doc["polynomial"] == "quadratic mixed characteristic" and doc["real_rooted"] is True
-    assert doc["maxroot"] == maxroot_certified(quadratic_mixed_char_poly(ens), rootedness_tol=1e-7).hi
+    assert doc["maxroot"] == maxroot_certified([quadratic_mixed_char_poly(ens)], rootedness_tol=1e-7)[0].hi
 
 
 def test_cli_mcp_eval_real_rooted_prints_max_and_min_root(tmp_path):

@@ -210,10 +210,11 @@ def test_descent_commits_each_level_once_with_its_winner():
     assert cert.assignment == (1, 0)
     assert cert.maxroots == pytest.approx((4.0, 1.0, 2.0), abs=1e-9)
     assert -TIE_TOL < cert.margins[1] < 0.0
-    # a branch that is not real-rooted aborts its level before the commit
+    # a branch that is not real-rooted aborts its level before the commit;
+    # every branch of the level is read before the level is certified
     with pytest.raises(NotRealRooted, match=r"^level 1, branch 1: "):
         run(2, broken=(1, 1))
-    assert calls == [("branch", 0, 0), ("branch", 0, 1), ("branch", 0, 2), ("commit", 1), ("branch", 1, 0), ("branch", 1, 1)]
+    assert calls == [("branch", 0, 0), ("branch", 0, 1), ("branch", 0, 2), ("commit", 1), ("branch", 1, 0), ("branch", 1, 1), ("branch", 1, 2)]
 
 
 def test_certificate_records_enclosures_bands_and_margins():

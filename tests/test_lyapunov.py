@@ -234,6 +234,18 @@ def test_ks_r_size_guard_on_lifted_dimension():
         ks_r_partition(E, [0.2] * 5)
 
 
+def test_ks_r_lifted_dimension_guard_fires_before_the_completion_is_built(monkeypatch):
+    from interlace import SizeGuard, lyapunov
+
+    def fail(*args):
+        raise AssertionError("the completion was built")
+
+    monkeypatch.setattr(lyapunov, "rank_one_completion", fail)
+    E = covering_ensemble(np.random.default_rng(14), 10, 3, 0.9)
+    with pytest.raises(SizeGuard, match="lifted dimension 50 exceeds 48"):
+        ks_r_partition(E, [0.2] * 5)
+
+
 def test_ks_r_validation():
     E = ensemble([diag(0.5, 0.0)])
     with pytest.raises(BadProportions):
@@ -277,7 +289,7 @@ def test_partition_chain_matches_the_explicit_lifted_ensemble(d, m, r):
                 lifted.append(_block_diagonal([A.entries] * r))
         lifted += [_block_diagonal([B] * r) for B in completion]
         poly = mixed_char_poly(ensemble(lifted), np.ones(len(lifted)))
-        assert maxroot_certified(poly, rootedness_tol=ROOTEDNESS_TOL).hi == pytest.approx(expected, abs=1e-9)
+        assert maxroot_certified([poly], rootedness_tol=ROOTEDNESS_TOL)[0].hi == pytest.approx(expected, abs=1e-9)
 
 
 def test_mixed_bound_reference_values():

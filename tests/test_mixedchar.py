@@ -68,7 +68,7 @@ def test_mixed_char_poly_non_real_rooted_pair():
     E = ensemble([diag(1, -1), diag(-1, 1)])
     p = mixed_char_poly(E, [1.0, 1.0])
     assert p.coeffs == (2.0, 0.0, 1.0)
-    assert not root_report(p).real_rooted
+    assert not root_report([p])[0].real_rooted
 
 
 def test_mixed_char_poly_single_matrix_trace():
@@ -108,7 +108,7 @@ def test_quadratic_examples():
     assert quadratic_mixed_char_poly(ensemble([diag(1.0)])).coeffs == (-1.0, 0.0, 1.0)
     p = quadratic_mixed_char_poly(ensemble([np.eye(2)]))
     assert p.coeffs == (0.0, 0.0, -4.0, 0.0, 1.0)
-    assert root_report(p).maxroot == pytest.approx(2.0, abs=1e-9)
+    assert root_report([p])[0].maxroot == pytest.approx(2.0, abs=1e-9)
     assert quadratic_mixed_char_poly(ensemble([np.zeros((2, 2))])).coeffs == (0, 0, 0, 0, 1.0)
 
 
@@ -616,10 +616,10 @@ def test_mixed_operator_below_diagonal_operator_single_index():
         diag_coeffs[2 * d] = 1.0
         diag_coeffs[2 * d - 2] = -(e1 * e1 + 2 * e2)
         diag_poly = [float(c) for c in diag_coeffs]
-        mr_mixed = root_report(mixed, 1e-7).maxroot
+        mr_mixed = root_report([mixed], 1e-7)[0].maxroot
         from interlace import RealPolynomial
 
-        mr_diag = root_report(RealPolynomial.from_coeffs(diag_poly), 1e-7).maxroot
+        mr_diag = root_report([RealPolynomial.from_coeffs(diag_poly)], 1e-7)[0].maxroot
         assert mr_diag > 0  # the diagonal max-root point is above x^(2d)'s roots
         assert mr_mixed <= mr_diag + 1e-7
         assert mr_mixed == pytest.approx(e1, abs=1e-8)

@@ -36,9 +36,10 @@ def test_run_descent_keeps_the_parameters_the_tracer_binds():
 
 
 def test_every_max_root_is_certified_inside_the_hooked_names():
-    # one maxroot_certified call, with one root_report inside it, per branch
-    # plus one for the root polynomial: certification work moved out of
-    # these names would show here rather than as a drop in their self time
+    # one maxroot_certified call, with one root_report inside it, per level
+    # (the level's branches certified as one stack) plus one for the root
+    # polynomial: certification work moved out of these names would show
+    # here rather than as a drop in their self time
     rng = np.random.default_rng(5)
     inst = DiscrepancyInstance(trace_capped_ensemble(rng, 3, 4, 1.0), tuple(random_two_valued(rng) for _ in range(4)))
     tracer = _tracing().Tracer()
@@ -46,8 +47,8 @@ def test_every_max_root_is_certified_inside_the_hooked_names():
         discrepancy.solve_kls(inst)
     spans = Counter(span[0] for span in tracer.spans)
     assert tracer.counts["descent.levels"] == 4
-    assert spans["polynomials.maxroot"] == tracer.counts["descent.branches"] + 1
-    assert spans["polynomials.root_report"] == tracer.counts["descent.branches"] + 1
+    assert spans["polynomials.maxroot"] == tracer.counts["descent.levels"] + 1
+    assert spans["polynomials.root_report"] == tracer.counts["descent.levels"] + 1
     # the full kernel pass assembles the root polynomial only; the branches
     # are read from the level engine inside the descent
     assert spans["mixedchar.assemble"] == 1
@@ -88,8 +89,8 @@ def _solve_hermitian(rng):
 @pytest.mark.parametrize("make", [_lyapunov_select, _solve_hermitian], ids=["lyapunov_select", "solve_hermitian"])
 def test_small_mix_solvers_count_every_level_and_branch(make):
     # the two small-mix solvers besides solve_kls: one level per variable,
-    # one branch per support value, and one certified max root per branch
-    # plus one for the root polynomial
+    # one branch per support value, and one certified stack per level plus
+    # one for the root polynomial
     solve, dists = make(np.random.default_rng(5))
     tracer = _tracing().Tracer()
     with tracer.installed():
@@ -97,4 +98,5 @@ def test_small_mix_solvers_count_every_level_and_branch(make):
     spans = Counter(span[0] for span in tracer.spans)
     assert tracer.counts["descent.levels"] == len(dists)
     assert tracer.counts["descent.branches"] == sum(len(dist.support()) for dist in dists)
-    assert spans["polynomials.maxroot"] == tracer.counts["descent.branches"] + 1
+    assert spans["polynomials.maxroot"] == tracer.counts["descent.levels"] + 1
+    assert spans["polynomials.root_report"] == tracer.counts["descent.levels"] + 1

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, rank_one_completion, root_report, root_scaling
 from interlace.polynomials import _newton_polish
@@ -69,20 +71,20 @@ def test_root_scaling_maxroot_property():
     for _ in range(100):
         roots = rng.uniform(-3, 3, size=int(rng.integers(1, 7)))
         p = RealPolynomial.from_coeffs(np.poly(roots)[::-1])
-        mr = root_report(p, 1e-6).maxroot
+        mr = root_report([p], 1e-6)[0].maxroot
         for t in (0.1, 2.0, 10.0):
-            got = root_report(root_scaling(p, t), 1e-6).maxroot
+            got = root_report([root_scaling(p, t)], 1e-6)[0].maxroot
             assert got == pytest.approx(t * mr, rel=1e-8, abs=1e-8)
 
 
 def test_root_report_repeated_root():
-    rep = root_report(P(1, -2, 1))
+    rep = root_report([P(1, -2, 1)])[0]
     assert rep.real_rooted
     assert rep.maxroot == pytest.approx(1.0, abs=1e-9)
 
 
 def test_root_report_complex_case():
-    rep = root_report(P(2, 0, 1))  # roots +-i sqrt(2)
+    rep = root_report([P(2, 0, 1)])[0]  # roots +-i sqrt(2)
     assert not rep.real_rooted
     assert rep.max_imag_residual == pytest.approx(np.sqrt(2), abs=1e-9)
 
@@ -90,7 +92,7 @@ def test_root_report_complex_case():
 def test_root_report_trace_monomial_case():
     # x^(d-1) (x - tau), d = 3, tau = 2
     p = P(0, 0, -2, 1)
-    rep = root_report(p)
+    rep = root_report([p])[0]
     assert rep.real_rooted
     assert rep.maxroot == pytest.approx(2.0, abs=1e-9)
     assert rep.minroot == pytest.approx(0.0, abs=1e-12)
@@ -98,17 +100,17 @@ def test_root_report_trace_monomial_case():
 
 def test_root_report_rejects_constants():
     with pytest.raises(ValueError):
-        root_report(P(3.0))
+        root_report([P(3.0)])
 
 
 def test_maxroot_certified_examples():
     # a double root bounds the certified upper end at about sqrt(eps) above
-    lo, hi = maxroot_certified(P(1, -2, 1))
+    lo, hi = maxroot_certified([P(1, -2, 1)])[0]
     assert lo <= 1.0 <= hi <= 1.0 + 2e-7
-    lo, hi = maxroot_certified(P(-4, 0, 1))
+    lo, hi = maxroot_certified([P(-4, 0, 1)])[0]
     assert lo <= 2.0 <= hi <= lo + 1e-10
     with pytest.raises(NotRealRooted):
-        maxroot_certified(P(2, 0, 1))
+        maxroot_certified([P(2, 0, 1)])
 
 
 def test_maxroot_certified_matches_companion():
@@ -119,8 +121,8 @@ def test_maxroot_certified_matches_companion():
         deg = int(rng.integers(1, 8))
         roots = rng.choice(np.arange(-6, 7), size=deg, replace=False) + rng.uniform(-0.2, 0.2, deg)
         p = RealPolynomial.from_coeffs(np.poly(roots)[::-1])
-        a = maxroot_certified(p, rootedness_tol=1e-6)
-        b = root_report(p, 1e-6).maxroot
+        a = maxroot_certified([p], rootedness_tol=1e-6)[0]
+        b = root_report([p], 1e-6)[0].maxroot
         assert a.hi == pytest.approx(b, abs=1e-9)
         assert a.lo == pytest.approx(b, abs=1e-9)
 
@@ -129,9 +131,9 @@ def test_maxroot_certified_multiple_root_cluster():
     # (x-1)^3 (x+2): companion roots of the triple cluster spread, the
     # enclosure still holds the root; its upper end sits about eps^(1/3) above
     p = RealPolynomial.from_coeffs(np.poly([1.0, 1.0, 1.0, -2.0])[::-1])
-    lo, hi = maxroot_certified(p, rootedness_tol=1e-6)
+    lo, hi = maxroot_certified([p], rootedness_tol=1e-6)[0]
     assert lo <= 1.0 <= hi <= 1.0 + 1e-4
-    rep = root_report(p, 1e-7)
+    rep = root_report([p], 1e-7)[0]
     assert rep.real_rooted  # realness rescue covers the noisy triple root
 
 
@@ -143,8 +145,8 @@ def test_derivative_shift_property():
         p = RealPolynomial.from_coeffs(np.poly(roots)[::-1])
         c = float(rng.choice([-0.5, 0.5, 1.0]))
         q = p + p.derivative().scale(c)
-        x0 = root_report(q, 1e-6).maxroot + 1e-6
-        assert root_report(p, 1e-6).maxroot <= x0 + c + 1e-9
+        x0 = root_report([q], 1e-6)[0].maxroot + 1e-6
+        assert root_report([p], 1e-6)[0].maxroot <= x0 + c + 1e-9
 
 
 def _exact_taylor(p, x):
@@ -191,7 +193,7 @@ def test_maxroot_enclosure_holds_the_exact_root(kind):
         roots = np.concatenate([top, np.zeros(degree - len(top))])
         scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0))
         p = RealPolynomial.from_coeffs(np.poly(roots)[::-1] * scale)
-        lo, hi = maxroot_certified(p, rootedness_tol=1e-6)
+        lo, hi = maxroot_certified([p], rootedness_tol=1e-6)[0]
         assert lo < hi
         assert _exact_enclosure_holds(p, lo, hi), (kind, degree, lo, hi)
         if kind == "multiple":
@@ -208,7 +210,7 @@ def test_maxroot_enclosure_degree_20_spread_roots():
             mpmath.re(z)
             for z in mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=200)
         )
-    lo, hi = maxroot_certified(p, rootedness_tol=1e-6)
+    lo, hi = maxroot_certified([p], rootedness_tol=1e-6)[0]
     assert lo <= exact <= hi
     assert hi - lo < 1e-5
 
@@ -234,7 +236,7 @@ def test_root_report_polish_matches_per_root_newton_bit_for_bit():
         cases.append(RealPolynomial.from_coeffs(np.poly(roots)[::-1] * rng.uniform(-3.0, 3.0)))
         cases.append(RealPolynomial.from_coeffs(rng.standard_normal(degree + 1)))
     for p in cases:
-        rep = root_report(p, 1e-7)
+        rep = root_report([p], 1e-7)[0]
         asc = list(p.coeffs)
         zeros = 0
         while asc[0] == 0.0:
@@ -261,7 +263,148 @@ def test_newton_polish_rules_match_per_root_newton_bit_for_bit():
         crit = np.roots(np.polyder(desc))
         raw = np.concatenate([crit, [0.0, 1e-3, 0.01, 0.3, 3.0, 1e12, 1e13], rng.uniform(-2, 2, 8) + 1j * rng.uniform(-1, 1, 8)])
         want = [_per_root_newton(desc, r) for r in raw]
-        got = _newton_polish(desc, raw)
+        got = _newton_polish(desc[None], raw[None])[0]
         assert [complex(z) for z in got] == [complex(z) for z in want]
         moved.extend(got != raw)
     assert any(moved) and not all(moved)
+
+
+def _classify_passes(monkeypatch):
+    """Row count of every stacked _classify pass, recorded as they run."""
+    from interlace import polynomials
+
+    passes = []
+    original = polynomials._classify
+
+    def counting(chain, *args):
+        passes.append(chain.shape[0])
+        return original(chain, *args)
+
+    monkeypatch.setattr(polynomials, "_classify", counting)
+    return passes
+
+
+def _mp_roots(p):
+    """Roots of p's float coefficients, taken as exact, at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=500, extraprec=500)
+
+
+def _bits(results):
+    return [tuple(x.hex() for x in result) for result in results]
+
+
+# (roots, scale) per row.  Dyadic roots keep np.poly's coefficients exact,
+# so the near-double pairs stay real in exact arithmetic.
+STACK_ROWS = {
+    "two zero roots, negative lead": ([1.5, -0.5, 0.25, 0.0, 0.0], -2.5),
+    "near-double, rescued": ([0.75, 0.75 + 2.0**-28, -1.0], 1.0),
+    "near-double, four tightening passes": ([2.25, 2.25 + 2.0**-22, -1.0], 1.0),
+    "degree 8, one zero root": ([-1.0, -0.625, -0.25, 0.0, 0.375, 0.875, 1.375, 1.875], 0.5),
+    "monomial": ([0.0] * 4, 3.0),
+    "degree 5, negative lead": ([-2.0, -1.0, 0.5, 1.0, 2.5], -1.0),
+}
+
+
+def _stack_polys():
+    return [RealPolynomial.from_coeffs(np.poly(roots)[::-1] * scale) for roots, scale in STACK_ROWS.values()]
+
+
+def test_stacked_certifier_encloses_the_50_digit_max_root_of_every_row(monkeypatch):
+    polys = _stack_polys()
+    passes = _classify_passes(monkeypatch)
+    stacked = maxroot_certified(polys)
+    # rows of one degree share each pass: degrees 5, 3, 3, 8, 4 and 5 make
+    # four groups, and the largest holds two rows
+    assert max(passes) == 2
+    for name, p, (lo, hi) in zip(STACK_ROWS, polys, stacked):
+        roots = _mp_roots(p)
+        assert max(abs(mpmath.im(z)) for z in roots) < 1e-30, name
+        top = max(mpmath.re(z) for z in roots)
+        assert lo < top < hi, name
+        assert hi - lo < 1e-6, name
+
+
+def test_stacked_certifier_rows_match_one_row_calls_bit_for_bit(monkeypatch):
+    polys = _stack_polys()
+    stacked = maxroot_certified(polys)
+    reports = root_report(polys)
+    for p, root, report in zip(polys, stacked, reports):
+        assert _bits(maxroot_certified([p])) == _bits([root])
+        assert root_report([p]) == [report]
+    names = list(STACK_ROWS)
+    # zero roots are stripped before the eigensolve and reported exactly
+    assert reports[names.index("two zero roots, negative lead")].roots[:2] == (0j, 0j)
+    assert reports[names.index("monomial")].roots == (0j,) * 4
+    rescued = polys[names.index("near-double, rescued")]
+    companion = np.roots(rescued.coeffs[::-1])
+    assert np.abs(companion.imag).max() > 1e-9 * (1.0 + np.abs(companion).max())  # strict test fails
+    assert reports[names.index("near-double, rescued")].real_rooted  # and the rescue accepts it
+    # the seeded pass and four tightening passes for this row alone, fewer
+    # for its degree-3 neighbour, which leaves the shared stack early
+    passes = _classify_passes(monkeypatch)
+    maxroot_certified([polys[names.index("near-double, four tightening passes")]])
+    assert len(passes) == 5
+    passes.clear()
+    maxroot_certified([rescued])
+    assert len(passes) < 5
+
+
+def test_root_report_rows_of_a_mixed_stack_match_one_row_calls():
+    # one eigensolve returns complex values for the whole stack when any
+    # row has a complex pair; every row still reports what it reports alone
+    rng = np.random.default_rng(8)
+    polys = []
+    for k in range(40):
+        roots = rng.uniform(-2.0, 2.0, 7)
+        if k % 2:
+            roots[1] = roots[0]  # a double root: usually a complex companion pair
+        polys.append(RealPolynomial.from_coeffs(np.poly(roots)[::-1]))
+    kinds = {np.iscomplexobj(np.roots(p.coeffs[::-1])) for p in polys}
+    assert kinds == {False, True}
+    assert root_report(polys, 1e-7) == [root_report([p], 1e-7)[0] for p in polys]
+
+
+def test_stacked_certifier_names_the_first_non_real_row():
+    polys = _stack_polys()
+    complex_pair = P(2, 0, 1)  # roots +-i sqrt(2)
+    with pytest.raises(NotRealRooted, match="residual") as exc:
+        maxroot_certified(polys[:2] + [complex_pair] + polys[2:] + [complex_pair])
+    assert exc.value.row == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True),
+            st.integers(0, 2),
+            st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_stacked_certifier_matches_one_row_calls_on_integer_roots(rows):
+    # integer roots (at most one repeated) keep the coefficients exact, so
+    # max(roots) is the exact max root of every row
+    polys, tops = [], []
+    for roots, extra_zeros, scale in rows:
+        roots = roots + roots[:1] + [0] * extra_zeros
+        polys.append(RealPolynomial.from_coeffs(np.poly(roots)[::-1] * scale))
+        tops.append(max(roots))
+    singles = []
+    for p in polys:
+        try:
+            singles.append(maxroot_certified([p])[0])
+        except NotRealRooted:
+            singles.append(None)
+    if None in singles:
+        with pytest.raises(NotRealRooted) as exc:
+            maxroot_certified(polys)
+        assert exc.value.row == singles.index(None)
+        return
+    stacked = maxroot_certified(polys)
+    assert _bits(stacked) == _bits(singles)
+    for (lo, hi), top in zip(stacked, tops):
+        assert lo < top < hi
