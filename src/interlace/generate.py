@@ -6,8 +6,8 @@ import numpy as np
 
 from .descent import FiniteDistribution
 from .errors import SizeGuard
-from .linalg import MatrixEnsemble, make_hermitian, operator_norm
-from .mixedchar import MAX_DIM, MAX_INDICES
+from .linalg import MAX_INDICES, MatrixEnsemble, make_hermitian, operator_norm
+from .mixedchar import MAX_DIM
 
 
 def random_psd(rng: np.random.Generator, d: int, rank: int | None = None, trace: float | None = None) -> np.ndarray:

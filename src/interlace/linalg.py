@@ -13,10 +13,14 @@ from .errors import (
     NotHermitian,
     NotPSD,
     NumericalFailure,
+    SizeGuard,
 )
 
 # Slack for PSD / contraction checks on floating-point inputs.
 PSD_SLACK = 1e-10
+# The most indices a subset table holds, so the most completion pieces any
+# table can index.
+MAX_INDICES = 14
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,9 @@ def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
 
     Requires 0 <= A <= I. Each eigenvalue lam of I - A is divided into
     max(1, ceil(lam / epsilon)) equal multiples of its eigenprojector, so the
-    output length never exceeds d * ceil(1 / epsilon).
+    output length never exceeds d * ceil(1 / epsilon).  The pieces are
+    counted before any is built: more than ``MAX_INDICES`` raise
+    ``SizeGuard``.
     """
     A = as_hermitian(A)
     if not epsilon > 0:  # also rejects a NaN epsilon
@@ -139,15 +145,18 @@ def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
         raise NotPSD("completion requires A >= 0")
     if w[-1] > 1.0 + PSD_SLACK:
         raise NotContraction(f"completion requires A <= I, max eigenvalue {w[-1]:.12g}")
-    d = A.dim
     out: list[HermitianMatrix] = []
     resid_w = 1.0 - w
     floor = PSD_SLACK * (1.0 + float(np.max(np.abs(resid_w))))
-    for j in range(d):
-        lam = float(resid_w[j])
-        if lam <= floor:
-            continue
-        pieces = max(1, int(np.ceil(lam / epsilon - 1e-12)))
+    with np.errstate(over="ignore"):  # a count that overflows is refused below
+        counts = np.where(resid_w > floor, np.maximum(1.0, np.ceil(resid_w / epsilon - 1e-12)), 0.0)
+    if counts.sum() > MAX_INDICES:
+        raise SizeGuard(
+            f"the completion at trace cap {epsilon:.6g} needs {counts.sum():.6g} pieces;"
+            f" a table holds at most {MAX_INDICES} indices"
+        )
+    for j in np.flatnonzero(counts):
+        lam, pieces = float(resid_w[j]), int(counts[j])
         v = V[:, j]
         proj = np.outer(v, v.conj())
         share = lam / pieces

@@ -18,7 +18,8 @@ call.  The branches come from ``mixedchar.ConvolutionLevels``, which keeps
 the r ranked zeta transforms across the descent: ``branch(s)`` reads the
 polynomial with the next index in slot s by a binomial-weighted sum
 instead of a Moebius pass, and ``commit(s)``, called once per level with
-the winning slot, updates the transforms on half the masks.  Rank arrays hold only the
+the winning slot, contracts that index out of every transform, so each
+level works on half the masks of the one before.  Rank arrays hold only the
 rows a c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for
 the product).
 """
@@ -47,6 +48,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .linalg import (
+    MAX_INDICES,
     PSD_SLACK,
     MatrixEnsemble,
     eigenvalues,
@@ -57,7 +59,7 @@ from .linalg import (
     rank_one_completion,
     weighted_sum,
 )
-from .mixedchar import MAX_INDICES, ConvolutionLevels, SubsetTable, _graded_poly, subset_convolve
+from .mixedchar import ConvolutionLevels, SubsetTable, _graded_poly, subset_convolve
 
 MAX_LIFTED_DIM = 48
 # Slack on every inequality re-checked on a returned result.

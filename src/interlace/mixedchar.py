@@ -34,10 +34,12 @@ factors of a lifted determinant) by a ranked subset convolution.  Its rank
 arrays follow the table's depth rule: rows stop at the largest |S| a table
 can fill, min(n, d) for a c_S table, and a product of ranked arrays at the
 sum of their depths, capped at n.  ``ConvolutionLevels`` serves the branches
-of a partition descent from r ranked zeta transforms kept across levels:
-putting an index into a slot changes each transform on the masks that hold
-that index only, and a branch's coefficients are binomial-weighted sums of
-the rank product (``_graded_read``), with no Moebius pass.
+of a partition descent from r ranked zeta transforms kept across levels and
+graded twice, by the rank of the free part and the count of indices already
+in the slot: putting an index into a slot contracts it out of every mask
+axis, so level k works on the 2^(n-k) masks of the indices still free, and
+a branch's coefficients are binomial-weighted sums of the rank product
+(``_graded_read``), with no Moebius pass.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeGuard
-from .linalg import MatrixEnsemble, as_hermitian
+from .linalg import MAX_INDICES, MatrixEnsemble, as_hermitian
 from .polynomials import RealPolynomial
 
-MAX_INDICES = 14
 MAX_DIM = 10
 
 
@@ -163,10 +164,17 @@ def _ranked_zeta(t: np.ndarray, pc: np.ndarray, depth: int) -> np.ndarray:
 
 def _rank_product(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
     """C[j] = sum_{i + l = j} A[i] * B[l] for ranks j <= cap, mask by mask:
-    the ranked zeta transform of the subset convolution of two tables."""
-    C = np.zeros((min(len(A) + len(B) - 2, cap) + 1,) + B.shape[1:])
-    for i, row in enumerate(A):
-        C[i : i + len(B)] += row * B[: len(C) - i]
+    the ranked zeta transform of the subset convolution of two tables.
+
+    Arrays of shape (rank, count, mask) carry a second grade, which adds the
+    same way: C[j, c] = sum A[i, e] * B[j - i, c - e].  The loop runs over
+    the entries of A, so A should be the one with fewer.
+    """
+    if A.ndim == 2:
+        return _rank_product(A[:, None], B[:, None], cap)[:, 0]
+    C = np.zeros((min(len(A) + len(B) - 2, cap) + 1, A.shape[1] + B.shape[1] - 1, B.shape[2]))
+    for i, e in np.ndindex(min(len(A), len(C)), A.shape[1]):
+        C[i : i + len(B), e : e + B.shape[1]] += A[i, e] * B[: len(C) - i]
     return C
 
 
@@ -366,8 +374,8 @@ def _binomial_weights(n: int, rows: int) -> np.ndarray:
 
 
 def _graded_read(H: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """g[j] = sum_U H[j, U] W[j, U], one pairwise sum per row; W holds the
-    binomial weights at each mask's size.
+    """g[...] = sum_U H[..., U] W[..., U], one pairwise sum per row of the
+    last axis; W holds the binomial weights at each mask's size.
 
     Every weight is an exact integer, so each term is rounded once, and in
     numpy's pairwise sum of N terms (a multiple of 8: 128-term blocks over 8
@@ -381,14 +389,7 @@ def _graded_read(H: np.ndarray, W: np.ndarray) -> np.ndarray:
     sum.  Binning H by |U| first and then weighting the bins reached 10.8 u:
     a bincount adds each bin one term at a time.
     """
-    terms = H * W
-    return terms.reshape(len(H), -1).sum(axis=1)
-
-
-def _bit_halves(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the rows of Z on the masks without and with bit k."""
-    view = Z.reshape(len(Z), -1, 2, 1 << k)
-    return view[:, :, 0, :], view[:, :, 1, :]
+    return (H * W).sum(axis=-1)
 
 
 class ConvolutionLevels:
@@ -397,89 +398,124 @@ class ConvolutionLevels:
 
     ``branch(s)`` is the polynomial with the committed slots, the next index
     k in slot s and the indices after k free; ``commit(s)`` puts index k into
-    slot s for good, and the next level is k + 1.  Slot k's table is
-    c_S prod_{i in S} f_{k,i}, with factor -1 for a free index, -scales[k]
-    for an index put in slot k and 0 for an index put in another slot.  The
-    engine keeps the r ranked zeta transforms Z_k of those tables; at the
-    root they all equal the zeta of (-1)^|S| c_S.  Changing index i's factor
-    from -1 to f changes Z_k only on the masks that contain i:
+    slot s for good, and the next level is k + 1.  Slot s's table is
+    c_S prod_{i in S} f_{s,i}, with factor -1 for a free index, -scales[s]
+    for an index put in slot s and 0 for an index put in another slot.
 
-        Z[rho, U | i] <- Z[rho, U] - f (Z[rho, U | i] - Z[rho, U]),
+    The engine keeps, per slot, Y_s[rho, c, U]: U runs over the masks of the
+    free indices k..n-1 (bit 0 for index k), rho is the rank of the free part
+    and c counts the indices already put in slot s, rho + c <= min(n, d).  It
+    is the ranked zeta transform over the free indices of the slot table
+    summed over the committed part of each size c; at the root c = 0 and
+    every Y_s is the ranked zeta of (-1)^|S| c_S.  Putting index k into slot
+    s zeroes its factor elsewhere, so the other slots keep their low half
+    (the masks without bit 0), and slot s becomes
 
-    one pass over half the masks, which is how a slot is committed.  The
-    branch polynomials are never Moebius-transformed: the coefficient of
-    x^(r d - j) is the graded read
+        lo[rho, c] + scales[s] (hi[rho + 1, c - 1] - lo[rho + 1, c - 1]):
 
-        g_j = sum_U H[j, U] (-1)^(j - |U|) C(n - |U|, j - |U|)
+    index k leaves every mask axis and stays only as a shift of c.  Level k
+    works on 2^(n-k) masks.  The coefficient of x^(r d - j) is the graded
+    read over the 2^(n-k-1) masks after the level
 
-    of the rank product H of the zetas.  The update is linear in the high
-    half, so at level k the product P of the low halves is read once, and
-    candidate slot s costs one product Q_s over half the masks (the low
-    halves with slot s's high half) read on the high half: with b and q the
-    high-half reads of P and Q_s, the branch reads a + b - f (q - b), the
-    same update applied to the reads.  A level costs r + 1 rank products
-    over half the masks, and a commit one update pass per slot; a ranked
-    convolution per branch ran r zeta transforms of n passes each, the rank
-    products and a Moebius collapse, all over every mask.
+        g_j = sum_{rho + c = j} sum_U H[rho, c, U] (-1)^(rho - |U|) C(n' - |U|, rho - |U|)
+
+    of the rank product H over slots (in rho and in c), with n' = n - k - 1
+    free indices; no Moebius pass is run.  The update is linear in the
+    shifted difference D_s (the bracket above), so a level reads the product
+    P of the low halves once, and candidate s adds scales[s] times the read
+    of L_s * D_s, where L_s is the product of the other slots' low halves,
+    taken from prefix and suffix products.
     """
 
     def __init__(self, table: SubsetTable, scales: Sequence[float]):
         self._table = table
         self._scales = [float(s) for s in scales]
         self._next = 0  # the index the next level puts into a slot
-        n, r = table.n, len(self._scales)
-        top = min(n, table.dim)
-        self._deg = r * table.dim
-        self._weights = _binomial_weights(n, min(n, r * top) + 1)
-        # this level's reads a and b of the low-half product and its high-half weights
-        self._level: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._top = min(table.n, table.dim)
+        self._deg = len(self._scales) * table.dim
+        # this level's weights, read of the low-half product and leave-one-out products
+        self._level: tuple[np.ndarray, np.ndarray, list] | None = None
 
     @cached_property
-    def _zetas(self) -> list[np.ndarray]:
-        # built on first use, so they are not held beside the root polynomial's convolution
+    def _slots(self) -> list[np.ndarray]:
+        # built on first use, so it is not held beside the root polynomial's
+        # convolution; commits build new arrays, so the slots share the root's
         t = self._table
-        top = min(t.n, t.dim)
-        Z = _ranked_zeta(np.where(t.sizes % 2, -t.coeffs, t.coeffs), t.sizes, top)
-        return [Z] + [Z.copy() for _ in self._scales[1:]]
-
-    def _product(self, factors) -> np.ndarray:
-        acc = factors[0]
-        for Z in factors[1:]:
-            acc = _rank_product(acc, Z, self._table.n)
-        return acc
+        Z = _ranked_zeta(np.where(t.sizes % 2, -t.coeffs, t.coeffs), t.sizes, self._top)
+        return [Z[:, None]] * len(self._scales)
 
     def _check_open(self, s: int) -> None:
         n, r = self._table.n, len(self._scales)
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"slot {s!r} is not an integer")
         if self._next >= n:
             raise ValueError(f"all {n} indices are committed")
-        if s not in range(r):
+        if not 0 <= s < r:
             raise ValueError(f"slot {s} outside 0..{r - 1}")
+
+    def _free_after(self) -> int:
+        return self._table.n - self._next - 1
+
+    def _difference(self, s: int) -> np.ndarray:
+        """D[rho, c - 1] = hi[rho + 1, c - 1] - lo[rho + 1, c - 1] of slot s:
+        its all-zero column c = 0 is not stored."""
+        Y = self._slots[s]
+        return Y[1:, :, 1::2] - Y[1:, :, ::2]
+
+    def _read(self, H: np.ndarray, W: np.ndarray, shift: int) -> np.ndarray:
+        """g[j] = sum over rho + c + shift = j of the graded read of H[rho, c];
+        each g[j] adds at most min(n, d) + 1 reads, each inside its bound."""
+        G = _graded_read(H, W[: len(H), None])
+        g = np.zeros(self._deg + len(G) + G.shape[1] + shift)
+        for c, col in enumerate(G.T, shift):
+            g[c : c + len(col)] += col
+        return g[: self._deg + 1]  # grades above r min(n, d) are exactly zero
+
+    def _open_level(self) -> tuple[np.ndarray, np.ndarray, list]:
+        cap = self._free_after()
+        lows = [Y[:, :, ::2] for Y in self._slots]
+
+        def times(A, B):  # None is the empty product
+            return B if A is None else A if B is None else _rank_product(A, B, cap)
+
+        before = [None]  # before[s]: the product of lows[:s]
+        for Y in lows:
+            before.append(times(Y, before[-1]))
+        after = [None]  # after[s]: the product of lows[s + 1:], built from the end
+        for Y in lows[:0:-1]:
+            after.append(times(Y, after[-1]))
+        others = [times(A, B) for A, B in zip(before, after[::-1])]
+        P = before[-1]
+        W = _binomial_weights(cap, len(P))[:, self._table.sizes[: 1 << cap]]
+        return W, self._read(P, W, 0), others
 
     def branch(self, s: int) -> RealPolynomial:
         """The polynomial with the next index in slot s."""
         self._check_open(s)
-        k = self._next
-        lows, highs = zip(*(_bit_halves(Z, k) for Z in self._zetas))
         if self._level is None:
-            sizes = self._table.sizes.reshape(-1, 2, 1 << k)[:, 0, :]  # |U| of the low-half masks
-            P, W_high = self._product(lows), self._weights[:, sizes + 1]
-            self._level = _graded_read(P, self._weights[:, sizes]), _graded_read(P, W_high), W_high
-        a, b, W_high = self._level
-        q = _graded_read(self._product(lows[:s] + highs[s : s + 1] + lows[s + 1 :]), W_high)
-        g = a + b + self._scales[s] * (q - b)
-        coeffs = np.zeros(self._deg + 1)
-        coeffs[self._deg - len(g) + 1 :] = g[::-1]
-        return RealPolynomial.from_coeffs(coeffs)
+            self._level = self._open_level()
+        W, a, others = self._level
+        D, L = self._difference(s), others[s]
+        b = self._read(D if L is None else _rank_product(D, L, self._free_after()), W, 1)
+        return RealPolynomial.from_coeffs((a + self._scales[s] * b)[::-1])
 
     def commit(self, s: int) -> None:
         """Put the next index into slot s."""
         self._check_open(s)
-        for slot, Z in enumerate(self._zetas):
-            f = -self._scales[s] if slot == s else 0.0
-            lo, hi = _bit_halves(Z, self._next)
-            hi -= lo
-            hi *= -f
-            hi += lo
+        rows = min(self._top, self._free_after()) + 1
+        slots = []
+        for slot, Y in enumerate(self._slots):
+            low = Y[:rows, :, ::2]
+            if slot == s:
+                D = self._difference(s)
+                cols = min(self._top, Y.shape[1]) + 1
+                new = np.zeros((rows, cols, low.shape[2]))
+                new[:, : Y.shape[1]] = low
+                new[: len(D), 1:] += self._scales[s] * D[:, : cols - 1]
+                slots.append(new)
+            else:
+                slots.append(np.ascontiguousarray(low))
+        self._slots = slots
         self._next += 1
         self._level = None
 

@@ -6,6 +6,7 @@ from interlace import (
     NotContraction,
     NotHermitian,
     NotPSD,
+    SizeGuard,
     eigenvalues,
     ensemble,
     ensemble_stats,
@@ -15,7 +16,7 @@ from interlace import (
     rank_one_completion,
 )
 from interlace.generate import random_psd
-from interlace.linalg import absolute_value, weighted_sum
+from interlace.linalg import MAX_INDICES, absolute_value, weighted_sum
 
 
 def test_make_hermitian_identity_case():
@@ -142,8 +143,14 @@ def test_rank_one_completion_properties_random():
         eps = float(rng.uniform(0.15, 0.6))
         A = random_psd(rng, d)
         A = A / max(1.0, operator_norm(A) * 1.01)
+        # I - A has no eigenvalue below 0.0099, so each takes ceil(lam / eps) pieces
+        need = int(np.sum(np.ceil((1.0 - eigenvalues(A)) / eps)))
+        if need > MAX_INDICES:  # more pieces than a table can index are refused
+            with pytest.raises(SizeGuard):
+                rank_one_completion(A, eps)
+            continue
         out = rank_one_completion(A, eps)
-        assert len(out) <= d * int(np.ceil(1 / eps))
+        assert len(out) == need <= d * int(np.ceil(1 / eps))
         total = np.zeros((d, d), dtype=complex)
         for B in out:
             w = eigenvalues(B)
@@ -153,6 +160,25 @@ def test_rank_one_completion_properties_random():
             assert B.trace() <= eps + 1e-10
             total += B.entries
         np.testing.assert_allclose(total, np.eye(d) - A, atol=1e-8 * d)
+
+
+def test_rank_one_completion_counts_its_pieces_before_building_any(monkeypatch):
+    # I - 0 = I at trace cap 1e-5 needs 2 * 10^5 pieces; building them took 4.5 s
+    A = make_hermitian(np.zeros((2, 2)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a piece was built")
+
+    monkeypatch.setattr("interlace.linalg.make_hermitian", fail)
+    for eps in (1e-5, 2.0 / (MAX_INDICES + 1), 5e-324):
+        with pytest.raises(SizeGuard, match="pieces"):
+            rank_one_completion(A, eps)
+
+
+def test_rank_one_completion_admits_exactly_the_index_guard():
+    # two unit eigenvalues at cap 2 / MAX_INDICES take MAX_INDICES / 2 pieces each
+    out = rank_one_completion(np.zeros((2, 2)), 2.0 / MAX_INDICES)
+    assert len(out) == MAX_INDICES
 
 
 def test_rank_one_completion_rejections():

@@ -531,7 +531,7 @@ def test_convolution_levels_reject_a_missing_slot_or_a_level_past_the_last_index
     levels.commit(1)
     levels.commit(0)
     for call in (levels.branch, levels.commit):
-        for slot in (2, -1):  # names a slot that does not exist
+        for slot in (2, -1, True, 1.0):  # no such slot, or not an integer
             with pytest.raises(ValueError):
                 call(slot)
     # the rejected calls changed nothing: the next levels still read the ranked convolution
@@ -546,6 +546,55 @@ def test_convolution_levels_reject_a_missing_slot_or_a_level_past_the_last_index
     for call in (levels.branch, levels.commit):  # past the last index
         with pytest.raises(ValueError):
             call(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 6),
+    r=st.integers(1, 4),
+    coverage=st.one_of(st.none(), st.floats(0.8, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolution_levels_match_the_ranked_convolution_along_any_path(d, m, r, coverage, seed):
+    # Every level up to the last index, completion pieces included, along a
+    # random commit path.
+    rng = np.random.default_rng(seed)
+    table = _partition_table(rng, d, m, coverage)
+    n = table.n
+    t = rng.dirichlet(np.full(r, 3.0))
+    levels = ConvolutionLevels(table, 1.0 / t)
+    fixed = {}
+    for k in range(n):
+        for s in range(r):
+            tables = _slot_tables(table, t, {**fixed, k: s})
+            want = np.array(_graded_poly(table.sizes, subset_convolve(tables, n), r * d).coeffs)
+            got = np.array(levels.branch(s).coeffs)
+            assert np.all(np.abs(got - want) <= 1e-12 * _convolution_scale(tables, n, r * d)), (k, s)
+        fixed[k] = int(rng.integers(r))
+        levels.commit(fixed[k])
+
+
+@pytest.mark.parametrize("d, m, r, coverage", [(1, 6, 2, 1.0), (2, 8, 4, 0.9), (3, 9, 3, 0.9), (4, 10, 2, 0.9)])
+def test_convolution_levels_contract_each_committed_index_out_of_the_masks(d, m, r, coverage):
+    # After k commits every slot spans the 2^(n-k) masks of the free indices,
+    # its ranks stop at min(top, n - k) and its count axis at min(top,
+    # indices committed to that slot).
+    rng = np.random.default_rng(d + m + r)
+    table = _partition_table(rng, d, m, coverage)
+    n, top = table.n, min(table.n, d)
+    levels = ConvolutionLevels(table, [float(r)] * r)
+    counts = [0] * r
+    for k in range(n + 1):
+        for s, Y in enumerate(levels._slots):
+            assert Y.shape[-1] == 1 << (n - k)
+            assert len(Y) - 1 <= min(top, n - k)
+            assert Y.shape[1] - 1 <= min(top, counts[s])
+        if k < n:
+            s = int(rng.integers(r))
+            levels.commit(s)
+            counts[s] += 1
+    assert max(counts) > top  # some slot's count axis saturated
 
 
 @pytest.mark.parametrize("n", [4, 7, 10])

@@ -58,7 +58,8 @@ def test_partition_convolves_every_branch_inside_the_hooked_name():
     # one table build per partition and one subset convolution, for the
     # root polynomial, through the names the tracer rebinds in
     # interlace.lyapunov; the branches are read from the level engine,
-    # which keeps the zeta transforms across levels and convolves nothing
+    # which contracts each committed index out of its zeta transforms and
+    # convolves nothing
     rng = np.random.default_rng(5)
     tracer = _tracing().Tracer()
     with tracer.installed():
