@@ -1,30 +1,37 @@
 """Derandomized greedy descent over interlacing families.
 
-Both descents walk an assignment tree level by level.  At each level the
+Every descent walks an assignment tree level by level.  At each level the
 conditional expected polynomial of every positive-probability branch is
 evaluated; since the parent polynomial is their probability mixture and the
 family is interlacing, some branch has max root at most the parent's.  The
 branch with the least certified upper end is taken (ties break to the
 smallest value, respectively the lowest index) and the chain of max-root
-enclosures is recorded as a certificate.
+enclosures is recorded as a certificate.  Level 0's mixture is the root
+polynomial; each later level's must match the branch committed before it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotPSD, NotRealRooted, ValueNotInSupport
+from .errors import NotPSD, NotRealRooted, NumericalFailure, ValueNotInSupport
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
-from .mixedchar import DerivativeSpec, ProductLevels, SubsetTable, expected_product_poly, mixed_char_poly
-# root_report is unused here but kept for perfbench's tracer, which hooks this namespace.
+# expected_product_poly and root_report are unused here but kept for
+# perfbench's tracer, which hooks this namespace.
+from .mixedchar import DerivativeSpec, ProductLevels, SubsetTable, expected_product_poly, mixed_char_poly  # noqa: F401
 from .polynomials import MaxRoot, RealPolynomial, maxroot_certified, root_report  # noqa: F401
 
 TIE_TOL = 1e-9
 ROOTEDNESS_TOL = 1e-7
+# A level's mixture may miss the branch committed before it by this much of
+# sum w max |coeff|: rounding gaps reached 7.7e-15 (partition), 100x below.
+# Weights summing to 1 + delta (|delta| <= 1e-12 is admitted) shift it by
+# delta times the branch without the index, so |delta| joins the budget.
+MIXTURE_TOL = 1e-12
 
 
 def _check_probs(values: Sequence, probs: Sequence[float]) -> None:
@@ -98,9 +105,9 @@ class FiniteDistribution:
 class DescentCertificate:
     """Audit trail: chosen branch per level and the max-root enclosures.
 
-    enclosures has one entry for the root polynomial followed by the chosen
-    branch's per level.  margins[k] is the runner-up's hi minus the chosen hi
-    at level k (inf when the level has one candidate).  A margin may be
+    enclosures has one entry for the root polynomial (level 0's mixture)
+    followed by the chosen branch's per level.  margins[k] is the runner-up's
+    hi minus the chosen hi at level k (inf when the level has one candidate).  A margin may be
     negative within TIE_TOL: a branch wins only by more than TIE_TOL, so a
     tie goes to the earlier candidate even when its hi is a few ulps higher.
     """
@@ -156,51 +163,62 @@ def conditional_spec_quadratic(
 
 def _run_descent(
     num_levels: int,
-    root_poly: Callable[[], RealPolynomial],
-    candidates: Callable[[int], Sequence],
+    candidates: Callable[[int], Iterable[tuple[Any, float]]],
     branch_poly: Callable[[Any], RealPolynomial],
     commit: Callable[[Any], None],
 ) -> DescentCertificate:
-    """Shared greedy loop; candidates(k) must come pre-sorted in tie order.
+    """Shared greedy loop; candidates(k) yields (candidate, probability) in tie order.
 
     Level k reads branch_poly(cand) for each candidate, the polynomial with
     the committed levels, k set to cand and the rest free, certifies the
     level's branches as one stack, and then calls commit(best) once.
-    Branches are ranked by the certified upper end of their max root.  A
-    polynomial that is not real-rooted aborts the descent, with the root or
-    the first such branch in tie order, before its level commits.
+    Branches are ranked by the certified upper end of their max root.  The
+    branches mix to their parent: level 0's mixture is the root polynomial,
+    certified as one more row after the branches, and a later level whose
+    mixture misses the branch committed before it by more than MIXTURE_TOL
+    raises NumericalFailure.  A polynomial that is not real-rooted aborts
+    the descent, with the first such branch in tie order or the root, before
+    its level commits.
     """
-    level = None
-    assignment = []
-    margins = []
+    assignment, margins, chain = [], [], []
     try:
-        chain = maxroot_certified([root_poly()], rootedness_tol=ROOTEDNESS_TOL)
         for level in range(num_levels):
-            cands = tuple(candidates(level))
-            roots = maxroot_certified([branch_poly(cand) for cand in cands], rootedness_tol=ROOTEDNESS_TOL)
-            best = None
-            best_root = MaxRoot(np.inf, np.inf)
-            runner_up = np.inf
-            for cand, root in zip(cands, roots):
+            cands, weights = zip(*candidates(level))
+            polys = [branch_poly(cand) for cand in cands]
+            width = max(len(p.coeffs) for p in polys)
+            coeffs = np.array([p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys])
+            weights = np.array(weights)
+            mixture = weights @ coeffs
+            if level == 0:
+                stack = polys + [RealPolynomial.from_coeffs(mixture)]
+                *roots, root = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL)
+                chain.append(root)
+            else:
+                roots = maxroot_certified(polys, rootedness_tol=ROOTEDNESS_TOL)
+                gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
+                scale = float(weights @ np.abs(coeffs).max(axis=1))
+                if not gap <= (MIXTURE_TOL + abs(1.0 - weights.sum())) * scale:  # NaN fails
+                    raise NumericalFailure(
+                        f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
+                    )
+            best, best_root, runner_up = None, MaxRoot(np.inf, np.inf), np.inf
+            for row, root in enumerate(roots):
                 if root.hi < best_root.hi - TIE_TOL:
                     runner_up = min(runner_up, best_root.hi)
-                    best, best_root = cand, root
+                    best, best_root = row, root
                 else:
                     runner_up = min(runner_up, root.hi)
-            commit(best)
-            assignment.append(best)
+            commit(cands[best])
+            committed = coeffs[best]
+            assignment.append(cands[best])
             margins.append(runner_up - best_root.hi)
             chain.append(best_root)
     except NotRealRooted as exc:
-        context = "root" if level is None else f"level {level}, branch {cands[exc.row]!r}"
+        context = "root" if exc.row == len(cands) else f"level {level}, branch {cands[exc.row]!r}"
         raise NotRealRooted(
             f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
         ) from exc
-    return DescentCertificate(
-        assignment=tuple(assignment),
-        enclosures=tuple(chain),
-        margins=tuple(margins),
-    )
+    return DescentCertificate(tuple(assignment), tuple(chain), tuple(margins))
 
 
 def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistribution]) -> DescentCertificate:
@@ -215,13 +233,10 @@ def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistributi
     for k, H in enumerate(E):
         if not is_psd(H):
             raise NotPSD(f"matrix {k} is not PSD")
-    table = SubsetTable.build(E)
-    spec = conditional_spec_quadratic(dists, {})
-    levels = ProductLevels(table, spec)
+    levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
     return _run_descent(
         num_levels=len(E),
-        root_poly=lambda: expected_product_poly(E, spec, table),
-        candidates=lambda k: dists[k].support(),
+        candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),
         branch_poly=levels.branch,
         commit=levels.commit,
     )
@@ -252,9 +267,6 @@ class MatrixDistribution:
     def mean(self) -> HermitianMatrix:
         return weighted_sum(self.values, self.probs)
 
-    def support_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
-
 
 def greedy_descent_linear(choices: Sequence[MatrixDistribution]) -> DescentCertificate:
     """Descend mu[X_1, ..., X_m] over finite-valued random PSD matrices.
@@ -276,14 +288,13 @@ def greedy_descent_linear(choices: Sequence[MatrixDistribution]) -> DescentCerti
     ones = np.ones(len(choices))
     fixed: list[int] = []  # chosen value index per committed level
 
-    def poly_for(prefix: Sequence[int]) -> RealPolynomial:
-        mats = [choices[i].values[v] for i, v in enumerate(prefix)] + means[len(prefix) :]
+    def branch_poly(v: int) -> RealPolynomial:
+        mats = [choices[i].values[u] for i, u in enumerate(fixed + [v])] + means[len(fixed) + 1 :]
         return mixed_char_poly(MatrixEnsemble(tuple(mats)), ones)
 
     return _run_descent(
         num_levels=len(choices),
-        root_poly=lambda: poly_for([]),
-        candidates=lambda k: choices[k].support_indices(),
-        branch_poly=lambda v: poly_for(fixed + [v]),
+        candidates=lambda k: ((i, p) for i, p in enumerate(choices[k].probs) if p > 0),
+        branch_poly=branch_poly,
         commit=fixed.append,
     )

@@ -13,15 +13,15 @@ linear family over slot choices.  All polynomial work stays at block scale:
 one subset-derivative table is built over the matrices and the pieces, the
 lifted determinant factors over blocks, each factor rescales that table by
 per-index slot weights, and the factors are combined by ranked subset
-convolution.  The root polynomial is one ``mixedchar.subset_convolve``
-call.  The branches come from ``mixedchar.ConvolutionLevels``, which keeps
-the r ranked zeta transforms across the descent: ``branch(s)`` reads the
+convolution.  The branches come from ``mixedchar.ConvolutionLevels``, which
+keeps the r ranked zeta transforms across the descent: ``branch(s)`` reads the
 polynomial with the next index in slot s by a binomial-weighted sum
 instead of a Moebius pass, and ``commit(s)``, called once per level with
 the winning slot, contracts that index out of every transform, so each
 level works on half the masks of the one before.  Rank arrays hold only the
 rows a c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for
-the product).
+the product).  Slot s has weight t_s, which cancels its factor 1/t_s, so the
+root polynomial is level 0's t-weighted mixture of its branches.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from .linalg import (
     rank_one_completion,
     weighted_sum,
 )
-from .mixedchar import ConvolutionLevels, SubsetTable, _graded_poly, subset_convolve
+# subset_convolve is unused here but kept for perfbench's tracer, which hooks this namespace.
+from .mixedchar import ConvolutionLevels, SubsetTable, subset_convolve  # noqa: F401
 
 MAX_LIFTED_DIM = 48
 # Slack on every inequality re-checked on a returned result.
@@ -200,14 +201,10 @@ def ks_r_partition(
     if float(np.linalg.norm(recon - np.eye(d))) > 1e-8 * d:
         raise ValidationError("completion failed to reconstruct the identity")
     table = SubsetTable.build(list(ens) + completion)
-    n = table.n
-
     levels = ConvolutionLevels(table, [1.0 / x for x in t])
-    signed = np.where(table.sizes % 2, -table.coeffs, table.coeffs)
     cert = _run_descent(
         num_levels=m,
-        root_poly=lambda: _graded_poly(table.sizes, subset_convolve([signed] * r, n), r * d),
-        candidates=lambda k: range(r),
+        candidates=lambda k: enumerate(t),
         branch_poly=levels.branch,
         commit=levels.commit,
     )

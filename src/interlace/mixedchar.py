@@ -17,7 +17,8 @@ sum over pairs.  A fixed value's kernel has rank one, so ``ProductLevels``
 contracts each index a descent commits out of that table for good and reads
 every branch polynomial of a level from one kernel pass: the branches of a
 whole descent cost about as much as two full passes.  Both level engines
-answer a descent's ``branch(v)`` (next index set to v) and ``commit(v)`` (fix it).
+answer a descent's ``branch(v)`` (next index set to v) and ``commit(v)`` (fix it),
+and its root polynomial is level 0's mixture: the full passes are references.
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -285,7 +285,7 @@ def expected_product_poly(
     i in T).  ``_apply_kernels`` applies K_i along bit i of the rank-graded
     table V[|T|, T] = c_T, giving V[k, S] = sum_{|T|=k} K[S, T] c_T; the
     polynomial is then sum_{S,k} c_S V[k, S] x^(2d-|S|-k).  O(n 2^n d).
-    ``ProductLevels`` shares that pass and serves the branches of a descent.
+    Descents read the ``ProductLevels`` branches and mix them for the root.
     """
     table = _require_table(E, table)
     if len(spec) != len(E):
@@ -333,12 +333,8 @@ class ProductLevels:
         self._ranks = (rows[:, None] + rows).ravel()
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
         self._parity = np.where(table.sizes % 2, -1.0, 1.0)
+        self._R = _ranked_table(table)
         self._free: np.ndarray | None = None  # R with the free kernels of this level
-
-    @cached_property
-    def _R(self) -> np.ndarray:
-        # built on first use, so it is not held beside the root polynomial's pass
-        return _ranked_table(self._table)
 
     def _check_open(self) -> None:
         if not self._kernels:
@@ -435,14 +431,9 @@ class ConvolutionLevels:
         self._deg = len(self._scales) * table.dim
         # this level's weights, read of the low-half product and leave-one-out products
         self._level: tuple[np.ndarray, np.ndarray, list] | None = None
-
-    @cached_property
-    def _slots(self) -> list[np.ndarray]:
-        # built on first use, so it is not held beside the root polynomial's
-        # convolution; commits build new arrays, so the slots share the root's
-        t = self._table
-        Z = _ranked_zeta(np.where(t.sizes % 2, -t.coeffs, t.coeffs), t.sizes, self._top)
-        return [Z[:, None]] * len(self._scales)
+        # commits build new arrays, so the slots share the root's transform
+        Z = _ranked_zeta(np.where(table.sizes % 2, -table.coeffs, table.coeffs), table.sizes, self._top)
+        self._slots = [Z[:, None]] * len(self._scales)
 
     def _check_open(self, s: int) -> None:
         n, r = self._table.n, len(self._scales)

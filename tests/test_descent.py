@@ -14,7 +14,12 @@ from interlace import (
     greedy_descent_quadratic,
     operator_norm,
 )
-from interlace.generate import random_two_valued, trace_capped_ensemble
+from interlace.descent import ROOTEDNESS_TOL
+from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
+from interlace.linalg import rank_one_completion
+from interlace.lyapunov import ks_r_partition
+from interlace.mixedchar import SubsetTable, _graded_poly, expected_product_poly, mixed_char_poly, subset_convolve
+from interlace.polynomials import maxroot_certified
 
 FD = FiniteDistribution
 
@@ -157,20 +162,22 @@ def test_matrix_distribution_rejects_nan_and_non_finite_probs(probs):
 
 
 def test_descent_aborts_on_non_real_rooted_branch():
-    # a broken evaluator must abort, not guess, and commit nothing
+    # a broken evaluator must abort, not guess, and commit nothing.  The
+    # root is level 0's mixture: x^2 and (x - 10)^2 are real-rooted, but at
+    # 1/2 each they mix to x^2 - 10x + 50, whose roots are 5 +- 5i
     from interlace import NotRealRooted, RealPolynomial
     from interlace.descent import _run_descent
 
     bad = RealPolynomial.from_coeffs([2.0, 0.0, 1.0])  # roots +-i sqrt(2)
-    good = RealPolynomial.from_coeffs([-1.0, 0.0, 1.0])
-    for root, context in ((bad, "root"), (good, "level 0, branch 0")):
+    square = RealPolynomial.from_coeffs([0.0, 0.0, 1.0])
+    shifted = RealPolynomial.from_coeffs([100.0, -20.0, 1.0])
+    for branches, context in (([square, shifted], "root"), ([bad, square], "level 0, branch 0")):
         committed = []
         with pytest.raises(NotRealRooted, match=rf"^{context}: .*residual .*; aborting descent$"):
             _run_descent(
                 num_levels=1,
-                root_poly=lambda: root,
-                candidates=lambda k: [0],
-                branch_poly=lambda cand: bad,
+                candidates=lambda k: [(0, 0.5), (1, 0.5)],
+                branch_poly=lambda cand: branches[cand],
                 commit=committed.append,
             )
         assert committed == []
@@ -178,13 +185,16 @@ def test_descent_aborts_on_non_real_rooted_branch():
 
 def test_descent_commits_each_level_once_with_its_winner():
     # A recording fake: branch v at a level has the single root
-    # maxroots[level][v].  Level 0 is won by candidate 1; at level 1
-    # candidates 0 and 2 tie within TIE_TOL, so the earlier one is committed
-    # even though its root is higher by TIE_TOL / 2.
+    # maxroots[level][v], and each level mixes to the branch committed
+    # before it.  Level 0 is won by candidate 1; at level 1 candidates 0 and
+    # 2 tie within TIE_TOL, so the earlier one is committed even though its
+    # root is higher by TIE_TOL / 2.
     from interlace import NotRealRooted, RealPolynomial
     from interlace.descent import TIE_TOL, _run_descent
 
-    maxroots = [[3.0, 1.0, 2.0], [2.0, 5.0, 2.0 - TIE_TOL / 2]]
+    weights = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]
+    level1 = [2.0, 5.0, 2.0 - TIE_TOL / 2]
+    maxroots = [[4.0, sum(w * x for w, x in zip(weights[1], level1)), 5.0], level1]
     calls = []
 
     def run(num_levels, broken=None):
@@ -198,8 +208,7 @@ def test_descent_commits_each_level_once_with_its_winner():
         calls.clear()
         return _run_descent(
             num_levels=num_levels,
-            root_poly=lambda: RealPolynomial.from_coeffs([-4.0, 1.0]),
-            candidates=lambda k: range(len(maxroots[k])),
+            candidates=lambda k: enumerate(weights[k]),
             branch_poly=branch_poly,
             commit=lambda v: calls.append(("commit", v)),
         )
@@ -208,13 +217,46 @@ def test_descent_commits_each_level_once_with_its_winner():
     assert [call for call in calls if call[0] == "commit"] == [("commit", 1), ("commit", 0)]
     assert calls.index(("commit", 1)) == 3  # after all three branches of level 0
     assert cert.assignment == (1, 0)
-    assert cert.maxroots == pytest.approx((4.0, 1.0, 2.0), abs=1e-9)
+    assert cert.maxroots == pytest.approx((4.125, 3.5, 2.0), abs=1e-9)
     assert -TIE_TOL < cert.margins[1] < 0.0
     # a branch that is not real-rooted aborts its level before the commit;
     # every branch of the level is read before the level is certified
     with pytest.raises(NotRealRooted, match=r"^level 1, branch 1: "):
         run(2, broken=(1, 1))
     assert calls == [("branch", 0, 0), ("branch", 0, 1), ("branch", 0, 2), ("commit", 1), ("branch", 1, 0), ("branch", 1, 1), ("branch", 1, 2)]
+
+
+@pytest.mark.parametrize("drift_at", [1, 2, 3])
+def test_descent_names_the_level_whose_mixture_leaves_the_committed_branch(drift_at):
+    # A fake engine for the walk x_k = x_(k-1) + v 2^-k, v = +-1 at 1/2 each:
+    # branch v at level k has the single root x + v 2^-k, so every level
+    # mixes to the branch committed before it.  Commit number drift_at also
+    # moves x by `drift`; past the rounding budget, the next level must
+    # refuse before its own commit.
+    from interlace import NumericalFailure, RealPolynomial
+    from interlace.descent import _run_descent
+
+    def run(drift, commits):
+        x = [0.0]
+
+        def commit(v):
+            commits.append(v)
+            x[0] += v * 2.0 ** -(len(commits) - 1) + (drift if len(commits) == drift_at else 0.0)
+
+        return _run_descent(
+            num_levels=4,
+            candidates=lambda k: [(-1.0, 0.5), (1.0, 0.5)],
+            branch_poly=lambda v: RealPolynomial.from_coeffs([-(x[0] + v * 2.0 ** -len(commits)), 1.0]),
+            commit=commit,
+        )
+
+    commits = []
+    assert run(1e-16, commits).assignment == (-1.0,) * 4
+    assert len(commits) == 4
+    commits = []
+    with pytest.raises(NumericalFailure, match=rf"^level {drift_at}: mixture .* off the branch committed at level {drift_at - 1}$"):
+        run(1e-9, commits)
+    assert len(commits) == drift_at
 
 
 def test_certificate_records_enclosures_bands_and_margins():
@@ -230,3 +272,59 @@ def test_certificate_records_enclosures_bands_and_margins():
     assert cert.margins[0] == pytest.approx(2.0, abs=1e-9)
     assert cert.margins[1] == np.inf
     assert cert.residuals == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+@pytest.mark.parametrize("defect", [-9.9e-13, 9.9e-13])
+def test_level_check_admits_probabilities_that_validation_admits(seed, defect):
+    # probabilities may sum to 1 within 1e-12, which moves each mixture by
+    # that defect times the branch without the index: the budget must admit
+    # it (at these seeds a budget of 1e-12 of the scale alone is exceeded)
+    rng = np.random.default_rng(seed)
+    E = trace_capped_ensemble(rng, 3, 5, 1.0)
+    dists = []
+    for _ in range(5):
+        a = float(rng.uniform(-3, 1))
+        b = a + float(rng.uniform(0.1, 3))
+        p = float(rng.uniform(0.01, 0.99))
+        dists.append(FD((a, b), (p, 1 - p + defect)))
+    assert len(greedy_descent_quadratic(E, dists).assignment) == 5
+
+
+def _quadratic_root(rng):
+    # uncentered two-valued variables, beyond the solvers' centered ones
+    E = trace_capped_ensemble(rng, 4, 9, 1.0)
+    dists = [random_two_valued(rng) for _ in range(9)]
+    return greedy_descent_quadratic(E, dists), expected_product_poly(E, conditional_spec_quadratic(dists, {}))
+
+
+def _partition_root(rng):
+    d, m, t = 3, 8, [0.2, 0.3, 0.5]
+    E = covering_ensemble(rng, d, m, 0.9)
+    res = ks_r_partition(E, t)
+    table = SubsetTable.build(list(E) + rank_one_completion(E.sum(), res.epsilon))
+    signed = np.where(table.sizes % 2, -table.coeffs, table.coeffs)
+    return res.certificate, _graded_poly(table.sizes, subset_convolve([signed] * len(t), table.n), len(t) * d)
+
+
+def _linear_root(rng):
+    d, m = 4, 7
+    choices = []
+    for _ in range(m):
+        nv = int(rng.integers(1, 4))
+        probs = rng.uniform(0.1, 1.0, size=nv)
+        values = [random_psd(rng, d, trace=float(rng.uniform(0.05, 0.5))) for _ in range(nv)]
+        choices.append(MatrixDistribution.make(values, probs / probs.sum()))
+    reference = mixed_char_poly(ensemble([ch.mean().entries for ch in choices]), np.ones(m))
+    return greedy_descent_linear(choices), reference
+
+
+@pytest.mark.parametrize("solve", [_quadratic_root, _partition_root, _linear_root], ids=["quadratic", "partition", "linear"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_root_enclosure_matches_the_reference_root_polynomial(solve, seed):
+    # the root is read off level 0 as the mixture of its branches; each
+    # family's full reference pass must give the same max root
+    cert, reference = solve(np.random.default_rng(seed))
+    want = maxroot_certified([reference], rootedness_tol=ROOTEDNESS_TOL)[0]
+    assert cert.enclosures[0].hi == pytest.approx(want.hi, abs=1e-9)
+    assert cert.enclosures[0].lo == pytest.approx(want.lo, abs=1e-9)

@@ -23,8 +23,7 @@ from interlace import (
 )
 from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, trace_capped_ensemble
-from interlace.lyapunov import subset_convolve
-from interlace.mixedchar import mixed_char_poly, popcounts
+from interlace.mixedchar import mixed_char_poly, popcounts, subset_convolve
 from interlace.polynomials import maxroot_certified
 
 
