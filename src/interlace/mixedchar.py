@@ -14,9 +14,12 @@ c_i d/dz_i d/dw_i) to a product of two such determinants.  Its weight on a
 subset pair (S, T) factors over indices into 2x2 kernels, so one Kronecker
 pass per index (``_apply_kernels``) over the rank-graded table replaces the
 sum over pairs.  A fixed value's kernel has rank one, so ``ProductLevels``
-contracts each index a descent commits out of that table for good and reads
-every branch polynomial of a level from one kernel pass: the branches of a
-whole descent cost about as much as two full passes.  Both level engines
+contracts each index a descent commits out of that table for good.  It
+applies every kernel once, as one full pass, and reads a branch by undoing
+only the next index's kernel: after that pass, level k costs O(2^(n-k) d),
+so the branches of a whole descent cost about as much as one full pass.
+Uncentered kernels whose inverses would compound past ``DRIFT_BUDGET``
+cost one more pass over the masks still free.  Both level engines
 answer a descent's ``branch(v)`` (next index set to v) and ``commit(v)`` (fix it),
 and its root polynomial is level 0's mixture: the full passes are references.
 
@@ -296,13 +299,23 @@ def expected_product_poly(
     return _graded_poly(ranks.ravel(), (table.coeffs * V).ravel(), 2 * table.dim)
 
 
-def _contract_low_bit(R: np.ndarray, s: float) -> np.ndarray:
-    """Fix the lowest mask bit on the T side, kernel column [1, s]:
-    R[., S] + s R[., S | bit], over the masks without that bit."""
+def _contract_low_bit(R: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Fix the lowest mask bit on the T side, kernel column [lo, hi]:
+    lo R[., S] + hi R[., S | bit], over the masks without that bit."""
     view = R.reshape(len(R), -1, 2)
-    out = s * view[:, :, 1]
-    out += view[:, :, 0]
+    out = hi * view[:, :, 1]
+    out += view[:, :, 0] if lo == 1.0 else lo * view[:, :, 0]
     return out
+
+
+# Undoing an uncentered kernel K = [[1, b], [a, c]] scales the rounding
+# error F carries by up to 1 + |ab| / |c - ab|, and the factors compound
+# over the levels read off one F: on seeded uncentered walks the branch
+# error stayed below 3.2 u times their running product, in units of the
+# pair-term scale.  Capping the product at 64 keeps even 9 u times it at
+# 6.4e-14, 1/16 of the 1e-12 coefficient contract that the descent's level
+# check and the tests hold.
+DRIFT_BUDGET = 64.0
 
 
 class ProductLevels:
@@ -315,12 +328,24 @@ class ProductLevels:
     A fixed index with value s has the rank-one kernel [1, -s]^T [1, s], so
     a commit contracts it out of one rank-graded table R[sigma, S]: sigma is
     the total rank |T| and S runs over the indices still free.  The S side
-    needs no table of its own: it is (-1)^(sigma - |S|) R.  A branch applies
-    the free kernels to a copy of R once per level, then contracts bit k with
-    +v on that copy and with -v on the signed S side, which equals the sign
-    pattern times R contracted with +v.  The degree-2d coefficients are the
-    anti-diagonal sums of the (top+1) x (top+1) product of the two sides.
-    A whole descent costs O(n 2^n d) instead of O(n^2 2^n d).
+    needs no table of its own: it is (-1)^(sigma - |S|) R contracted with
+    +v.  The T side is R with the kernels of the indices after k applied
+    and bit k contracted with +v.  The engine keeps F, R with every free
+    kernel applied, and reads that side off it by undoing kernel k alone:
+    [1, v] K_k^-1 = [c - va, v - b] / (c - ab) on F's two halves at bit k.
+    A commit keeps that contraction with the winner as the next F, so after
+    one kernel pass over all 2^n masks level k costs O(2^(n-k) d).  The
+    degree-2d coefficients are the anti-diagonal sums of the
+    (top+1) x (top+1) product of the two sides.
+
+    Each undone kernel scales F's rounding error by up to 1 + |ab|/|c - ab|,
+    which is 1 for a centered kernel (a = b = 0, c < 0).  When the running
+    product since F was built would pass ``DRIFT_BUDGET``, the level
+    re-anchors: one kernel pass rebuilds F from R over the 2^(n-k) masks
+    still free.  A kernel past the budget on its own (a point mass, centered
+    or not, or a variable with almost no variance for its mean) is left out
+    of that pass, and its level reads the T side off F by the plain
+    contraction with [1, v].
     """
 
     def __init__(self, table: SubsetTable, spec: DerivativeSpec):
@@ -334,29 +359,56 @@ class ProductLevels:
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
         self._parity = np.where(table.sizes % 2, -1.0, 1.0)
         self._R = _ranked_table(table)
-        self._free: np.ndarray | None = None  # R with the free kernels of this level
+        self._F = self._R  # built by the first level's anchor
+        self._drift = math.inf  # error growth of F since it was built; none built yet
+        self._undo: tuple[float, float, float] | None = None  # kernel k, when F holds it
+        if self._kernels:
+            self._open_level()
+
+    def _open_level(self) -> None:
+        """Set how level k reads its T side, re-anchoring F first if the
+        kernel's growth would take the running product past DRIFT_BUDGET."""
+        a, b, c = self._kernels[0]
+        det = c - a * b
+        growth = 1.0 + abs(a * b) / abs(det) if det else math.inf
+        self._undo = (a, b, c)
+        if self._drift * growth <= DRIFT_BUDGET:
+            self._drift *= growth
+            return
+        first = 0
+        if not growth <= DRIFT_BUDGET:  # NaN is left out too
+            first, growth, self._undo = 1, 1.0, None
+        self._F = self._R.copy()
+        _apply_kernels(self._F, self._kernels[first:], first=first)
+        self._drift = growth
 
     def _check_open(self) -> None:
         if not self._kernels:
             raise ValueError(f"all {self._table.n} indices are committed")
 
+    def _t_side(self, v: float) -> np.ndarray:
+        if self._undo is None:
+            return _contract_low_bit(self._F, 1.0, v)
+        a, b, c = self._undo
+        det = c - a * b
+        return _contract_low_bit(self._F, (c - v * a) / det, (v - b) / det)
+
     def branch(self, v: float) -> RealPolynomial:
         """The polynomial with the next index set to v."""
         self._check_open()
-        if self._free is None:
-            self._free = self._R.copy()
-            _apply_kernels(self._free, self._kernels[1:], first=1)
-        T = _contract_low_bit(self._free, v)
-        S = _contract_low_bit(self._R, v)
+        T = self._t_side(v)
+        S = _contract_low_bit(self._R, 1.0, v)
         S *= self._parity[: S.shape[1]]
         return _graded_poly(self._ranks, ((S @ T.T) * self._row_sign).ravel(), self._deg)
 
     def commit(self, v: float) -> None:
         """Fix the next index to v."""
         self._check_open()
-        self._R = _contract_low_bit(self._R, v)
+        self._F = self._t_side(v)
+        self._R = _contract_low_bit(self._R, 1.0, v)
         del self._kernels[0]
-        self._free = None
+        if self._kernels:
+            self._open_level()
 
 
 def _binomial_weights(n: int, rows: int) -> np.ndarray:

@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 
 from interlace import (
     DerivativeSpec,
+    DiscrepancyInstance,
+    LyapunovInstance,
     SizeGuard,
     SubsetTable,
     ensemble,
     expected_product_poly,
+    lyapunov_select,
     mixed_char_poly,
     quadratic_mixed_char_poly,
     root_report,
+    solve_hermitian,
+    solve_kls,
     subset_derivative,
     truncated_ring_oracle,
 )
+from interlace import mixedchar
 from interlace.descent import FiniteDistribution, conditional_spec_quadratic
-from interlace.generate import covering_ensemble, random_psd
+from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 from interlace.linalg import ensemble_stats, rank_one_completion
 from interlace.mixedchar import (
     ConvolutionLevels,
@@ -433,6 +439,69 @@ def test_product_levels_match_the_ring_oracle(seed):
             assert np.max(np.abs(np.subtract(got, want))) <= TOL_COEFF, (d, n, k, v)
         fixed[k] = dists[k].support()[-1]
         levels.commit(fixed[k])
+
+
+def _counting_kernel_passes(monkeypatch):
+    """A list that gains one entry per ``_apply_kernels`` call."""
+    calls = []
+    real = mixedchar._apply_kernels
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixedchar, "_apply_kernels", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_levels_hold_the_contract_on_uncentered_walks(seed, monkeypatch):
+    # Undoing an uncentered kernel scales the error the engine's table
+    # carries by 1 + |ab|/|c - ab|: 17 to 45 for these two-point variables,
+    # whose spread is 0.3 to 0.5 of their value.  The factors compound over
+    # the levels, so the walk must re-anchor.  The point mass with
+    # probability 1 - 2^-53 leaves c - ab a rounding residue, not 0, and
+    # must be read without the inverse.
+    rng = np.random.default_rng(300 + seed)
+    d, n = 3, 9
+    E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
+    table = SubsetTable.build(E)
+    dists = []
+    for _ in range(n):
+        v = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        dists.append(FiniteDistribution.make([v, v + abs(v) * rng.uniform(0.3, 0.5)], [0.5, 0.5]))
+    dists[int(rng.integers(n))] = FiniteDistribution.make([rng.uniform(-2.0, 2.0)], [1.0 - 2.0**-53])
+    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
+    scale = _product_scale(table, d, bound)
+    passes = _counting_kernel_passes(monkeypatch)
+    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    fixed, references = {}, 0
+    for k in range(n):
+        support = dists[k].support()
+        for v in support:
+            got = np.array(levels.branch(v).coeffs)
+            want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
+            references += 1
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
+        fixed[k] = support[int(rng.integers(len(support)))]
+        levels.commit(fixed[k])
+    assert len(passes) - references > 1  # the engine re-anchored
+
+
+def test_centered_solves_make_one_kernel_pass_per_descent(monkeypatch):
+    # A centered kernel is undone by a pure scaling, so no solver input
+    # without a point mass may re-anchor: one pass builds the engine's
+    # table, and every level after it is read off that table.
+    rng = np.random.default_rng(17)
+    passes = _counting_kernel_passes(monkeypatch)
+    E = trace_capped_ensemble(rng, 3, 8, 1.0)
+    solve_kls(DiscrepancyInstance(E, tuple(random_two_valued(rng) for _ in range(8))))
+    assert len(passes) == 1
+    mats = [_indefinite(rng, 2) for _ in range(6)]
+    solve_hermitian(mats, [FiniteDistribution.fair_signs()] * 6)
+    assert len(passes) == 2
+    lyapunov_select(LyapunovInstance.make(trace_capped_ensemble(rng, 3, 7, 1.0), rng.uniform(0.1, 0.9, 7)))
+    assert len(passes) == 3
 
 
 def test_product_levels_reject_a_level_past_the_last_index():
