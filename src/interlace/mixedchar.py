@@ -19,7 +19,13 @@ applies every kernel once, as one full pass, and reads a branch by undoing
 only the next index's kernel: after that pass, level k costs O(2^(n-k) d),
 so the branches of a whole descent cost about as much as one full pass.
 Uncentered kernels whose inverses would compound past ``DRIFT_BUDGET``
-cost one more pass over the masks still free.  Both level engines
+cost one more pass over the masks still free.  ``ProductLevels`` requires
+b = -a on every kernel, as the quadratic family has: the (S, T) and (T, S)
+terms of an odd coefficient then cancel exactly, so it sums only the even
+anti-diagonals, and its branches are polynomials in x^2 whose odd
+coefficients are exactly 0.0 (``root_report`` solves them at half the
+degree).  ``expected_product_poly`` keeps the rounding noise there and
+stays the reference.  Both level engines
 answer a descent's ``branch(v)`` (next index set to v) and ``commit(v)`` (fix it),
 and its root polynomial is level 0's mixture: the full passes are references.
 
@@ -263,15 +269,22 @@ def _ranked_table(table: SubsetTable) -> np.ndarray:
 
 def _apply_kernels(V: np.ndarray, kernels, first: int = 0) -> None:
     """Apply the j-th kernel (a, b, c), K = [[1, b], [a, c]], in place along
-    bit first + j of V's masks (row: bit in S, column: bit in T)."""
+    bit first + j of V's masks (row: bit in S, column: bit in T).  Terms
+    whose coefficient is exactly zero are skipped: a centered kernel
+    (-0, 0, c) costs one multiply."""
     rows, bits = len(V), V.shape[1].bit_length() - 1
     for j, (a, b, c) in enumerate(kernels, first):
         view = V.reshape(rows, 1 << (bits - j - 1), 2, 1 << j)
         lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-        new_hi = a * lo
-        new_hi += c * hi
-        lo += b * hi
-        hi[...] = new_hi
+        new_hi = a * lo if a else None
+        if b:
+            lo += b * hi
+        if new_hi is None:
+            hi *= c
+        else:
+            if c:
+                new_hi += c * hi
+            hi[...] = new_hi
 
 
 def expected_product_poly(
@@ -333,10 +346,15 @@ class ProductLevels:
     and bit k contracted with +v.  The engine keeps F, R with every free
     kernel applied, and reads that side off it by undoing kernel k alone:
     [1, v] K_k^-1 = [c - va, v - b] / (c - ab) on F's two halves at bit k.
-    A commit keeps that contraction with the winner as the next F, so after
-    one kernel pass over all 2^n masks level k costs O(2^(n-k) d).  The
-    degree-2d coefficients are the anti-diagonal sums of the
-    (top+1) x (top+1) product of the two sides.
+    A commit keeps the T side and the S side that ``branch`` read for the
+    winner as the next F and R, so after one kernel pass over all 2^n masks
+    level k costs O(2^(n-k) d).  The degree-2d coefficients are the
+    anti-diagonal sums of the (top+1) x (top+1) product of the two sides.
+
+    Every kernel must have b = -a, as the quadratic family's do.  Then the
+    pair weights of (S, T) and (T, S) differ by (-1)^(|S| + |T|), so the
+    odd anti-diagonals cancel exactly: only the even ones are summed, and
+    every branch is a polynomial in x^2 with odd coefficients exactly 0.0.
 
     Each undone kernel scales F's rounding error by up to 1 + |ab|/|c - ab|,
     which is 1 for a centered kernel (a = b = 0, c < 0).  When the running
@@ -351,17 +369,22 @@ class ProductLevels:
     def __init__(self, table: SubsetTable, spec: DerivativeSpec):
         if len(spec) != table.n:
             raise ValueError(f"spec length {len(spec)} != table size {table.n}")
+        if any(b != -a for a, b in zip(spec.a, spec.b)):  # NaN fails too
+            raise ValueError("ProductLevels needs b == -a on every kernel")
         self._deg = 2 * table.dim
         self._table = table
         self._kernels = list(zip(spec.a, spec.b, spec.c))  # of the indices not yet committed
         rows = np.arange(min(table.n, table.dim) + 1)
-        self._ranks = (rows[:, None] + rows).ravel()
+        ranks = rows[:, None] + rows
+        self._even = (ranks % 2 == 0).ravel()
+        self._ranks = ranks.ravel()[self._even]
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
         self._parity = np.where(table.sizes % 2, -1.0, 1.0)
         self._R = _ranked_table(table)
         self._F = self._R  # built by the first level's anchor
         self._drift = math.inf  # error growth of F since it was built; none built yet
         self._undo: tuple[float, float, float] | None = None  # kernel k, when F holds it
+        self._sides: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # this level's (T, S) per branched v
         if self._kernels:
             self._open_level()
 
@@ -386,26 +409,31 @@ class ProductLevels:
         if not self._kernels:
             raise ValueError(f"all {self._table.n} indices are committed")
 
-    def _t_side(self, v: float) -> np.ndarray:
+    def _contract(self, v: float) -> tuple[np.ndarray, np.ndarray]:
+        """(T side, S side before its signs) with the next index set to v."""
+        if v in self._sides:
+            return self._sides[v]
         if self._undo is None:
-            return _contract_low_bit(self._F, 1.0, v)
-        a, b, c = self._undo
-        det = c - a * b
-        return _contract_low_bit(self._F, (c - v * a) / det, (v - b) / det)
+            T = _contract_low_bit(self._F, 1.0, v)
+        else:
+            a, b, c = self._undo
+            det = c - a * b
+            T = _contract_low_bit(self._F, (c - v * a) / det, (v - b) / det)
+        return T, _contract_low_bit(self._R, 1.0, v)
 
     def branch(self, v: float) -> RealPolynomial:
         """The polynomial with the next index set to v."""
         self._check_open()
-        T = self._t_side(v)
-        S = _contract_low_bit(self._R, 1.0, v)
-        S *= self._parity[: S.shape[1]]
-        return _graded_poly(self._ranks, ((S @ T.T) * self._row_sign).ravel(), self._deg)
+        T, S = self._sides[v] = self._contract(v)
+        S = S * self._parity[: S.shape[1]]
+        terms = ((S @ T.T) * self._row_sign).ravel()[self._even]
+        return _graded_poly(self._ranks, terms, self._deg)
 
     def commit(self, v: float) -> None:
         """Fix the next index to v."""
         self._check_open()
-        self._F = self._t_side(v)
-        self._R = _contract_low_bit(self._R, 1.0, v)
+        self._F, self._R = self._contract(v)
+        self._sides.clear()
         del self._kernels[0]
         if self._kernels:
             self._open_level()

@@ -2,16 +2,19 @@
 
 Coefficients are stored in ascending degree order. The root finder and the
 certifier take a stack of polynomials and return one result per row, each
-bit for bit the result the row would get alone. Rows of one degree and one
-count of zero roots share one eigensolve of their companion matrices and
-one Newton polish step; each row then gets its own realness verdict. The
-max root is then certified as an enclosure [lo, hi]: at hi every derivative
-is provably positive and at lo some derivative is provably negative,
-decided by one stacked evaluation of the derivative chains of all rows of
-one degree per pass, with a rigorous bound on its rounding error. Only the
-rows still shrinking take the next pass. Using the whole chain keeps the
-test sound at multiple roots, where the highest vanishing derivative has a
-simple zero.
+bit for bit the result the row would get alone. Rows alike in degree, in
+count of zero roots and in being exactly even share one eigensolve of
+their companion matrices and one Newton polish step; each row then gets
+its own realness verdict. A row whose odd coefficients are all exactly zero is x^z q(x^2),
+as every branch of the quadratic product family is: its companion matrix
+is q's, of half the size, and its roots come out as exact pairs +-sqrt(y)
+over q's roots y. The max root is then certified as an enclosure
+[lo, hi] of the row itself: at hi every derivative is provably positive
+and at lo some derivative is provably negative, decided by one stacked
+evaluation of the derivative chains of all rows of one degree per pass,
+with a rigorous bound on its rounding error. Only the rows still shrinking
+take the next pass. Using the whole chain keeps the test sound at multiple
+roots, where the highest vanishing derivative has a simple zero.
 """
 
 from __future__ import annotations
@@ -213,25 +216,33 @@ def _realness(
 def root_report(polys: Sequence[RealPolynomial], tol: float = DEFAULT_ROOT_TOL) -> list[RootReport]:
     """All roots of each polynomial of a stack, one report per row.
 
-    Rows of one degree and one count of zero roots share one companion
-    eigensolve and one Newton polish.  Real-rootedness holds when every
-    |Im root| <= tol * (1 + max |root|).  A polynomial whose complex parts
-    come from a perturbed multiple root is still accepted when projecting
-    the roots onto the real axis reproduces the coefficients to
+    Zero roots are stripped and reported exactly.  A row is exactly even
+    when every odd-index coefficient is 0.0; it is then x^z q(x^2), and its
+    other roots are the pairs +-sqrt(y), with the complex square root, over
+    the polished companion roots y of q, which has half the degree.  Rows
+    alike in degree, in count of zero roots and in being exactly even
+    share one companion eigensolve and one Newton polish.  Real-rootedness holds when
+    every |Im root| <= tol * (1 + max |root|).  A polynomial whose complex
+    parts come from a perturbed multiple root is still accepted when
+    projecting the roots onto the real axis reproduces the coefficients to
     REALITY_RESCUE_TOL relative error.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int, bool], list[int]] = {}
     for i, p in enumerate(polys):
         if p.degree < 1:
             raise ValueError("root_report requires degree >= 1")
         zeros = next(k for k, c in enumerate(p.coeffs) if c != 0.0)
-        groups.setdefault((p.degree, zeros), []).append(i)
+        groups.setdefault((p.degree, zeros, not any(p.coeffs[1::2])), []).append(i)
     reports: list = [None] * len(polys)
-    for (n, zeros), rows in groups.items():
+    for (n, zeros, even), rows in groups.items():
         roots = np.zeros((len(rows), n), dtype=np.complex128)
         if zeros < n:
-            desc = np.array([polys[i].coeffs[zeros:][::-1] for i in rows])
-            roots[:, zeros:] = _companion_roots(desc)
+            step = 2 if even else 1
+            found = _companion_roots(np.array([polys[i].coeffs[zeros::step][::-1] for i in rows]))
+            if even:
+                found = np.sqrt(found.astype(np.complex128))
+                found = np.concatenate((found, -found), axis=1)
+            roots[:, zeros:] = found
         re = np.sort(roots.real, axis=1)
         max_mod = np.abs(roots).max(axis=1)
         max_imag = np.abs(roots.imag).max(axis=1)

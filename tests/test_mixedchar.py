@@ -522,6 +522,107 @@ def test_product_levels_reject_a_level_past_the_last_index():
     assert np.array_equal(levels._R, leaf)
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_product_levels_branches_are_exactly_even(seed):
+    # Every kernel of the quadratic family has b = -a, so the (S, T) and
+    # (T, S) terms of an odd coefficient cancel: the engine sums only the
+    # even anti-diagonals, and its branches and their mixture are exactly
+    # even.  The full pass keeps its rounding noise there and stays the
+    # reference for the unchanged coefficient contract.
+    rng = np.random.default_rng(700 + seed)
+    d, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
+    table = SubsetTable.build(E)
+    dists = _mixed_distributions(rng, n)
+    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
+    scale = _product_scale(table, d, bound)
+    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    fixed = {}
+    for k in range(n):
+        support = dists[k].support()
+        branches = []
+        for v in support:
+            got = np.array(levels.branch(v).coeffs)
+            assert np.all(got[1::2] == 0.0), (k, v, got[1::2])
+            want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
+            branches.append(got)
+        probs = dict(zip(dists[k].values, dists[k].probs))
+        mixture = np.array([probs[v] for v in support]) @ np.array(branches)
+        assert np.all(mixture[1::2] == 0.0), k
+        fixed[k] = support[int(rng.integers(len(support)))]
+        levels.commit(fixed[k])
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.5, 0.5 + 2.0**-52), (0.0, 1.0), (np.nan, np.nan)])
+def test_product_levels_reject_a_kernel_without_b_equal_minus_a(a, b):
+    # the exact cancellation of the odd anti-diagonals needs b == -a
+    rng = np.random.default_rng(5)
+    table = SubsetTable.build([random_psd(rng, 2) for _ in range(3)])
+    spec = DerivativeSpec((0.0, a, -1.0), (0.0, b, 1.0), (-1.0, -1.0, -1.0))
+    with pytest.raises(ValueError, match="b == -a"):
+        ProductLevels(table, spec)
+
+
+def _counting_contractions(monkeypatch):
+    """A list that gains one entry per ``_contract_low_bit`` call."""
+    calls = []
+    real = mixedchar._contract_low_bit
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(mixedchar, "_contract_low_bit", counting)
+    return calls
+
+
+def test_product_levels_contract_twice_per_branch_and_never_per_commit(monkeypatch):
+    # a branch contracts its T side and its S side once; the commit keeps
+    # the winner's pair, so a two-candidate level makes 4 contractions
+    rng = np.random.default_rng(9)
+    d, n = 3, 7
+    table = SubsetTable.build([random_psd(rng, d) for _ in range(n)])
+    dists = _mixed_distributions(rng, n)
+    calls = _counting_contractions(monkeypatch)
+    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    blind = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    for k in range(n):
+        support = dists[k].support()
+        for v in support:
+            before = len(calls)
+            levels.branch(v)
+            assert len(calls) - before == 2
+        before = len(calls)
+        levels.commit(support[0])
+        assert len(calls) == before
+        # a value committed without a branch contracts both sides itself,
+        # to the same tables the branch kept
+        blind.commit(support[0])
+        assert len(calls) - before == 2
+        assert np.array_equal(blind._R, levels._R) and np.array_equal(blind._F, levels._F)
+
+
+def _dense_kernels(V, kernels):
+    """Every kernel applied with all four of its terms, zero or not."""
+    rows, bits = len(V), V.shape[1].bit_length() - 1
+    for j, (a, b, c) in enumerate(kernels):
+        view = V.reshape(rows, 1 << (bits - j - 1), 2, 1 << j)
+        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+        lo[...], hi[...] = lo + b * hi, a * lo + c * hi
+
+
+def test_apply_kernels_skips_only_exactly_zero_terms():
+    # skipping a term with coefficient 0 changes at most the sign of a zero
+    rng = np.random.default_rng(12)
+    table = SubsetTable.build([random_psd(rng, 3) for _ in range(6)])
+    kernels = [(-0.0, 0.0, -1.0), (0.0, 1.5, -2.0), (-0.5, 0.0, 0.75), (-0.0, 0.0, -0.0), (0.25, -0.25, 0.0), (-1.0, 1.0, -1.5)]
+    got, want = mixedchar._ranked_table(table), mixedchar._ranked_table(table)
+    mixedchar._apply_kernels(got, kernels)
+    _dense_kernels(want, kernels)
+    assert np.array_equal(got, want)
+
+
 def _partition_table(rng, d, m, coverage):
     """The table ks_r_partition builds: the matrices and their rank-one
     completion.  Without a coverage, m PSD matrices whose sum is not a

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -6,7 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlace import NotMonic, NotRealRooted, RealPolynomial, maxroot_certified, rank_one_completion, root_report, root_scaling
+from interlace import (
+    NotMonic,
+    NotRealRooted,
+    RealPolynomial,
+    SubsetTable,
+    maxroot_certified,
+    rank_one_completion,
+    root_report,
+    root_scaling,
+)
+from interlace.descent import FiniteDistribution, conditional_spec_quadratic
+from interlace.generate import random_psd
+from interlace.mixedchar import ProductLevels
 from interlace.polynomials import _newton_polish
 
 
@@ -227,6 +240,8 @@ def _per_root_newton(desc, r):
 
 
 def test_root_report_polish_matches_per_root_newton_bit_for_bit():
+    # An exactly even p = q(x^2) is solved through q: its reference is
+    # per-root Newton on q's np.roots, mapped to +-sqrt(y).
     rng = np.random.default_rng(4)
     cases = [P(1, -2, 1), P(2, 0, 1), P(0, 0, -2, 1), P(-1, 0, 0, 0, 1)]
     for _ in range(60):
@@ -235,6 +250,7 @@ def test_root_report_polish_matches_per_root_newton_bit_for_bit():
         roots[: degree // 3] = roots[0]  # a multiple root
         cases.append(RealPolynomial.from_coeffs(np.poly(roots)[::-1] * rng.uniform(-3.0, 3.0)))
         cases.append(RealPolynomial.from_coeffs(rng.standard_normal(degree + 1)))
+    even_cases = []
     for p in cases:
         rep = root_report([p], 1e-7)[0]
         asc = list(p.coeffs)
@@ -242,14 +258,21 @@ def test_root_report_polish_matches_per_root_newton_bit_for_bit():
         while asc[0] == 0.0:
             asc.pop(0)
             zeros += 1
-        desc = np.array(asc[::-1])
-        want = [0j] * zeros + [complex(_per_root_newton(desc, r)) for r in np.roots(desc)]
+        if not any(p.coeffs[1::2]):
+            even_cases.append(p)
+            desc = np.array(asc[::2][::-1])
+            ys = [complex(_per_root_newton(desc, r)) for r in np.roots(desc)]
+            want = [0j] * zeros + [cmath.sqrt(y) for y in ys] + [-cmath.sqrt(y) for y in ys]
+        else:
+            desc = np.array(asc[::-1])
+            want = [0j] * zeros + [complex(_per_root_newton(desc, r)) for r in np.roots(desc)]
         if rep.max_imag_residual == max(abs(z.imag) for z in want):
             assert rep.roots == tuple(want)
         else:  # accepted through the realness rescue, which keeps real parts
             assert rep.roots == tuple(complex(z.real) for z in want)
         assert rep.maxroot == max(z.real for z in want)
         assert rep.minroot == min(z.real for z in want)
+    assert even_cases == [P(2, 0, 1), P(-1, 0, 0, 0, 1)]
 
 
 def test_newton_polish_rules_match_per_root_newton_bit_for_bit():
@@ -408,3 +431,132 @@ def test_stacked_certifier_matches_one_row_calls_on_integer_roots(rows):
     assert _bits(stacked) == _bits(singles)
     for (lo, hi), top in zip(stacked, tops):
         assert lo < top < hi
+
+
+def _even(pairs, zero_pairs=0, scale=1.0):
+    """scale x^(2 zero_pairs) prod (x^2 - r^2): exact for dyadic r."""
+    roots = [s * r for r in pairs for s in (1.0, -1.0)] + [0.0] * (2 * zero_pairs)
+    return RealPolynomial.from_coeffs(np.poly(roots)[::-1] * scale)
+
+
+def _eigvals_shapes(monkeypatch):
+    """Shapes of the stacks passed to np.linalg.eigvals, as they are solved."""
+    shapes = []
+    real = np.linalg.eigvals
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return shapes
+
+
+def test_root_report_solves_an_even_degree_14_row_as_7x7(monkeypatch):
+    shapes = _eigvals_shapes(monkeypatch)
+    p = _even([0.25 * k for k in range(1, 8)])
+    assert p.degree == 14 and not any(p.coeffs[1::2])
+    rep = root_report([p])[0]
+    assert shapes == [(1, 7, 7)]
+    assert rep.real_rooted and rep.maxroot == -rep.minroot == pytest.approx(1.75, abs=1e-12)
+    # one odd coefficient of 2^-60 is not exactly even: the row keeps its degree
+    shapes.clear()
+    root_report([RealPolynomial.from_coeffs(p.coeffs[:1] + (2.0**-60,) + p.coeffs[2:])])
+    assert shapes == [(1, 14, 14)]
+    # an engine branch at d = 7 is one such row
+    shapes.clear()
+    rng = np.random.default_rng(3)
+    dists = [FiniteDistribution.make([-1.0, 2.0], [0.6, 0.4])] * 8
+    branch = ProductLevels(
+        SubsetTable.build([random_psd(rng, 7) for _ in range(8)]), conditional_spec_quadratic(dists, {})
+    ).branch(2.0)
+    root_report([branch])
+    assert branch.degree == 14 and shapes == [(1, 7, 7)]
+
+
+def test_root_report_pairs_near_zero_come_out_as_exact_pairs():
+    # a pair +-sqrt(y) down to y = 2^-40 is one root of q, not a cluster
+    for k in range(0, 41, 4):
+        y = 2.0**-k
+        p = _even([math.sqrt(y), 1.5])
+        rep = root_report([p])[0]
+        assert rep.real_rooted and rep.max_imag_residual == 0.0
+        roots = sorted(z.real for z in rep.roots)
+        assert roots == [-z for z in roots[::-1]]  # exact +- pairs
+        assert roots[2] == pytest.approx(math.sqrt(y), rel=1e-12)
+        assert rep.maxroot == pytest.approx(1.5, rel=1e-15)
+
+
+def test_root_report_strips_even_zero_factors_exactly():
+    for k in range(1, 5):
+        p = _even([0.5, 1.25], zero_pairs=k, scale=-3.0)
+        rep = root_report([p])[0]
+        assert rep.roots[: 2 * k] == (0j,) * (2 * k)
+        assert sorted(z.real for z in rep.roots[2 * k :]) == [-1.25, -0.5, 0.5, 1.25]
+        assert (rep.maxroot, rep.minroot) == (1.25, -1.25)
+
+
+def test_a_negative_y_is_not_real_rooted_and_names_its_row():
+    # (x^2 + 2)(x^2 - 1): y = -2 gives the pair +-i sqrt(2)
+    bad = P(-2, 0, 1, 0, 1)
+    rep = root_report([bad])[0]
+    assert not rep.real_rooted
+    assert rep.max_imag_residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert sorted(rep.roots, key=lambda z: (z.real, z.imag)) == pytest.approx(
+        [-1.0, -1j * math.sqrt(2.0), 1j * math.sqrt(2.0), 1.0], abs=1e-12
+    )
+    odd = RealPolynomial.from_coeffs(np.poly([0.5, -1.0, 1.0, 1.5])[::-1])
+    stack = [_even([0.5, 1.0]), odd, bad, _even([0.25, 2.0]), bad]
+    with pytest.raises(NotRealRooted, match="residual") as exc:
+        maxroot_certified(stack)
+    assert exc.value.row == 2
+
+
+def test_even_rows_of_a_mixed_stack_match_one_row_calls_bit_for_bit():
+    # even and non-even rows of one degree and zero count form two groups
+    polys = [
+        _even([0.5, 1.0]),
+        RealPolynomial.from_coeffs(np.poly([0.5, -1.0, 1.0, 1.5])[::-1]),
+        _even([0.25, 2.0], scale=-2.0),
+        _even([2.0**-20, 0.75]),
+        _even([0.5, 0.5]),  # a double y, rescued
+        _even([1.5], zero_pairs=1),
+        RealPolynomial.from_coeffs(np.poly([0.0, 0.0, 1.0, 2.0])[::-1]),
+    ]
+    stacked = maxroot_certified(polys)
+    reports = root_report(polys)
+    for p, root, report in zip(polys, stacked, reports):
+        assert root_report([p]) == [report]
+        assert _bits(maxroot_certified([p])) == _bits([root])
+
+
+@pytest.mark.parametrize("zero_pairs", [0, 1, 3])
+def test_even_rows_enclose_the_50_digit_max_root(zero_pairs):
+    pairs = [2.0**-20, 0.375, 0.75, 0.75 + 2.0**-24, 1.625]
+    p = _even(pairs, zero_pairs=zero_pairs, scale=-1.5)
+    (lo, hi), = maxroot_certified([p])
+    top = max(mpmath.re(z) for z in _mp_roots(p))
+    assert lo < top < hi
+    assert hi - lo < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 32), min_size=1, max_size=5, unique=True),
+    st.integers(0, 2),
+    st.sampled_from([-2.0, -0.5, 1.0, 4.0]),
+)
+def test_even_rows_of_dyadic_pairs_are_certified(numerators, zero_pairs, scale):
+    # dyadic pairs r = k / 16 keep q's coefficients exact: its roots are
+    # exactly r^2, and the report gives them back as +-r
+    pairs = [k / 16.0 for k in numerators]
+    p = _even(pairs, zero_pairs=zero_pairs, scale=scale)
+    rep = root_report([p])[0]
+    assert rep.real_rooted
+    nonzero = sorted(z.real for z in rep.roots[2 * zero_pairs :])
+    assert nonzero == [-z for z in nonzero[::-1]]
+    assert nonzero == pytest.approx(sorted(s * r for r in pairs for s in (1.0, -1.0)), abs=1e-9)
+    lo, hi = maxroot_certified([p])[0]
+    assert lo < max(pairs) < hi
+    stacked = maxroot_certified([p, P(-1, 0, 1), p])
+    assert _bits([stacked[0], stacked[2]]) == _bits([(lo, hi)] * 2)
