@@ -90,6 +90,12 @@ class FiniteDistribution:
         m = self.mean()
         return max(self.second_moment() - m * m, 0.0)
 
+    def centered_moments(self) -> tuple[float, float]:
+        """(mu, Var) with Var = sum p (v - mu)^2: the moments the centered
+        quadratic family reads, for the level engine and its references alike."""
+        mu = self.mean()
+        return mu, float(sum(p * (v - mu) * (v - mu) for v, p in zip(self.values, self.probs)))
+
     def support(self) -> tuple[float, ...]:
         """Values carrying positive probability, ascending."""
         return tuple(sorted(v for v, p in zip(self.values, self.probs) if p > 0))
@@ -139,26 +145,28 @@ class DescentCertificate:
 def conditional_spec_quadratic(
     dists: Sequence[FiniteDistribution], fixed: Mapping[int, float]
 ) -> DerivativeSpec:
-    """Operator coefficients with a partial assignment substituted.
+    """Operator coefficients of the centered family with a partial
+    assignment substituted.
 
-    Fixed index with value s: (-s, s, -s^2).  Free index: the moment version
-    (-E, E, -E[xi^2]).
+    Index i enters as xi_i - mu_i.  Fixed index with value s, t = s - mu_i:
+    (-t, t, -t^2).  Free index: (0, 0, -Var_i), with Var_i = sum p (v - mu_i)^2.
+    A free kernel is diagonal, so ``ProductLevels`` reads the same
+    polynomials as Gram products of one contracted table, weighted by the
+    products of the free variances; ``expected_product_poly`` with this
+    spec is its reference.
     """
-    a, b, c = [], [], []
+    triples = []
     for i, dist in enumerate(dists):
+        mu, var = dist.centered_moments()
         if i in fixed:
             s = float(fixed[i])
             if s not in dist.support():
                 raise ValueNotInSupport(f"value {s} not in support of index {i}")
-            a.append(-s)
-            b.append(s)
-            c.append(-s * s)
+            t = s - mu
+            triples.append((-t, t, -t * t))
         else:
-            mu = dist.mean()
-            a.append(-mu)
-            b.append(mu)
-            c.append(-dist.second_moment())
-    return DerivativeSpec(tuple(a), tuple(b), tuple(c))
+            triples.append((0.0, 0.0, -var))
+    return DerivativeSpec.from_triples(triples)
 
 
 def _run_descent(
@@ -222,18 +230,22 @@ def _run_descent(
 
 
 def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistribution]) -> DescentCertificate:
-    """Descend the product family mu[s A] * mu[-s A] over value assignments.
+    """Descend the centered product family mu[t A] * mu[-t A], t_i = s_i - E xi_i,
+    over value assignments s.
 
-    The leaf reached satisfies maxroot f_(s_1..s_m) <= maxroot of the root
-    expected polynomial, which by the norm transfer bound controls
-    ||sum s_i A_i||.
+    ``ProductLevels`` serves the branches as Gram products of one contracted
+    table, weighted by the products of the free variances.  The leaf reached
+    satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
+    polynomial, which by the norm transfer bound controls
+    ||sum (s_i - E xi_i) A_i||.  The assignment holds the given values s_i.
     """
     if len(dists) != len(E):
         raise ValueError("one distribution per matrix required")
     for k, H in enumerate(E):
         if not is_psd(H):
             raise NotPSD(f"matrix {k} is not PSD")
-    levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
+    means, variances = zip(*(dist.centered_moments() for dist in dists))
+    levels = ProductLevels(SubsetTable.build(E), means, variances)
     return _run_descent(
         num_levels=len(E),
         candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),

@@ -1,7 +1,7 @@
 """End-to-end discrepancy solvers for PSD and hermitian ensembles.
 
 Given jointly independent finite-support variables xi_i and PSD matrices
-A_i, the solver centers and rescales the variables, descends the product
+A_i, the solver rescales the variables, descends the centered product
 interlacing family, and returns an outcome with
 
     || sum_i (s_i - E[xi_i]) A_i ||  <=  4 sigma,
@@ -22,7 +22,6 @@ from .descent import DescentCertificate, FiniteDistribution, greedy_descent_quad
 from .errors import NotPSD
 from .linalg import (
     MatrixEnsemble,
-    as_hermitian,
     ensemble as as_ensemble,
     is_psd,
     make_hermitian,
@@ -123,10 +122,10 @@ def _recompute_achieved(
 def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResult:
     """Constructive 4-sigma discrepancy for PSD ensembles.
 
-    Optionally reduces every variable to two points, centers it, rescales by
-    1/sigma, and runs the quadratic greedy descent.  With sigma = 0 the
-    instance is deterministic (or supported on zero matrices) and the
-    answer is immediate with achieved = 0.
+    Optionally reduces every variable to two points, rescales it by
+    1/sigma, and runs the quadratic greedy descent, which centers it.  With
+    sigma = 0 the instance is deterministic (or supported on zero matrices)
+    and the answer is immediate with achieved = 0.
     """
     dists = tuple(two_point_reduction(d) for d in inst.dists) if reduce else inst.dists
     sigma = _sigma(inst.ensemble, dists)
@@ -139,8 +138,7 @@ def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResu
     scaled = []
     back = []
     for dist in dists:
-        mu = dist.mean()
-        vals = tuple((v - mu) / sigma for v in dist.values)
+        vals = tuple(v / sigma for v in dist.values)
         scaled.append(FiniteDistribution(vals, dist.probs))
         back.append({w: v for w, v in zip(vals, dist.values)})
     cert = greedy_descent_quadratic(inst.ensemble, scaled)
@@ -159,11 +157,11 @@ def solve_hermitian(
     evaluated on the original matrices.  Both |B_i| = (B_i)+ + (B_i)- and
     the lift come from one spectral split of B_i.
     """
-    mats = [as_hermitian(M) for M in matrices]
+    mats = as_ensemble(matrices)
     dists = tuple(dists)
     if len(dists) != len(mats):
         raise ValueError("one distribution per matrix required")
-    d = mats[0].dim
+    d = mats.dim
     absolute = []
     lifted = []
     for B in mats:

@@ -13,21 +13,19 @@ every evaluation in this module is a weighted sum over the scalar table
 c_i d/dz_i d/dw_i) to a product of two such determinants.  Its weight on a
 subset pair (S, T) factors over indices into 2x2 kernels, so one Kronecker
 pass per index (``_apply_kernels``) over the rank-graded table replaces the
-sum over pairs.  A fixed value's kernel has rank one, so ``ProductLevels``
-contracts each index a descent commits out of that table for good.  It
-applies every kernel once, as one full pass, and reads a branch by undoing
-only the next index's kernel: after that pass, level k costs O(2^(n-k) d),
-so the branches of a whole descent cost about as much as one full pass.
-Uncentered kernels whose inverses would compound past ``DRIFT_BUDGET``
-cost one more pass over the masks still free.  ``ProductLevels`` requires
-b = -a on every kernel, as the quadratic family has: the (S, T) and (T, S)
-terms of an odd coefficient then cancel exactly, so it sums only the even
-anti-diagonals, and its branches are polynomials in x^2 whose odd
-coefficients are exactly 0.0 (``root_report`` solves them at half the
-degree).  ``expected_product_poly`` keeps the rounding noise there and
-stays the reference.  Both level engines
-answer a descent's ``branch(v)`` (next index set to v) and ``commit(v)`` (fix it),
-and its root polynomial is level 0's mixture: the full passes are references.
+sum over pairs; ``expected_product_poly`` serves any kernels and stays the
+reference.  The descents' quadratic family is centered: a free variable's
+kernel is diag(1, -Var), which keeps only the pairs that agree on its
+index, and a fixed value's kernel has rank one.  So ``ProductLevels``
+contracts each index a descent commits out of one rank-graded table R for
+good and reads a branch as a Gram product of R with itself, weighted by the
+products of the free variances: level k costs O(2^(n-k) d), with no kernel
+pass.  The (S, T) and (T, S) terms of an odd coefficient cancel exactly, so
+it sums only the even anti-diagonals, and its branches are polynomials in
+x^2 whose odd coefficients are exactly 0.0 (``root_report`` solves them at
+half the degree).  Both level engines answer a descent's ``branch(v)``
+(next index set to v) and ``commit(v)`` (fix it), and its root polynomial
+is level 0's mixture: the full passes are references.
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -191,8 +189,9 @@ def _rank_product(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
 class DerivativeSpec:
     """Coefficients of prod_i (1 + a_i d/dz_i + b_i d/dw_i + c_i d/dz_i d/dw_i).
 
-    A fixed value s corresponds to (-s, s, -s^2); an undecided variable with
-    mean mu and second moment m2 to (-mu, mu, -m2).
+    A fixed value s corresponds to (-s, s, -s^2).  The descents' centered
+    family (``conditional_spec_quadratic``) fixes t = s - mu and gives a free
+    variable (0, 0, -Var).
     """
 
     a: tuple[float, ...]
@@ -267,24 +266,17 @@ def _ranked_table(table: SubsetTable) -> np.ndarray:
     return V
 
 
-def _apply_kernels(V: np.ndarray, kernels, first: int = 0) -> None:
+def _apply_kernels(V: np.ndarray, kernels) -> None:
     """Apply the j-th kernel (a, b, c), K = [[1, b], [a, c]], in place along
-    bit first + j of V's masks (row: bit in S, column: bit in T).  Terms
-    whose coefficient is exactly zero are skipped: a centered kernel
-    (-0, 0, c) costs one multiply."""
+    bit j of V's masks (row: bit in S, column: bit in T)."""
     rows, bits = len(V), V.shape[1].bit_length() - 1
-    for j, (a, b, c) in enumerate(kernels, first):
+    for j, (a, b, c) in enumerate(kernels):
         view = V.reshape(rows, 1 << (bits - j - 1), 2, 1 << j)
         lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-        new_hi = a * lo if a else None
-        if b:
-            lo += b * hi
-        if new_hi is None:
-            hi *= c
-        else:
-            if c:
-                new_hi += c * hi
-            hi[...] = new_hi
+        new_hi = a * lo
+        new_hi += c * hi
+        lo += b * hi
+        hi[...] = new_hi
 
 
 def expected_product_poly(
@@ -312,131 +304,80 @@ def expected_product_poly(
     return _graded_poly(ranks.ravel(), (table.coeffs * V).ravel(), 2 * table.dim)
 
 
-def _contract_low_bit(R: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Fix the lowest mask bit on the T side, kernel column [lo, hi]:
-    lo R[., S] + hi R[., S | bit], over the masks without that bit."""
+def _contract_low_bit(R: np.ndarray, s: float) -> np.ndarray:
+    """Fix the lowest mask bit to s: R[., U] + s R[., U | bit], over the
+    masks without that bit."""
     view = R.reshape(len(R), -1, 2)
-    out = hi * view[:, :, 1]
-    out += view[:, :, 0] if lo == 1.0 else lo * view[:, :, 0]
+    out = s * view[:, :, 1]
+    out += view[:, :, 0]
     return out
 
 
-# Undoing an uncentered kernel K = [[1, b], [a, c]] scales the rounding
-# error F carries by up to 1 + |ab| / |c - ab|, and the factors compound
-# over the levels read off one F: on seeded uncentered walks the branch
-# error stayed below 3.2 u times their running product, in units of the
-# pair-term scale.  Capping the product at 64 keeps even 9 u times it at
-# 6.4e-14, 1/16 of the 1e-12 coefficient contract that the descent's level
-# check and the tests hold.
-DRIFT_BUDGET = 64.0
-
-
 class ProductLevels:
-    """Branch polynomials of ``expected_product_poly`` along a descent that
-    fixes indices 0, 1, ... in order.
+    """Branch polynomials of the centered quadratic family along a descent
+    that fixes indices 0, 1, ... in order.
 
-    ``branch(v)`` is the polynomial with the committed values, the next
-    index k set to v and the kernels of ``spec`` on the indices after k;
-    ``commit(v)`` fixes index k to v for good, and the next level is k + 1.
-    A fixed index with value s has the rank-one kernel [1, -s]^T [1, s], so
-    a commit contracts it out of one rank-graded table R[sigma, S]: sigma is
-    the total rank |T| and S runs over the indices still free.  The S side
-    needs no table of its own: it is (-1)^(sigma - |S|) R contracted with
-    +v.  The T side is R with the kernels of the indices after k applied
-    and bit k contracted with +v.  The engine keeps F, R with every free
-    kernel applied, and reads that side off it by undoing kernel k alone:
-    [1, v] K_k^-1 = [c - va, v - b] / (c - ab) on F's two halves at bit k.
-    A commit keeps the T side and the S side that ``branch`` read for the
-    winner as the next F and R, so after one kernel pass over all 2^n masks
-    level k costs O(2^(n-k) d).  The degree-2d coefficients are the
-    anti-diagonal sums of the (top+1) x (top+1) product of the two sides.
+    Index i enters as xi_i - means[i].  ``branch(v)`` is the polynomial with
+    the committed values, the next index k set to v and the indices after k
+    free, which ``expected_product_poly`` gives for the spec of
+    ``descent.conditional_spec_quadratic``; ``commit(v)`` fixes index k to v
+    for good, and the next level is k + 1.  A fixed index with centered value t = v - means[k] has the
+    rank-one kernel [1, -t]^T [1, t], so a commit contracts it out of one
+    rank-graded table R[sigma, U]: sigma is the total rank |T| and U runs
+    over the masks of the indices still free.  The S side is
+    (-1)^(rho - |U|) R, and a free index's kernel diag(1, -variances[i])
+    keeps only the pairs that agree on it, with a sign that cancels the S
+    side's.  So with R_v, R contracted with [1, t] at index k, and
+    q_U = prod_{i in U} variances[i], a branch is the Gram product
 
-    Every kernel must have b = -a, as the quadratic family's do.  Then the
-    pair weights of (S, T) and (T, S) differ by (-1)^(|S| + |T|), so the
-    odd anti-diagonals cancel exactly: only the even ones are summed, and
-    every branch is a polynomial in x^2 with odd coefficients exactly 0.0.
+        sum_{rho, sigma} (-1)^rho (R_v q R_v^T)[rho, sigma] x^(2d - rho - sigma).
 
-    Each undone kernel scales F's rounding error by up to 1 + |ab|/|c - ab|,
-    which is 1 for a centered kernel (a = b = 0, c < 0).  When the running
-    product since F was built would pass ``DRIFT_BUDGET``, the level
-    re-anchors: one kernel pass rebuilds F from R over the 2^(n-k) masks
-    still free.  A kernel past the budget on its own (a point mass, centered
-    or not, or a variable with almost no variance for its mean) is left out
-    of that pass, and its level reads the T side off F by the plain
-    contraction with [1, v].
+    The (rho, sigma) and (sigma, rho) terms of an odd rank cancel exactly,
+    so only the even anti-diagonals are summed, and every branch is a
+    polynomial in x^2 with odd coefficients exactly 0.0.  Level k works on
+    the 2^(n-k) masks still free, with one contraction per branch value; a
+    commit keeps that value's R_v.
     """
 
-    def __init__(self, table: SubsetTable, spec: DerivativeSpec):
-        if len(spec) != table.n:
-            raise ValueError(f"spec length {len(spec)} != table size {table.n}")
-        if any(b != -a for a, b in zip(spec.a, spec.b)):  # NaN fails too
-            raise ValueError("ProductLevels needs b == -a on every kernel")
+    def __init__(self, table: SubsetTable, means: Sequence[float], variances: Sequence[float]):
+        if not len(means) == len(variances) == table.n:
+            raise ValueError(f"need {table.n} means and variances, got {len(means)} and {len(variances)}")
         self._deg = 2 * table.dim
         self._table = table
-        self._kernels = list(zip(spec.a, spec.b, spec.c))  # of the indices not yet committed
+        self._means = means
+        self._q = subset_products(variances)  # read at stride 2^(k+1) for the indices after k
+        self._next = 0  # the index the next level fixes
         rows = np.arange(min(table.n, table.dim) + 1)
         ranks = rows[:, None] + rows
         self._even = (ranks % 2 == 0).ravel()
         self._ranks = ranks.ravel()[self._even]
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
-        self._parity = np.where(table.sizes % 2, -1.0, 1.0)
         self._R = _ranked_table(table)
-        self._F = self._R  # built by the first level's anchor
-        self._drift = math.inf  # error growth of F since it was built; none built yet
-        self._undo: tuple[float, float, float] | None = None  # kernel k, when F holds it
-        self._sides: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # this level's (T, S) per branched v
-        if self._kernels:
-            self._open_level()
-
-    def _open_level(self) -> None:
-        """Set how level k reads its T side, re-anchoring F first if the
-        kernel's growth would take the running product past DRIFT_BUDGET."""
-        a, b, c = self._kernels[0]
-        det = c - a * b
-        growth = 1.0 + abs(a * b) / abs(det) if det else math.inf
-        self._undo = (a, b, c)
-        if self._drift * growth <= DRIFT_BUDGET:
-            self._drift *= growth
-            return
-        first = 0
-        if not growth <= DRIFT_BUDGET:  # NaN is left out too
-            first, growth, self._undo = 1, 1.0, None
-        self._F = self._R.copy()
-        _apply_kernels(self._F, self._kernels[first:], first=first)
-        self._drift = growth
+        self._branched: dict[float, np.ndarray] = {}  # this level's R_v per branched v
 
     def _check_open(self) -> None:
-        if not self._kernels:
+        if self._next >= self._table.n:
             raise ValueError(f"all {self._table.n} indices are committed")
 
-    def _contract(self, v: float) -> tuple[np.ndarray, np.ndarray]:
-        """(T side, S side before its signs) with the next index set to v."""
-        if v in self._sides:
-            return self._sides[v]
-        if self._undo is None:
-            T = _contract_low_bit(self._F, 1.0, v)
-        else:
-            a, b, c = self._undo
-            det = c - a * b
-            T = _contract_low_bit(self._F, (c - v * a) / det, (v - b) / det)
-        return T, _contract_low_bit(self._R, 1.0, v)
+    def _contract(self, v: float) -> np.ndarray:
+        """R with the next index set to v."""
+        if v not in self._branched:
+            self._branched[v] = _contract_low_bit(self._R, v - self._means[self._next])
+        return self._branched[v]
 
     def branch(self, v: float) -> RealPolynomial:
         """The polynomial with the next index set to v."""
         self._check_open()
-        T, S = self._sides[v] = self._contract(v)
-        S = S * self._parity[: S.shape[1]]
-        terms = ((S @ T.T) * self._row_sign).ravel()[self._even]
-        return _graded_poly(self._ranks, terms, self._deg)
+        R = self._contract(v)
+        gram = (R * self._q[:: 2 << self._next]) @ R.T
+        return _graded_poly(self._ranks, (gram * self._row_sign).ravel()[self._even], self._deg)
 
     def commit(self, v: float) -> None:
         """Fix the next index to v."""
         self._check_open()
-        self._F, self._R = self._contract(v)
-        self._sides.clear()
-        del self._kernels[0]
-        if self._kernels:
-            self._open_level()
+        self._R = self._contract(v)
+        self._branched.clear()
+        self._next += 1
 
 
 def _binomial_weights(n: int, rows: int) -> np.ndarray:
@@ -542,7 +483,7 @@ class ConvolutionLevels:
             g[c : c + len(col)] += col
         return g[: self._deg + 1]  # grades above r min(n, d) are exactly zero
 
-    def _open_level(self) -> tuple[np.ndarray, np.ndarray, list]:
+    def _start_level(self) -> tuple[np.ndarray, np.ndarray, list]:
         cap = self._free_after()
         lows = [Y[:, :, ::2] for Y in self._slots]
 
@@ -564,7 +505,7 @@ class ConvolutionLevels:
         """The polynomial with the next index in slot s."""
         self._check_open(s)
         if self._level is None:
-            self._level = self._open_level()
+            self._level = self._start_level()
         W, a, others = self._level
         D, L = self._difference(s), others[s]
         b = self._read(D if L is None else _rank_product(D, L, self._free_after()), W, 1)

@@ -46,6 +46,15 @@ def test_conditional_spec_centered_bernoulli():
     assert spec.c[0] == pytest.approx(-t * (1 - t))
 
 
+def test_conditional_spec_centers_every_index():
+    # mean 2.5, Var = 0.25 * 1.5^2 + 0.75 * 0.5^2 = 0.75
+    d = FD.make([1.0, 3.0], [0.25, 0.75])
+    assert d.centered_moments() == (2.5, 0.75)
+    spec = conditional_spec_quadratic([d, d], {0: 1.0})
+    assert (spec.a, spec.b, spec.c) == ((1.5, 0.0), (-1.5, 0.0), (-2.25, -0.75))
+    assert FD.point_mass(0.7).centered_moments() == (0.7, 0.0)
+
+
 def test_conditional_spec_rejects_foreign_value():
     with pytest.raises(ValueNotInSupport):
         conditional_spec_quadratic([FD.fair_signs()], {0: 0.5})
@@ -129,6 +138,21 @@ def test_residuals_are_the_chain_violations():
         chain = cert.enclosures
         assert cert.residuals == tuple(max(0.0, chain[k + 1].lo - chain[k].hi) for k in range(len(chain) - 1))
         assert len(cert.residuals) == 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_quadratic_descent_is_shift_invariant(seed):
+    # the family reads only xi - E xi, so shifting every variable shifts
+    # the assignment and leaves the chain as it was, up to the rounding of
+    # the shifted means
+    rng = np.random.default_rng(40 + seed)
+    E = trace_capped_ensemble(rng, 3, 6, 1.0)
+    dists = [random_two_valued(rng) for _ in range(6)]
+    shifts = rng.uniform(-4.0, 4.0, 6)
+    cert = greedy_descent_quadratic(E, dists)
+    moved = greedy_descent_quadratic(E, [dist.shift(c) for dist, c in zip(dists, shifts)])
+    assert np.allclose(np.subtract(moved.assignment, shifts), cert.assignment, rtol=0.0, atol=1e-12)
+    assert np.allclose(moved.maxroots, cert.maxroots, rtol=0.0, atol=1e-9)
 
 
 def test_descent_assignment_values_lie_in_support():
@@ -292,7 +316,7 @@ def test_level_check_admits_probabilities_that_validation_admits(seed, defect):
 
 
 def _quadratic_root(rng):
-    # uncentered two-valued variables, beyond the solvers' centered ones
+    # uncentered two-valued variables: the descent and the reference spec center them
     E = trace_capped_ensemble(rng, 4, 9, 1.0)
     dists = [random_two_valued(rng) for _ in range(9)]
     return greedy_descent_quadratic(E, dists), expected_product_poly(E, conditional_spec_quadratic(dists, {}))

@@ -158,6 +158,16 @@ def test_solve_hermitian_point_masses():
     assert res.achieved == 0.0
 
 
+def test_solve_hermitian_rejects_an_empty_ensemble():
+    with pytest.raises(ValueError, match="ensemble must be nonempty"):
+        solve_hermitian([], [])
+
+
+def test_solve_hermitian_rejects_matrices_of_different_sizes():
+    with pytest.raises(ValueError, match="matrix 1 has dim 3, expected 2"):
+        solve_hermitian([diag(1, -1), diag(1, 0, -1)], [FD.fair_signs()] * 2)
+
+
 def test_hermitian_sigma_dominates_lifted_sigma():
     # the block-diagonal lift diag(B+, B-) can only shrink sigma
     from interlace import positive_negative_parts

@@ -228,6 +228,22 @@ def _mixed_distributions(rng, n):
     return dists
 
 
+def _levels(table, dists):
+    """The engine a quadratic descent builds for these variables."""
+    means, variances = zip(*(dist.centered_moments() for dist in dists))
+    return ProductLevels(table, means, variances)
+
+
+def _centered_bound(dists):
+    """Per index, max(1, (v - mu)^2) over its values: it bounds |a|, |b| and
+    |c| of every centered kernel, fixed or free."""
+    bound = []
+    for dist in dists:
+        mu, _ = dist.centered_moments()
+        bound.append(max(1.0, max((v - mu) ** 2 for v in dist.values)))
+    return np.array(bound)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 4),
@@ -406,9 +422,8 @@ def test_product_levels_match_the_full_pass_on_every_branch(d, n):
     E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
     table = SubsetTable.build(E)
     dists = _mixed_distributions(rng, n)
-    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
-    scale = _product_scale(table, d, bound)
-    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    scale = _product_scale(table, d, _centered_bound(dists))
+    levels = _levels(table, dists)
     fixed = {}
     for k in range(n):
         support = dists[k].support()
@@ -429,7 +444,7 @@ def test_product_levels_match_the_ring_oracle(seed):
     d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     E = ensemble([_indefinite(rng, d) for _ in range(n)], tol=np.inf)
     dists = _mixed_distributions(rng, n)
-    levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
+    levels = _levels(SubsetTable.build(E), dists)
     fixed = {}
     for k in range(n):
         for v in dists[k].support():
@@ -455,60 +470,41 @@ def _counting_kernel_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_product_levels_hold_the_contract_on_uncentered_walks(seed, monkeypatch):
-    # Undoing an uncentered kernel scales the error the engine's table
-    # carries by 1 + |ab|/|c - ab|: 17 to 45 for these two-point variables,
-    # whose spread is 0.3 to 0.5 of their value.  The factors compound over
-    # the levels, so the walk must re-anchor.  The point mass with
-    # probability 1 - 2^-53 leaves c - ab a rounding residue, not 0, and
-    # must be read without the inverse.
+def test_product_levels_hold_the_contract_on_uncentered_walks(seed):
+    # The descent centers every variable, so a mean about 100 times the
+    # spread must not cost accuracy.  A point mass with probability
+    # 1 - 2^-53 has a centered value and a variance that are rounding
+    # residues, and an exact point mass a variance of 0.
     rng = np.random.default_rng(300 + seed)
     d, n = 3, 9
     E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
     table = SubsetTable.build(E)
     dists = []
     for _ in range(n):
-        v = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        dists.append(FiniteDistribution.make([v, v + abs(v) * rng.uniform(0.3, 0.5)], [0.5, 0.5]))
-    dists[int(rng.integers(n))] = FiniteDistribution.make([rng.uniform(-2.0, 2.0)], [1.0 - 2.0**-53])
-    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
-    scale = _product_scale(table, d, bound)
-    passes = _counting_kernel_passes(monkeypatch)
-    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
-    fixed, references = {}, 0
+        mean = rng.uniform(50.0, 150.0) * rng.choice([-1.0, 1.0])
+        spread = rng.uniform(0.5, 1.0)
+        dists.append(FiniteDistribution.make([mean - spread, mean + spread], [0.5, 0.5]))
+    near, exact = rng.choice(n, size=2, replace=False)
+    dists[near] = FiniteDistribution.make([rng.uniform(50.0, 150.0)], [1.0 - 2.0**-53])
+    dists[exact] = FiniteDistribution.point_mass(rng.uniform(-150.0, -50.0))
+    scale = _product_scale(table, d, _centered_bound(dists))
+    levels = _levels(table, dists)
+    fixed = {}
     for k in range(n):
         support = dists[k].support()
         for v in support:
             got = np.array(levels.branch(v).coeffs)
             want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
-            references += 1
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
         fixed[k] = support[int(rng.integers(len(support)))]
         levels.commit(fixed[k])
-    assert len(passes) - references > 1  # the engine re-anchored
-
-
-def test_centered_solves_make_one_kernel_pass_per_descent(monkeypatch):
-    # A centered kernel is undone by a pure scaling, so no solver input
-    # without a point mass may re-anchor: one pass builds the engine's
-    # table, and every level after it is read off that table.
-    rng = np.random.default_rng(17)
-    passes = _counting_kernel_passes(monkeypatch)
-    E = trace_capped_ensemble(rng, 3, 8, 1.0)
-    solve_kls(DiscrepancyInstance(E, tuple(random_two_valued(rng) for _ in range(8))))
-    assert len(passes) == 1
-    mats = [_indefinite(rng, 2) for _ in range(6)]
-    solve_hermitian(mats, [FiniteDistribution.fair_signs()] * 6)
-    assert len(passes) == 2
-    lyapunov_select(LyapunovInstance.make(trace_capped_ensemble(rng, 3, 7, 1.0), rng.uniform(0.1, 0.9, 7)))
-    assert len(passes) == 3
 
 
 def test_product_levels_reject_a_level_past_the_last_index():
     rng = np.random.default_rng(4)
     E = ensemble([random_psd(rng, 3) for _ in range(4)], tol=np.inf)
     dists = [FiniteDistribution.fair_signs()] * 4
-    levels = ProductLevels(SubsetTable.build(E), conditional_spec_quadratic(dists, {}))
+    levels = _levels(SubsetTable.build(E), dists)
     for v in (-1.0, 1.0, 1.0):
         levels.commit(v)
     want = expected_product_poly(E, conditional_spec_quadratic(dists, {0: -1.0, 1: 1.0, 2: 1.0, 3: -1.0})).coeffs
@@ -524,19 +520,18 @@ def test_product_levels_reject_a_level_past_the_last_index():
 
 @pytest.mark.parametrize("seed", range(50))
 def test_product_levels_branches_are_exactly_even(seed):
-    # Every kernel of the quadratic family has b = -a, so the (S, T) and
-    # (T, S) terms of an odd coefficient cancel: the engine sums only the
-    # even anti-diagonals, and its branches and their mixture are exactly
-    # even.  The full pass keeps its rounding noise there and stays the
-    # reference for the unchanged coefficient contract.
+    # The (S, T) and (T, S) terms of an odd coefficient cancel, so the
+    # engine sums only the even anti-diagonals of its Gram product, and its
+    # branches and their mixture are exactly even.  The full pass keeps its
+    # rounding noise there and stays the reference for the unchanged
+    # coefficient contract.
     rng = np.random.default_rng(700 + seed)
     d, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
     E = ensemble([random_psd(rng, d) for _ in range(n)], tol=np.inf)
     table = SubsetTable.build(E)
     dists = _mixed_distributions(rng, n)
-    bound = np.array([max(1.0, max(v * v for v in dist.values)) for dist in dists])
-    scale = _product_scale(table, d, bound)
-    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
+    scale = _product_scale(table, d, _centered_bound(dists))
+    levels = _levels(table, dists)
     fixed = {}
     for k in range(n):
         support = dists[k].support()
@@ -554,16 +549,6 @@ def test_product_levels_branches_are_exactly_even(seed):
         levels.commit(fixed[k])
 
 
-@pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.5, 0.5 + 2.0**-52), (0.0, 1.0), (np.nan, np.nan)])
-def test_product_levels_reject_a_kernel_without_b_equal_minus_a(a, b):
-    # the exact cancellation of the odd anti-diagonals needs b == -a
-    rng = np.random.default_rng(5)
-    table = SubsetTable.build([random_psd(rng, 2) for _ in range(3)])
-    spec = DerivativeSpec((0.0, a, -1.0), (0.0, b, 1.0), (-1.0, -1.0, -1.0))
-    with pytest.raises(ValueError, match="b == -a"):
-        ProductLevels(table, spec)
-
-
 def _counting_contractions(monkeypatch):
     """A list that gains one entry per ``_contract_low_bit`` call."""
     calls = []
@@ -577,50 +562,37 @@ def _counting_contractions(monkeypatch):
     return calls
 
 
-def test_product_levels_contract_twice_per_branch_and_never_per_commit(monkeypatch):
-    # a branch contracts its T side and its S side once; the commit keeps
-    # the winner's pair, so a two-candidate level makes 4 contractions
-    rng = np.random.default_rng(9)
-    d, n = 3, 7
-    table = SubsetTable.build([random_psd(rng, d) for _ in range(n)])
-    dists = _mixed_distributions(rng, n)
+def test_solves_contract_once_per_branch_and_never_run_a_kernel_pass(monkeypatch):
+    # Centered kernels need no kernel pass: a branch contracts its value out
+    # of the committed table once, and the commit keeps the winner's table.
+    # Point masses (the weights 0 and 1) are branches like any other.
+    passes = _counting_kernel_passes(monkeypatch)
     calls = _counting_contractions(monkeypatch)
-    levels = ProductLevels(table, conditional_spec_quadratic(dists, {}))
-    blind = ProductLevels(table, conditional_spec_quadratic(dists, {}))
-    for k in range(n):
-        support = dists[k].support()
-        for v in support:
-            before = len(calls)
-            levels.branch(v)
-            assert len(calls) - before == 2
+    branches = []
+    real_branch = ProductLevels.branch
+    monkeypatch.setattr(ProductLevels, "branch", lambda self, v: branches.append(v) or real_branch(self, v))
+    rng = np.random.default_rng(17)
+    solve_kls(DiscrepancyInstance(trace_capped_ensemble(rng, 3, 8, 1.0), tuple(random_two_valued(rng) for _ in range(8))))
+    solve_hermitian([_indefinite(rng, 2) for _ in range(6)], [FiniteDistribution.fair_signs()] * 6)
+    weights = rng.uniform(0.1, 0.9, 7)
+    weights[[2, 5]] = 0.0, 1.0
+    lyapunov_select(LyapunovInstance.make(trace_capped_ensemble(rng, 3, 7, 1.0), weights))
+    assert passes == []
+    # two values for each two-point variable, one for each point mass
+    assert len(branches) == 2 * 8 + 2 * 6 + (2 * 5 + 2)
+    assert len(calls) == len(branches)
+    # a value committed without a branch contracts once, to the same table
+    table = SubsetTable.build([random_psd(rng, 3) for _ in range(5)])
+    dists = _mixed_distributions(rng, 5)
+    levels, blind = _levels(table, dists), _levels(table, dists)
+    for dist in dists:
+        v = dist.support()[0]
+        levels.branch(v)
+        levels.commit(v)
         before = len(calls)
-        levels.commit(support[0])
-        assert len(calls) == before
-        # a value committed without a branch contracts both sides itself,
-        # to the same tables the branch kept
-        blind.commit(support[0])
-        assert len(calls) - before == 2
-        assert np.array_equal(blind._R, levels._R) and np.array_equal(blind._F, levels._F)
-
-
-def _dense_kernels(V, kernels):
-    """Every kernel applied with all four of its terms, zero or not."""
-    rows, bits = len(V), V.shape[1].bit_length() - 1
-    for j, (a, b, c) in enumerate(kernels):
-        view = V.reshape(rows, 1 << (bits - j - 1), 2, 1 << j)
-        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-        lo[...], hi[...] = lo + b * hi, a * lo + c * hi
-
-
-def test_apply_kernels_skips_only_exactly_zero_terms():
-    # skipping a term with coefficient 0 changes at most the sign of a zero
-    rng = np.random.default_rng(12)
-    table = SubsetTable.build([random_psd(rng, 3) for _ in range(6)])
-    kernels = [(-0.0, 0.0, -1.0), (0.0, 1.5, -2.0), (-0.5, 0.0, 0.75), (-0.0, 0.0, -0.0), (0.25, -0.25, 0.0), (-1.0, 1.0, -1.5)]
-    got, want = mixedchar._ranked_table(table), mixedchar._ranked_table(table)
-    mixedchar._apply_kernels(got, kernels)
-    _dense_kernels(want, kernels)
-    assert np.array_equal(got, want)
+        blind.commit(v)
+        assert len(calls) - before == 1
+        assert np.array_equal(blind._R, levels._R)
 
 
 def _partition_table(rng, d, m, coverage):

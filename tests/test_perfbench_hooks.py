@@ -5,6 +5,7 @@ a hooked name would otherwise pass here and silently zero the per-layer
 metrics.  This file only reads perfbench: it loads its tracer by path.
 """
 
+import ast
 import importlib.util
 import inspect
 from collections import Counter
@@ -18,6 +19,7 @@ from interlace.descent import FiniteDistribution, _run_descent
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interlace"
 
 
 def _tracing():
@@ -29,6 +31,31 @@ def _tracing():
 
 def test_every_tracer_hook_resolves():
     assert _tracing().Tracer().absent_hooks == []
+
+
+def _unused_package_imports(path: Path) -> set[str]:
+    """Names a module imports from the package and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("interlace")):
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_package_import_is_used_or_hooked():
+    # A name imported from the package and never used is dead, unless the
+    # tracer rebinds it in that namespace.  __init__ imports only to export.
+    hooked = {(module, attr.split(".")[0]) for _, module, attr in _tracing().HOOKS}
+    dead = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in sorted(_unused_package_imports(path))
+        if (f"interlace.{path.stem}", name) not in hooked
+    ]
+    assert dead == []
 
 
 def test_run_descent_keeps_the_parameters_the_tracer_binds():

@@ -17,7 +17,7 @@ from interlace import (
     root_report,
     root_scaling,
 )
-from interlace.descent import FiniteDistribution, conditional_spec_quadratic
+from interlace.descent import FiniteDistribution
 from interlace.generate import random_psd
 from interlace.mixedchar import ProductLevels
 from interlace.polynomials import _newton_polish
@@ -466,10 +466,8 @@ def test_root_report_solves_an_even_degree_14_row_as_7x7(monkeypatch):
     # an engine branch at d = 7 is one such row
     shapes.clear()
     rng = np.random.default_rng(3)
-    dists = [FiniteDistribution.make([-1.0, 2.0], [0.6, 0.4])] * 8
-    branch = ProductLevels(
-        SubsetTable.build([random_psd(rng, 7) for _ in range(8)]), conditional_spec_quadratic(dists, {})
-    ).branch(2.0)
+    mean, variance = FiniteDistribution.make([-1.0, 2.0], [0.6, 0.4]).centered_moments()
+    branch = ProductLevels(SubsetTable.build([random_psd(rng, 7) for _ in range(8)]), [mean] * 8, [variance] * 8).branch(2.0)
     root_report([branch])
     assert branch.degree == 14 and shapes == [(1, 7, 7)]
 
