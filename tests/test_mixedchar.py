@@ -562,7 +562,7 @@ def _counting_contractions(monkeypatch):
     return calls
 
 
-def test_solves_contract_once_per_branch_and_never_run_a_kernel_pass(monkeypatch):
+def test_centered_solves_make_no_kernel_pass(monkeypatch):
     # Centered kernels need no kernel pass: a branch contracts its value out
     # of the committed table once, and the commit keeps the winner's table.
     # Point masses (the weights 0 and 1) are branches like any other.
@@ -581,16 +581,28 @@ def test_solves_contract_once_per_branch_and_never_run_a_kernel_pass(monkeypatch
     # two values for each two-point variable, one for each point mass
     assert len(branches) == 2 * 8 + 2 * 6 + (2 * 5 + 2)
     assert len(calls) == len(branches)
-    # a value committed without a branch contracts once, to the same table
-    table = SubsetTable.build([random_psd(rng, 3) for _ in range(5)])
-    dists = _mixed_distributions(rng, 5)
+
+
+def test_product_levels_contract_once_per_branch_and_never_per_commit(monkeypatch):
+    # a branch contracts its value out of the committed table once; the
+    # commit keeps the winner's table, so a two-candidate level makes 2
+    rng = np.random.default_rng(9)
+    table = SubsetTable.build([random_psd(rng, 3) for _ in range(7)])
+    dists = _mixed_distributions(rng, 7)
+    calls = _counting_contractions(monkeypatch)
     levels, blind = _levels(table, dists), _levels(table, dists)
     for dist in dists:
-        v = dist.support()[0]
-        levels.branch(v)
-        levels.commit(v)
+        support = dist.support()
+        for v in support:
+            before = len(calls)
+            levels.branch(v)
+            assert len(calls) - before == 1
         before = len(calls)
-        blind.commit(v)
+        levels.commit(support[0])
+        assert len(calls) == before
+        # a value committed without a branch contracts once itself, to the
+        # same table the branch kept
+        blind.commit(support[0])
         assert len(calls) - before == 1
         assert np.array_equal(blind._R, levels._R)
 
