@@ -46,7 +46,8 @@ def _check_probs(values: Sequence, probs: Sequence[float]) -> None:
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Finite-support real random variable (values distinct, probs sum to 1)."""
+    """Finite-support real random variable (values distinct, probs sum to 1);
+    ``deviations()`` centers it for the variance, the specs and the engine."""
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
@@ -86,15 +87,17 @@ class FiniteDistribution:
     def second_moment(self) -> float:
         return float(sum(p * v * v for v, p in zip(self.values, self.probs)))
 
-    def variance(self) -> float:
-        m = self.mean()
-        return max(self.second_moment() - m * m, 0.0)
-
-    def centered_moments(self) -> tuple[float, float]:
-        """(mu, Var) with Var = sum p (v - mu)^2: the moments the centered
-        quadratic family reads, for the level engine and its references alike."""
+    def deviations(self) -> dict[float, float]:
+        """v -> v - E xi in two passes, v - mu and then minus the residual sum p (v - mu):
+        they average to 0 within their own ulps however far mu lies from 0."""
         mu = self.mean()
-        return mu, float(sum(p * (v - mu) * (v - mu) for v, p in zip(self.values, self.probs)))
+        first = [v - mu for v in self.values]
+        residual = sum(p * t for t, p in zip(first, self.probs))
+        return {v: t - residual for v, t in zip(self.values, first)}
+
+    def variance(self) -> float:
+        """sum p d_v^2 over the deviations d_v."""
+        return float(sum(p * t * t for t, p in zip(self.deviations().values(), self.probs)))
 
     def support(self) -> tuple[float, ...]:
         """Values carrying positive probability, ascending."""
@@ -148,24 +151,22 @@ def conditional_spec_quadratic(
     """Operator coefficients of the centered family with a partial
     assignment substituted.
 
-    Index i enters as xi_i - mu_i.  Fixed index with value s, t = s - mu_i:
-    (-t, t, -t^2).  Free index: (0, 0, -Var_i), with Var_i = sum p (v - mu_i)^2.
-    A free kernel is diagonal, so ``ProductLevels`` reads the same
-    polynomials as Gram products of one contracted table, weighted by the
-    products of the free variances; ``expected_product_poly`` with this
-    spec is its reference.
+    Index i enters as xi_i - E xi_i.  Fixed index with value s and deviation
+    t = ``deviations()[s]``: (-t, t, -t^2).  Free index: (0, 0, -``variance()``).
+    A free kernel is diagonal, so ``ProductLevels``, fed the same deviations
+    and variances, reads the same polynomials as Gram products of one
+    contracted table; ``expected_product_poly`` with this spec is its reference.
     """
     triples = []
     for i, dist in enumerate(dists):
-        mu, var = dist.centered_moments()
         if i in fixed:
             s = float(fixed[i])
             if s not in dist.support():
                 raise ValueNotInSupport(f"value {s} not in support of index {i}")
-            t = s - mu
+            t = dist.deviations()[s]
             triples.append((-t, t, -t * t))
         else:
-            triples.append((0.0, 0.0, -var))
+            triples.append((0.0, 0.0, -dist.variance()))
     return DerivativeSpec.from_triples(triples)
 
 
@@ -234,7 +235,7 @@ def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistributi
     over value assignments s.
 
     ``ProductLevels`` serves the branches as Gram products of one contracted
-    table, weighted by the products of the free variances.  The leaf reached
+    table read with the ``deviations()``, weighted by the free variances.  The leaf reached
     satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
     polynomial, which by the norm transfer bound controls
     ||sum (s_i - E xi_i) A_i||.  The assignment holds the given values s_i.
@@ -244,8 +245,7 @@ def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistributi
     for k, H in enumerate(E):
         if not is_psd(H):
             raise NotPSD(f"matrix {k} is not PSD")
-    means, variances = zip(*(dist.centered_moments() for dist in dists))
-    levels = ProductLevels(SubsetTable.build(E), means, variances)
+    levels = ProductLevels(SubsetTable.build(E), [d.deviations() for d in dists], [d.variance() for d in dists])
     return _run_descent(
         num_levels=len(E),
         candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +29,7 @@ class HermitianMatrix:
     """Validated dense d x d complex hermitian matrix.
 
     Construct through :func:`make_hermitian`; the stored array is
-    symmetrized and marked read-only.
+    symmetrized and marked read-only, so the PSD verdict is computed once.
     """
 
     entries: np.ndarray
@@ -43,6 +44,10 @@ class HermitianMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
+
+    @functools.cached_property
+    def psd(self) -> bool:
+        return _psd_spectrum(eigenvalues(self))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -110,7 +115,7 @@ def _psd_spectrum(w: np.ndarray) -> bool:
 
 def is_psd(H) -> bool:
     """PSD test with relative slack on the most negative eigenvalue."""
-    return _psd_spectrum(eigenvalues(H))
+    return as_hermitian(H).psd
 
 
 def positive_negative_parts(H) -> tuple[HermitianMatrix, HermitianMatrix]:

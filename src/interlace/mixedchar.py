@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -190,8 +190,8 @@ class DerivativeSpec:
     """Coefficients of prod_i (1 + a_i d/dz_i + b_i d/dw_i + c_i d/dz_i d/dw_i).
 
     A fixed value s corresponds to (-s, s, -s^2).  The descents' centered
-    family (``conditional_spec_quadratic``) fixes t = s - mu and gives a free
-    variable (0, 0, -Var).
+    family (``conditional_spec_quadratic``) fixes the deviation t of s from
+    the mean and gives a free variable (0, 0, -Var).
     """
 
     a: tuple[float, ...]
@@ -317,17 +317,17 @@ class ProductLevels:
     """Branch polynomials of the centered quadratic family along a descent
     that fixes indices 0, 1, ... in order.
 
-    Index i enters as xi_i - means[i].  ``branch(v)`` is the polynomial with
+    Index i at value v enters as t = deviations[i][v], from
+    ``FiniteDistribution.deviations()``.  ``branch(v)`` is the polynomial with
     the committed values, the next index k set to v and the indices after k
     free, which ``expected_product_poly`` gives for the spec of
     ``descent.conditional_spec_quadratic``; ``commit(v)`` fixes index k to v
-    for good, and the next level is k + 1.  A fixed index with centered value t = v - means[k] has the
-    rank-one kernel [1, -t]^T [1, t], so a commit contracts it out of one
-    rank-graded table R[sigma, U]: sigma is the total rank |T| and U runs
-    over the masks of the indices still free.  The S side is
-    (-1)^(rho - |U|) R, and a free index's kernel diag(1, -variances[i])
-    keeps only the pairs that agree on it, with a sign that cancels the S
-    side's.  So with R_v, R contracted with [1, t] at index k, and
+    for good, and the next level is k + 1.  A fixed index has the rank-one
+    kernel [1, -t]^T [1, t], so a commit contracts it out of one rank-graded
+    table R[sigma, U]: sigma is the total rank |T| and U runs over the masks
+    of the indices still free.  The S side is (-1)^(rho - |U|) R, and a free
+    index's kernel diag(1, -variances[i]) keeps only the pairs that agree on
+    it, with a sign that cancels the S side's.  So with R_v, R contracted with [1, t] at index k, and
     q_U = prod_{i in U} variances[i], a branch is the Gram product
 
         sum_{rho, sigma} (-1)^rho (R_v q R_v^T)[rho, sigma] x^(2d - rho - sigma).
@@ -339,12 +339,12 @@ class ProductLevels:
     commit keeps that value's R_v.
     """
 
-    def __init__(self, table: SubsetTable, means: Sequence[float], variances: Sequence[float]):
-        if not len(means) == len(variances) == table.n:
-            raise ValueError(f"need {table.n} means and variances, got {len(means)} and {len(variances)}")
+    def __init__(self, table: SubsetTable, deviations: Sequence[Mapping[float, float]], variances: Sequence[float]):
+        if not len(deviations) == len(variances) == table.n:
+            raise ValueError(f"need {table.n} deviations and variances, got {len(deviations)} and {len(variances)}")
         self._deg = 2 * table.dim
         self._table = table
-        self._means = means
+        self._deviations = deviations
         self._q = subset_products(variances)  # read at stride 2^(k+1) for the indices after k
         self._next = 0  # the index the next level fixes
         rows = np.arange(min(table.n, table.dim) + 1)
@@ -362,7 +362,7 @@ class ProductLevels:
     def _contract(self, v: float) -> np.ndarray:
         """R with the next index set to v."""
         if v not in self._branched:
-            self._branched[v] = _contract_low_bit(self._R, v - self._means[self._next])
+            self._branched[v] = _contract_low_bit(self._R, self._deviations[self._next][v])
         return self._branched[v]
 
     def branch(self, v: float) -> RealPolynomial:

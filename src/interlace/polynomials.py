@@ -254,11 +254,6 @@ def root_report(polys: Sequence[RealPolynomial], tol: float = DEFAULT_ROOT_TOL) 
     return reports
 
 
-def cauchy_bound(p: RealPolynomial) -> float:
-    lead = abs(p.leading())
-    return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree >= 1 else 1.0
-
-
 class MaxRoot(NamedTuple):
     """Certified enclosure lo < max root < hi."""
 
@@ -324,7 +319,8 @@ def _enclose(polys: Sequence[RealPolynomial], seeds: Sequence[float]) -> list[Ma
     chain = (coeffs * np.copysign(1.0, coeffs[:, -1:]))[:, idx] * weights  # same roots, positive c_n
     abs_chain = np.abs(chain)
     r = np.array(seeds)[:, None]
-    far = np.array([cauchy_bound(p) + 1.0 for p in polys])[:, None]
+    # one past the Cauchy bound 1 + max |c_i| / |c_n| on every root
+    far = (1.0 + np.abs(coeffs[:, :-1]).max(axis=1, keepdims=True) / np.abs(coeffs[:, -1:])) + 1.0
     xs = np.concatenate((-far, (1.0 + np.abs(r)) * _SEED_PATTERN + r, far), axis=1)
     lo, hi = [-math.inf] * len(polys), [math.inf] * len(polys)
     rows = list(range(len(polys)))

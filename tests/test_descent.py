@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from interlace import (
     FiniteDistribution,
@@ -49,10 +52,37 @@ def test_conditional_spec_centered_bernoulli():
 def test_conditional_spec_centers_every_index():
     # mean 2.5, Var = 0.25 * 1.5^2 + 0.75 * 0.5^2 = 0.75
     d = FD.make([1.0, 3.0], [0.25, 0.75])
-    assert d.centered_moments() == (2.5, 0.75)
+    assert (d.mean(), d.deviations(), d.variance()) == (2.5, {1.0: -1.5, 3.0: 0.5}, 0.75)
     spec = conditional_spec_quadratic([d, d], {0: 1.0})
     assert (spec.a, spec.b, spec.c) == ((1.5, 0.0), (-1.5, 0.0), (-2.25, -0.75))
-    assert FD.point_mass(0.7).centered_moments() == (0.7, 0.0)
+    point = FD.point_mass(0.7)
+    assert (point.mean(), point.deviations(), point.variance()) == (0.7, {0.7: 0.0}, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    offset=st.floats(-1e12, 1e12),
+    spread=st.floats(1e-3, 10.0),
+    units=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+    cuts=st.lists(st.integers(1, 2**16 - 1), min_size=4, max_size=4, unique=True),
+)
+def test_deviations_center_values_far_from_zero(offset, spread, units, cuts):
+    # probabilities on a 2^-16 grid sum to exactly 1, so the exact mean is
+    # the rational sum p v; E xi^2 - mu^2 cancels here by up to 3.7e14 relative
+    values = [offset + spread * u for u in units]
+    assume(len(set(values)) == len(values))
+    edges = [0, *sorted(cuts[: len(values) - 1]), 2**16]
+    probs = [(b - a) / 2**16 for a, b in zip(edges, edges[1:])]
+    dist = FD.make(values, probs)
+    exact = [(Fraction(v), Fraction(p)) for v, p in zip(values, probs)]
+    mu = sum(p * v for v, p in exact)
+    var = sum(p * (v - mu) ** 2 for v, p in exact)
+    eps = np.finfo(float).eps
+    assert abs(Fraction(dist.variance()) - var) <= 16 * eps * var  # 3.6e-15; 5.7e-16 seen
+    dev = dist.deviations()
+    assert list(dev) == list(dist.values)  # keyed by the given values
+    residual = sum(p * Fraction(dev[float(v)]) for v, p in exact)
+    assert abs(residual) <= 8 * eps * max(abs(t) for t in dev.values())  # 2.2e-16 seen
 
 
 def test_conditional_spec_rejects_foreign_value():

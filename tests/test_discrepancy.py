@@ -8,6 +8,7 @@ from interlace import (
     FiniteDistribution,
     NotPSD,
     ensemble,
+    greedy_descent_quadratic,
     sigma_bound,
     solve_hermitian,
     solve_kls,
@@ -204,3 +205,39 @@ def test_hermitian_sigma_is_sigma_bound_of_absolute_values():
         dists = [random_two_valued(rng) for _ in range(m)]
         absolute = DiscrepancyInstance.make([absolute_value(B) for B in mats], dists)
         assert solve_hermitian(mats, dists).sigma == sigma_bound(absolute)
+
+
+def _indices(values, dists):
+    return [dist.values.index(v) for v, dist in zip(values, dists)]
+
+
+@pytest.mark.parametrize("c", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_solve_far_from_zero_matches_the_centered_solve(c):
+    # the stored values move by up to ulp(c), about 2e-6 at 1e10; a
+    # single-pass centering fails the level-1 mixture check from c = 1e6 on
+    E = trace_capped_ensemble(np.random.default_rng(1), 3, 5, 1.0)
+    near = [FD.make([-1.3, 0.9], [0.3, 0.7])] * 5
+    far = [FD.make([c - 1.3, c + 0.9], [0.3, 0.7])] * 5
+    want, got = solve_kls(inst(E, near)), solve_kls(inst(E, far))
+    assert _indices(got.outcome, far) == _indices(want.outcome, near)
+    assert got.sigma == pytest.approx(want.sigma, rel=1e-5)
+    assert got.achieved <= got.bound
+    leaf = greedy_descent_quadratic(E, far).assignment
+    assert _indices(leaf, far) == _indices(greedy_descent_quadratic(E, near).assignment, near)
+
+
+def test_sigma_of_values_far_from_zero_is_the_centered_sigma():
+    # uniform on {1e8 - 1, 1e8 + 1}: E xi^2 - mu^2 cancels to 0 here
+    E = trace_capped_ensemble(np.random.default_rng(1), 3, 5, 1.0)
+    res = solve_kls(inst(E, [FD.make([1e8 - 1.0, 1e8 + 1.0], [0.5, 0.5])] * 5))
+    assert res.sigma == pytest.approx(solve_kls(inst(E, [FD.fair_signs()] * 5)).sigma, rel=1e-12)
+    assert res.sigma == pytest.approx(0.6788205, abs=1e-7)
+    assert res.achieved <= res.bound
+
+
+def test_deviations_keep_values_that_center_alike():
+    # 0 and 1e-20 are distinct values with equal centered values up to
+    # rounding; the deviations stay keyed by the given values
+    E = trace_capped_ensemble(np.random.default_rng(1), 3, 3, 1.0)
+    dists = [FD.make([0.0, 1e-20, 1.0], [0.3, 0.3, 0.4]), FD.fair_signs(), FD.fair_signs()]
+    assert solve_kls(inst(E, dists), reduce=False).outcome == (0.0, 1.0, -1.0)

@@ -3,6 +3,8 @@ import pytest
 
 from interlace import (
     EmptyMatrix,
+    FiniteDistribution,
+    LyapunovInstance,
     NotContraction,
     NotHermitian,
     NotPSD,
@@ -10,13 +12,15 @@ from interlace import (
     eigenvalues,
     ensemble,
     ensemble_stats,
+    lyapunov_select,
     make_hermitian,
     operator_norm,
     positive_negative_parts,
     rank_one_completion,
+    solve_hermitian,
 )
-from interlace.generate import random_psd
-from interlace.linalg import MAX_INDICES, absolute_value, weighted_sum
+from interlace.generate import random_psd, trace_capped_ensemble
+from interlace.linalg import MAX_INDICES, absolute_value, is_psd, weighted_sum
 
 
 def test_make_hermitian_identity_case():
@@ -203,6 +207,25 @@ def test_rank_one_completion_takes_the_psd_verdict_from_its_own_eigh(monkeypatch
     assert len(got) == len(want) > 0
     for B, C in zip(got, want):
         np.testing.assert_array_equal(B.entries, C.entries)
+
+
+def test_psd_verdict_is_computed_once_per_matrix(monkeypatch):
+    # every check site still asks is_psd, but a matrix is eigensolved for its
+    # verdict only once, on first use
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(np.shape(a)) or eigvalsh(a, *args))
+    H = make_hermitian(np.diag([1.0, -1e-3]))
+    assert not is_psd(H) and not is_psd(H) and len(calls) == 1
+    assert not is_psd(np.diag([1.0, -1e-3])) and len(calls) == 2  # a plain array has no verdict to keep
+    inst = LyapunovInstance.make(trace_capped_ensemble(np.random.default_rng(0), 3, 6, 0.5).matrices, [0.5] * 6)
+    calls.clear()
+    lyapunov_select(inst)
+    assert len(calls) == 3  # sigma, the table's one batched solve and the achieved norm
+    mats = [np.diag([1.0, -0.5]) + 0.1 * k * np.array([[0.0, 1.0], [1.0, 0.0]]) for k in range(4)]
+    calls.clear()
+    solve_hermitian(mats, [FiniteDistribution.fair_signs()] * 4)
+    assert len(calls) == 9  # the four lifts are checked once each
 
 
 def test_ensemble_stats_examples():

@@ -230,18 +230,13 @@ def _mixed_distributions(rng, n):
 
 def _levels(table, dists):
     """The engine a quadratic descent builds for these variables."""
-    means, variances = zip(*(dist.centered_moments() for dist in dists))
-    return ProductLevels(table, means, variances)
+    return ProductLevels(table, [dist.deviations() for dist in dists], [dist.variance() for dist in dists])
 
 
 def _centered_bound(dists):
-    """Per index, max(1, (v - mu)^2) over its values: it bounds |a|, |b| and
+    """Per index, max(1, t^2) over its deviations t: it bounds |a|, |b| and
     |c| of every centered kernel, fixed or free."""
-    bound = []
-    for dist in dists:
-        mu, _ = dist.centered_moments()
-        bound.append(max(1.0, max((v - mu) ** 2 for v in dist.values)))
-    return np.array(bound)
+    return np.array([max(1.0, max(t * t for t in dist.deviations().values())) for dist in dists])
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,12 +2,15 @@
 
 perfbench/test_smoke.py lies outside this suite's testpaths, so a rename of
 a hooked name would otherwise pass here and silently zero the per-layer
-metrics.  This file only reads perfbench: it loads its tracer by path.
+metrics.  This file only reads perfbench: it loads its tracer and its
+workloads by path.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from interlace.descent import FiniteDistribution, _run_descent
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interlace"
 
 
@@ -27,6 +31,21 @@ def _tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_checker_accepts_every_tiny_workload(monkeypatch):
+    # the benchmark re-checks each solve itself, reading dist.variance() for
+    # sigma, so a change that makes it reject outputs fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    for name, cells in module.TINY.items():
+        workload = dataclasses.replace(module.WORKLOADS[name], cells=cells, passes=2)
+        for seed in (7, 21):
+            for case in [case for cases in module.build_pool(workload, seed) for case in cases]:
+                ratio, _ = module.verify(case, module.solve(case))
+                assert 0.0 <= ratio <= 1.0
 
 
 def test_every_tracer_hook_resolves():

@@ -466,8 +466,9 @@ def test_root_report_solves_an_even_degree_14_row_as_7x7(monkeypatch):
     # an engine branch at d = 7 is one such row
     shapes.clear()
     rng = np.random.default_rng(3)
-    mean, variance = FiniteDistribution.make([-1.0, 2.0], [0.6, 0.4]).centered_moments()
-    branch = ProductLevels(SubsetTable.build([random_psd(rng, 7) for _ in range(8)]), [mean] * 8, [variance] * 8).branch(2.0)
+    dist = FiniteDistribution.make([-1.0, 2.0], [0.6, 0.4])
+    table = SubsetTable.build([random_psd(rng, 7) for _ in range(8)])
+    branch = ProductLevels(table, [dist.deviations()] * 8, [dist.variance()] * 8).branch(2.0)
     root_report([branch])
     assert branch.degree == 14 and shapes == [(1, 7, 7)]
 
