@@ -230,24 +230,20 @@ def _run_descent(
     return DescentCertificate(tuple(assignment), tuple(chain), tuple(margins))
 
 
-def greedy_descent_quadratic(E: MatrixEnsemble, dists: Sequence[FiniteDistribution]) -> DescentCertificate:
+def greedy_descent_quadratic(table: SubsetTable, dists: Sequence[FiniteDistribution]) -> DescentCertificate:
     """Descend the centered product family mu[t A] * mu[-t A], t_i = s_i - E xi_i,
     over value assignments s.
 
-    ``ProductLevels`` serves the branches as Gram products of one contracted
-    table read with the ``deviations()``, weighted by the free variances.  The leaf reached
+    ``table`` must come from PSD matrices, as ``DiscrepancyInstance``
+    validates; c_S lambda^|S| is the family of lambda t.  ``ProductLevels``
+    serves the branches from it and the ``deviations()``.  The leaf reached
     satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
     polynomial, which by the norm transfer bound controls
     ||sum (s_i - E xi_i) A_i||.  The assignment holds the given values s_i.
     """
-    if len(dists) != len(E):
-        raise ValueError("one distribution per matrix required")
-    for k, H in enumerate(E):
-        if not is_psd(H):
-            raise NotPSD(f"matrix {k} is not PSD")
-    levels = ProductLevels(SubsetTable.build(E), [d.deviations() for d in dists], [d.variance() for d in dists])
+    levels = ProductLevels(table, [d.deviations() for d in dists], [d.variance() for d in dists])
     return _run_descent(
-        num_levels=len(E),
+        num_levels=table.n,
         candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),
         branch_poly=levels.branch,
         commit=levels.commit,

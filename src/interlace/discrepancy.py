@@ -1,8 +1,8 @@
 """End-to-end discrepancy solvers for PSD and hermitian ensembles.
 
 Given jointly independent finite-support variables xi_i and PSD matrices
-A_i, the solver rescales the variables, descends the centered product
-interlacing family, and returns an outcome with
+A_i, the solver scales the c_S table by sigma^(-|S|), descends the centered
+product interlacing family on the given values, and returns an outcome with
 
     || sum_i (s_i - E[xi_i]) A_i ||  <=  4 sigma,
 
@@ -13,13 +13,13 @@ negative parts at the cost of a factor 2 in the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .descent import DescentCertificate, FiniteDistribution, greedy_descent_quadratic
-from .errors import NotPSD
+from .errors import NotPSD, NumericalFailure
 from .linalg import (
     MatrixEnsemble,
     ensemble as as_ensemble,
@@ -29,6 +29,7 @@ from .linalg import (
     positive_negative_parts,
     weighted_sum,
 )
+from .mixedchar import SubsetTable
 from .polynomials import MaxRoot
 
 
@@ -83,34 +84,30 @@ def two_point_reduction(dist: FiniteDistribution) -> FiniteDistribution:
     """Shift probability mass to the support values bracketing the mean.
 
     Preserves the mean, never increases the variance, and keeps values in
-    the original positive-probability support.  A mean landing on a support
-    point collapses to the point mass there.
+    the original positive-probability support.  Values are bracketed by the
+    sign of their ``deviations()`` d_v; a support value with |d_v| <= 1e-12
+    max |d_v| collapses the variable to the point mass there.
     """
-    mu = dist.mean()
     support = dist.support()
     if len(support) <= 2:
         if len(support) == len(dist.values):
             return dist
         keep = [(v, p) for v, p in zip(dist.values, dist.probs) if p > 0]
         return FiniteDistribution.make([v for v, _ in keep], [p for _, p in keep])
-    scale = max(1.0, max(abs(v) for v in support))
+    dev = dist.deviations()
+    spread = max(abs(dev[v]) for v in support)
     for v in support:
-        if abs(v - mu) <= 1e-12 * scale:
+        if abs(dev[v]) <= 1e-12 * spread:
             return FiniteDistribution.point_mass(v)
-    lower = max(v for v in support if v < mu)
-    upper = min(v for v in support if v > mu)
-    p_low = (upper - mu) / (upper - lower)
+    lower = max(v for v in support if dev[v] < 0.0)
+    upper = min(v for v in support if dev[v] > 0.0)
+    p_low = dev[upper] / (dev[upper] - dev[lower])
     return FiniteDistribution.make([lower, upper], [p_low, 1.0 - p_low])
 
 
 def _degenerate_outcome(dists: Sequence[FiniteDistribution]) -> tuple[float, ...]:
-    out = []
-    for dist in dists:
-        support = dist.support()
-        mu = dist.mean()
-        best = min(support, key=lambda v: (abs(v - mu), v))
-        out.append(best)
-    return tuple(out)
+    devs = [dist.deviations() for dist in dists]
+    return tuple(min(dist.support(), key=lambda v: (abs(dev[v]), v)) for dist, dev in zip(dists, devs))
 
 
 def _recompute_achieved(
@@ -122,29 +119,29 @@ def _recompute_achieved(
 def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResult:
     """Constructive 4-sigma discrepancy for PSD ensembles.
 
-    Optionally reduces every variable to two points, rescales it by
-    1/sigma, and runs the quadratic greedy descent, which centers it.  With
-    sigma = 0 the instance is deterministic (or supported on zero matrices)
-    and the answer is immediate with achieved = 0.
+    Optionally reduces every variable to two points, scales the table by
+    sigma^(-|S|) (the family of t / sigma, on the scale of ``TIE_TOL``) and
+    descends on the given values.  With sigma = 0 the instance is
+    deterministic (or supported on zero matrices) and the answer is
+    immediate with achieved = 0; a sigma^2 that underflows to 0 on a
+    varying variable raises NumericalFailure.
     """
     dists = tuple(two_point_reduction(d) for d in inst.dists) if reduce else inst.dists
     sigma = _sigma(inst.ensemble, dists)
     m = len(inst.ensemble)
     if sigma == 0.0:
+        if any(len(dist.support()) > 1 and H.trace() != 0.0 for dist, H in zip(dists, inst.ensemble)):
+            raise NumericalFailure("sigma^2 underflows to 0 on a variable with two or more support values")
         outcome = _degenerate_outcome(dists)
         achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
         cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (m + 1), (np.inf,) * m)
         return DiscrepancyResult(outcome, achieved, 0.0, 0.0, cert)
-    scaled = []
-    back = []
-    for dist in dists:
-        vals = tuple(v / sigma for v in dist.values)
-        scaled.append(FiniteDistribution(vals, dist.probs))
-        back.append({w: v for w, v in zip(vals, dist.values)})
-    cert = greedy_descent_quadratic(inst.ensemble, scaled)
-    outcome = tuple(back[i][w] for i, w in enumerate(cert.assignment))
-    achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
-    return DiscrepancyResult(outcome, achieved, sigma, 4.0 * sigma, cert)
+    table = SubsetTable.build(inst.ensemble)
+    power = sigma ** -np.arange(table.dim + 1.0)  # c_S = 0 for |S| > d, where sigma^-|S| may overflow
+    scaled = replace(table, coeffs=table.coeffs * power[np.minimum(table.sizes, table.dim)])
+    cert = greedy_descent_quadratic(scaled, dists)
+    achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, cert.assignment)
+    return DiscrepancyResult(cert.assignment, achieved, sigma, 4.0 * sigma, cert)
 
 
 def solve_hermitian(

@@ -53,7 +53,7 @@ a branch's coefficients are binomial-weighted sums of the rank product
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -318,11 +318,13 @@ class ProductLevels:
     that fixes indices 0, 1, ... in order.
 
     Index i at value v enters as t = deviations[i][v], from
-    ``FiniteDistribution.deviations()``.  ``branch(v)`` is the polynomial with
-    the committed values, the next index k set to v and the indices after k
-    free, which ``expected_product_poly`` gives for the spec of
-    ``descent.conditional_spec_quadratic``; ``commit(v)`` fixes index k to v
-    for good, and the next level is k + 1.  A fixed index has the rank-one
+    ``FiniteDistribution.deviations()``, in units of a power of two near its
+    standard deviation: exact, so each branch is bit for bit the unscaled one,
+    and the table and the products of the free variances stay in range.
+    ``branch(v)`` is the polynomial with the committed values, the next index
+    k set to v and the indices after k free, which ``expected_product_poly``
+    gives for the spec of ``descent.conditional_spec_quadratic``;
+    ``commit(v)`` fixes index k to v for good, and the next level is k + 1.  A fixed index has the rank-one
     kernel [1, -t]^T [1, t], so a commit contracts it out of one rank-graded
     table R[sigma, U]: sigma is the total rank |T| and U runs over the masks
     of the indices still free.  The S side is (-1)^(rho - |U|) R, and a free
@@ -344,15 +346,19 @@ class ProductLevels:
             raise ValueError(f"need {table.n} deviations and variances, got {len(deviations)} and {len(variances)}")
         self._deg = 2 * table.dim
         self._table = table
-        self._deviations = deviations
-        self._q = subset_products(variances)  # read at stride 2^(k+1) for the indices after k
+        exps = [math.frexp(v)[1] // 2 for v in variances]  # 2^e_i: sqrt(variances[i]) within a factor 2
+        shift = np.zeros(1 << table.n, dtype=np.int64)  # sum of e_i over each mask
+        for i, e in enumerate(exps):
+            shift[1 << i : 2 << i] = shift[: 1 << i] + e
+        self._deviations = [{v: math.ldexp(t, -e) for v, t in dev.items()} for dev, e in zip(deviations, exps)]
+        self._q = subset_products([math.ldexp(v, -2 * e) for v, e in zip(variances, exps)])  # at stride 2^(k+1)
         self._next = 0  # the index the next level fixes
         rows = np.arange(min(table.n, table.dim) + 1)
         ranks = rows[:, None] + rows
         self._even = (ranks % 2 == 0).ravel()
         self._ranks = ranks.ravel()[self._even]
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
-        self._R = _ranked_table(table)
+        self._R = _ranked_table(replace(table, coeffs=np.ldexp(table.coeffs, shift)))
         self._branched: dict[float, np.ndarray] = {}  # this level's R_v per branched v
 
     def _check_open(self) -> None:

@@ -426,7 +426,7 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
         m = int(rng.integers(2, 9))
         ens = trace_capped_ensemble(rng, d, m, 1.0)
         dists = [random_two_valued(rng) for _ in range(m)]
-        cert = greedy_descent_quadratic(ens, dists)
+        cert = greedy_descent_quadratic(SubsetTable.build(ens), dists)
         worst = max(worst, max(cert.residuals))
     out.append(_result("descent-maxroot-monotone", worst, TOL_ROOT))
 
@@ -443,7 +443,7 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
             [expected_product_poly(ens, conditional_spec_quadratic(dists, {}), table)],
             rootedness_tol=TOL_ROOTED,
         )[0].hi
-        cert = greedy_descent_quadratic(ens, dists)
+        cert = greedy_descent_quadratic(table, dists)
         worst = max(worst, cert.maxroots[-1] - root_mr)
         leaves = [
             expected_product_poly(ens, conditional_spec_quadratic(dists, dict(enumerate(combo))), table)
@@ -463,7 +463,7 @@ def suite_descent(seed: int = 0, count: int = 100) -> list[CheckResult]:
         dists = [random_two_valued(rng) for _ in range(m)]
         perm = rng.permutation(m)
         ens_p = MatrixEnsemble(tuple(ens.matrices[i] for i in perm))
-        cert = greedy_descent_quadratic(ens_p, [dists[i] for i in perm])
+        cert = greedy_descent_quadratic(SubsetTable.build(ens_p), [dists[i] for i in perm])
         worst = max(worst, max(cert.residuals))
     out.append(_result("descent-permuted-indices", worst, TOL_ROOT))
 

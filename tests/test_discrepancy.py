@@ -7,6 +7,7 @@ from interlace import (
     DiscrepancyInstance,
     FiniteDistribution,
     NotPSD,
+    NumericalFailure,
     ensemble,
     greedy_descent_quadratic,
     sigma_bound,
@@ -15,6 +16,7 @@ from interlace import (
     two_point_reduction,
 )
 from interlace.generate import random_psd, random_two_valued, trace_capped_ensemble
+from interlace.mixedchar import SubsetTable
 
 FD = FiniteDistribution
 
@@ -70,6 +72,20 @@ def test_two_point_mean_on_support():
     assert r.values == (1.0,)
 
 
+def test_two_point_collapses_by_the_spread_not_the_offset():
+    # mean 1e8 + 2.5e-5 lies 2.5e-5 from 1e8 + 5e-5: within 1e-12 of the
+    # offset, yet far from it on the spread, so the bracket stays
+    dist = FD.make([1e8 - 1.0, 1e8 + 5e-5, 1e8 + 1.0], [0.25, 0.5, 0.25])
+    r = two_point_reduction(dist)
+    assert r.values == (1e8 - 1.0, 1e8 + 5e-5)
+    assert r.mean() == pytest.approx(dist.mean(), rel=0.0, abs=1e-7)
+    assert r.variance() == pytest.approx(2.5e-5, rel=1e-3)  # 1e8 + 5e-5 is stored to 1.5e-8
+    E = trace_capped_ensemble(np.random.default_rng(1), 3, 2, 1.0)
+    res = solve_kls(inst(E, [dist] * 2))
+    assert res.sigma == pytest.approx(sigma_bound(inst(E, [r] * 2)), rel=1e-12)
+    assert 0.0 < res.achieved <= res.bound
+
+
 def test_two_point_drops_zero_probability_values():
     r = two_point_reduction(FD.make([0.0, 5.0, 1.0], [0.25, 0.0, 0.75]))
     assert r.values == (0.0, 1.0) and r.probs == (0.25, 0.75)
@@ -95,6 +111,37 @@ def test_solve_kls_all_point_masses():
     assert res.achieved == 0.0
     assert res.outcome == (2.0, -1.0)
     assert res.certificate.residuals == (0.0, 0.0)
+
+
+def test_solve_kls_zero_matrices_keep_the_degenerate_answer():
+    res = solve_kls(inst([np.zeros((2, 2)), diag(1, 0)], [FD.fair_signs(), FD.point_mass(0.5)]))
+    assert (res.sigma, res.bound, res.achieved, res.outcome) == (0.0, 0.0, 0.0, (-1.0, 0.5))
+
+
+def test_solve_kls_raises_when_sigma_underflows():
+    # the exact variance 1.6e-369 lies below the smallest double
+    E = trace_capped_ensemble(np.random.default_rng(1), 3, 3, 1.0)
+    with pytest.raises(NumericalFailure):
+        solve_kls(inst(E, [FD.make([0.0, 8.072794129396667e-185], [0.5, 0.5])] * 3))
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+@pytest.mark.parametrize("part", ["values", "matrices"])
+def test_solve_kls_reads_any_scale_of_values_and_matrices(part, scale):
+    # the table carries sigma^-|S| and the engine reads each index in units
+    # near its standard deviation, so neither the table nor the products of
+    # 14 free variances leave the double range
+    E = trace_capped_ensemble(np.random.default_rng(3), 4, 14, 1.0)
+    values, mats = (scale, 1.0) if part == "values" else (1.0, scale)
+
+    def solve(v, c):
+        return solve_kls(inst([c * H.entries for H in E], [FD.make([-v, 2 * v], [2 / 3, 1 / 3])] * 14))
+
+    want, got = solve(1.0, 1.0), solve(values, mats)
+    assert np.array_equal(np.sign(got.outcome), np.sign(want.outcome))
+    assert np.allclose(got.certificate.maxroots, want.certificate.maxroots, rtol=0.0, atol=1e-9)
+    assert got.sigma == pytest.approx(values * mats * want.sigma, rel=1e-12)
+    assert got.achieved <= got.bound
 
 
 def test_solve_kls_outcomes_have_positive_probability():
@@ -222,8 +269,8 @@ def test_solve_far_from_zero_matches_the_centered_solve(c):
     assert _indices(got.outcome, far) == _indices(want.outcome, near)
     assert got.sigma == pytest.approx(want.sigma, rel=1e-5)
     assert got.achieved <= got.bound
-    leaf = greedy_descent_quadratic(E, far).assignment
-    assert _indices(leaf, far) == _indices(greedy_descent_quadratic(E, near).assignment, near)
+    leaf = greedy_descent_quadratic(SubsetTable.build(E), far).assignment
+    assert _indices(leaf, far) == _indices(greedy_descent_quadratic(SubsetTable.build(E), near).assignment, near)
 
 
 def test_sigma_of_values_far_from_zero_is_the_centered_sigma():
@@ -241,3 +288,14 @@ def test_deviations_keep_values_that_center_alike():
     E = trace_capped_ensemble(np.random.default_rng(1), 3, 3, 1.0)
     dists = [FD.make([0.0, 1e-20, 1.0], [0.3, 0.3, 0.4]), FD.fair_signs(), FD.fair_signs()]
     assert solve_kls(inst(E, dists), reduce=False).outcome == (0.0, 1.0, -1.0)
+
+
+def test_solve_keeps_values_that_scale_alike():
+    # the two first values divided by sigma = 0.62299 round to one double;
+    # the descent reads the given values, so they stay distinct
+    E = trace_capped_ensemble(np.random.default_rng(1), 3, 3, 1.0)
+    close = FD.make([-0.7015088565858767, -0.7015088565858766, 1.0], [0.3, 0.3, 0.4])
+    res = solve_kls(inst(E, [close, FD.fair_signs(), FD.fair_signs()]), reduce=False)
+    assert res.sigma == pytest.approx(0.62299, abs=1e-5)
+    assert res.outcome[0] in close.support()
+    assert res.achieved <= res.bound

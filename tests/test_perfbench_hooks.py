@@ -33,19 +33,66 @@ def _tracing():
     return module
 
 
-def test_benchmark_checker_accepts_every_tiny_workload(monkeypatch):
-    # the benchmark re-checks each solve itself, reading dist.variance() for
-    # sigma, so a change that makes it reject outputs fails here first
+def _workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
     spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_checker_accepts_every_tiny_workload(monkeypatch):
+    # the benchmark re-checks each solve itself, reading dist.variance() for
+    # sigma, so a change that makes it reject outputs fails here first
+    module = _workloads(monkeypatch)
     for name, cells in module.TINY.items():
         workload = dataclasses.replace(module.WORKLOADS[name], cells=cells, passes=2)
         for seed in (7, 21):
             for case in [case for cases in module.build_pool(workload, seed) for case in cases]:
                 ratio, _ = module.verify(case, module.solve(case))
                 assert 0.0 <= ratio <= 1.0
+
+
+def _skewed(rng, offset, count):
+    values = offset + np.sort(rng.uniform(-2.0, 2.0, count))
+    probs = rng.dirichlet(np.full(count, 0.5))
+    return FiniteDistribution.make(values, probs / probs.sum())
+
+
+def _skewed_inputs() -> dict:
+    # every kls workload draws two-point signs, so the reduction and the
+    # centering far from 0 run only here
+    signs = FiniteDistribution.fair_signs()
+    inputs = {
+        "collapse": (
+            trace_capped_ensemble(np.random.default_rng(1), 3, 2, 1.0),
+            [FiniteDistribution.make([1e8 - 1.0, 1e8 + 5e-5, 1e8 + 1.0], [0.25, 0.5, 0.25])] * 2,
+        ),
+        "adjacent": (
+            trace_capped_ensemble(np.random.default_rng(1), 3, 3, 1.0),
+            [FiniteDistribution.make([-0.7015088565858767, -0.7015088565858766, 1.0], [0.3, 0.3, 0.4]), signs, signs],
+        ),
+    }
+    rng = np.random.default_rng(29)
+    for label, offset in (("0", 0.0), ("1e4", 1e4), ("1e8", 1e8)):
+        dists = [_skewed(rng, offset, int(rng.integers(3, 5))) for _ in range(4)]
+        inputs[f"offset-{label}"] = (trace_capped_ensemble(rng, 3, 4, 1.0), dists)
+    return inputs
+
+
+@pytest.mark.parametrize("name", _skewed_inputs())
+def test_benchmark_checker_accepts_skewed_variables(monkeypatch, name):
+    # The checker's bound is 4 sigma of the variables in its case, so the
+    # solve on the given values is checked against them, and the reduced
+    # solve against the reduced variables, which must keep the given means.
+    module = _workloads(monkeypatch)
+    E, dists = _skewed_inputs()[name]
+    given = DiscrepancyInstance(E, tuple(dists))
+    reduced = DiscrepancyInstance(E, tuple(discrepancy.two_point_reduction(dist) for dist in dists))
+    solves = ((given, discrepancy.solve_kls(given, reduce=False)), (reduced, discrepancy.solve_kls(given)))
+    for case_inst, res in solves:
+        ratio, _ = module.verify(module.Case("kls", (E.dim, len(E)), (case_inst,)), res)
+        assert 0.0 < ratio <= 1.0
 
 
 def test_every_tracer_hook_resolves():
