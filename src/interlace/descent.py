@@ -4,10 +4,13 @@ Every descent walks an assignment tree level by level.  At each level the
 conditional expected polynomial of every positive-probability branch is
 evaluated; since the parent polynomial is their probability mixture and the
 family is interlacing, some branch has max root at most the parent's.  The
-branch with the least certified upper end is taken (ties break to the
-smallest value, respectively the lowest index) and the chain of max-root
-enclosures is recorded as a certificate.  Level 0's mixture is the root
-polynomial; each later level's must match the branch committed before it.
+branch with the least polished companion max root is taken, winning only by
+more than TIE_TOL (ties break to the smallest value, respectively the lowest
+index).  Level 0's mixture is the root polynomial; each later level's must
+match the branch committed before it.  After the last level one stacked
+``maxroot_certified`` call encloses every level's rows, and the chain of
+enclosures is recorded as a certificate; a decision that the certified ends
+contradict raises NumericalFailure naming its level.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import numpy as np
 
 from .errors import NotPSD, NotRealRooted, NumericalFailure, ValueNotInSupport
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
-# expected_product_poly and root_report are unused here but kept for
-# perfbench's tracer, which hooks this namespace.
+# expected_product_poly is unused here but kept for perfbench's tracer,
+# which hooks this namespace.
 from .mixedchar import DerivativeSpec, ProductLevels, SubsetTable, expected_product_poly, mixed_char_poly  # noqa: F401
-from .polynomials import MaxRoot, RealPolynomial, maxroot_certified, root_report  # noqa: F401
+from .polynomials import MaxRoot, RealPolynomial, maxroot_certified, root_report
 
 TIE_TOL = 1e-9
 ROOTEDNESS_TOL = 1e-7
@@ -89,7 +92,9 @@ class FiniteDistribution:
 
     def deviations(self) -> dict[float, float]:
         """v -> v - E xi in two passes, v - mu and then minus the residual sum p (v - mu):
-        they average to 0 within their own ulps however far mu lies from 0."""
+        they average to 0 within their own ulps however far mu lies from 0,
+        |sum p d_v| <= 8 eps max |d_v| + len(values) 2^-1074, the floor for
+        deviations below the smallest normal double."""
         mu = self.mean()
         first = [v - mu for v in self.values]
         residual = sum(p * t for t, p in zip(first, self.probs))
@@ -115,10 +120,13 @@ class DescentCertificate:
     """Audit trail: chosen branch per level and the max-root enclosures.
 
     enclosures has one entry for the root polynomial (level 0's mixture)
-    followed by the chosen branch's per level.  margins[k] is the runner-up's
-    hi minus the chosen hi at level k (inf when the level has one candidate).  A margin may be
-    negative within TIE_TOL: a branch wins only by more than TIE_TOL, so a
-    tie goes to the earlier candidate even when its hi is a few ulps higher.
+    followed by the chosen branch's per level, all from one stacked
+    ``maxroot_certified`` call after the descent.  margins[k] is the least
+    rival hi minus the chosen hi at level k (inf when the level has one
+    candidate).  The branch was chosen by its companion max root, winning only
+    by more than TIE_TOL, so a tie goes to the earlier candidate and a margin
+    may be negative within TIE_TOL; a chosen lo more than TIE_TOL above a
+    rival's hi is refused with NumericalFailure.
     """
 
     assignment: tuple
@@ -179,69 +187,91 @@ def _run_descent(
     """Shared greedy loop; candidates(k) yields (candidate, probability) in tie order.
 
     Level k reads branch_poly(cand) for each candidate, the polynomial with
-    the committed levels, k set to cand and the rest free, certifies the
-    level's branches as one stack, and then calls commit(best) once.
-    Branches are ranked by the certified upper end of their max root.  The
-    branches mix to their parent: level 0's mixture is the root polynomial,
-    certified as one more row after the branches, and a later level whose
-    mixture misses the branch committed before it by more than MIXTURE_TOL
-    raises NumericalFailure.  A polynomial that is not real-rooted aborts
-    the descent, with the first such branch in tie order or the root, before
-    its level commits.
+    the committed levels, k set to cand and the rest free, takes one
+    ``root_report`` of the level's branches as one stack, and then calls
+    commit(best) once.  Branches are ranked by their polished companion max
+    root, and a branch wins only by more than TIE_TOL.  The branches mix to
+    their parent: level 0's mixture is the root polynomial, one more row
+    of level 0's stack, and a later level whose mixture misses the branch
+    committed before it by more than MIXTURE_TOL raises NumericalFailure.
+    A polynomial that is not real-rooted aborts the descent, with the first
+    such branch in tie order or the root, before its level commits.
+
+    After the last level one ``maxroot_certified`` call, seeded from the
+    reports already taken, encloses every level's rows; each enclosure is
+    the one its level's stack would get alone.  The chain and the margins
+    are read from the certified ends.  NumericalFailure names the level of
+    an uncertified enclosure, or of a decision the enclosures contradict:
+    a chosen lo more than TIE_TOL above a rival's hi.
     """
-    assignment, margins, chain = [], [], []
+    assignment, stack, reports, levels = [], [], [], []
+    for level in range(num_levels):
+        cands, weights = zip(*candidates(level))
+        polys = [branch_poly(cand) for cand in cands]
+        width = max(len(p.coeffs) for p in polys)
+        coeffs = np.array([p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys])
+        weights = np.array(weights)
+        mixture = weights @ coeffs
+        rows = polys + [RealPolynomial.from_coeffs(mixture)] if level == 0 else polys
+        level_reports = root_report(rows, ROOTEDNESS_TOL)
+        for row, report in enumerate(level_reports):
+            if not report.real_rooted:
+                context = "root" if row == len(cands) else f"level {level}, branch {cands[row]!r}"
+                raise NotRealRooted(
+                    f"{context}: expected polynomial not real-rooted (residual "
+                    f"{report.max_imag_residual:.3e} exceeds tolerance); aborting descent"
+                )
+        if level > 0:
+            gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
+            scale = float(weights @ np.abs(coeffs).max(axis=1))
+            if not gap <= (MIXTURE_TOL + abs(1.0 - weights.sum())) * scale:  # NaN fails
+                raise NumericalFailure(
+                    f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
+                )
+        best = 0
+        for row, report in enumerate(level_reports[: len(cands)]):
+            if report.maxroot < level_reports[best].maxroot - TIE_TOL:
+                best = row
+        commit(cands[best])
+        committed = coeffs[best]
+        assignment.append(cands[best])
+        levels.append((len(stack), len(cands), best))
+        stack += rows
+        reports += level_reports
     try:
-        for level in range(num_levels):
-            cands, weights = zip(*candidates(level))
-            polys = [branch_poly(cand) for cand in cands]
-            width = max(len(p.coeffs) for p in polys)
-            coeffs = np.array([p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys])
-            weights = np.array(weights)
-            mixture = weights @ coeffs
-            if level == 0:
-                stack = polys + [RealPolynomial.from_coeffs(mixture)]
-                *roots, root = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL)
-                chain.append(root)
-            else:
-                roots = maxroot_certified(polys, rootedness_tol=ROOTEDNESS_TOL)
-                gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
-                scale = float(weights @ np.abs(coeffs).max(axis=1))
-                if not gap <= (MIXTURE_TOL + abs(1.0 - weights.sum())) * scale:  # NaN fails
-                    raise NumericalFailure(
-                        f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
-                    )
-            best, best_root, runner_up = None, MaxRoot(np.inf, np.inf), np.inf
-            for row, root in enumerate(roots):
-                if root.hi < best_root.hi - TIE_TOL:
-                    runner_up = min(runner_up, best_root.hi)
-                    best, best_root = row, root
-                else:
-                    runner_up = min(runner_up, root.hi)
-            commit(cands[best])
-            committed = coeffs[best]
-            assignment.append(cands[best])
-            margins.append(runner_up - best_root.hi)
-            chain.append(best_root)
-    except NotRealRooted as exc:
-        context = "root" if exc.row == len(cands) else f"level {level}, branch {cands[exc.row]!r}"
-        raise NotRealRooted(
-            f"{context}: expected polynomial not real-rooted ({exc}); aborting descent"
-        ) from exc
+        enclosures = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL, reports=reports)
+    except NumericalFailure as exc:
+        if exc.row is None:
+            raise
+        level = max(k for k, (start, _, _) in enumerate(levels) if start <= exc.row)
+        raise NumericalFailure(f"level {level}: {exc}", row=exc.row) from exc
+    chain, margins = [enclosures[levels[0][1]]] if levels else [], []  # the root row closes level 0's stack
+    for level, (start, count, best) in enumerate(levels):
+        roots = enclosures[start : start + count]
+        chosen, rivals = roots[best], roots[:best] + roots[best + 1 :]
+        if any(chosen.lo > rival.hi + TIE_TOL for rival in rivals):
+            raise NumericalFailure(
+                f"level {level}: the chosen branch's certified max root lies above a rival's"
+            )
+        chain.append(chosen)
+        margins.append(min((rival.hi for rival in rivals), default=np.inf) - chosen.hi)
     return DescentCertificate(tuple(assignment), tuple(chain), tuple(margins))
 
 
-def greedy_descent_quadratic(table: SubsetTable, dists: Sequence[FiniteDistribution]) -> DescentCertificate:
-    """Descend the centered product family mu[t A] * mu[-t A], t_i = s_i - E xi_i,
+def greedy_descent_quadratic(
+    table: SubsetTable, dists: Sequence[FiniteDistribution], scale: float = 1.0
+) -> DescentCertificate:
+    """Descend the centered product family mu[t A] * mu[-t A], t_i = (s_i - E xi_i) / scale,
     over value assignments s.
 
     ``table`` must come from PSD matrices, as ``DiscrepancyInstance``
     validates; c_S lambda^|S| is the family of lambda t.  ``ProductLevels``
-    serves the branches from it and the ``deviations()``.  The leaf reached
+    serves the branches from it, the ``deviations()`` and scale.  The leaf reached
     satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
     polynomial, which by the norm transfer bound controls
     ||sum (s_i - E xi_i) A_i||.  The assignment holds the given values s_i.
     """
-    levels = ProductLevels(table, [d.deviations() for d in dists], [d.variance() for d in dists])
+    levels = ProductLevels(table, [d.deviations() for d in dists], [d.variance() for d in dists], scale)
     return _run_descent(
         num_levels=table.n,
         candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),

@@ -1,8 +1,8 @@
 """End-to-end discrepancy solvers for PSD and hermitian ensembles.
 
 Given jointly independent finite-support variables xi_i and PSD matrices
-A_i, the solver scales the c_S table by sigma^(-|S|), descends the centered
-product interlacing family on the given values, and returns an outcome with
+A_i, the solver descends the centered product interlacing family of
+(xi_i - E xi_i) / sigma on the given values, and returns an outcome with
 
     || sum_i (s_i - E[xi_i]) A_i ||  <=  4 sigma,
 
@@ -13,7 +13,7 @@ negative parts at the cost of a factor 2 in the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,9 +119,10 @@ def _recompute_achieved(
 def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResult:
     """Constructive 4-sigma discrepancy for PSD ensembles.
 
-    Optionally reduces every variable to two points, scales the table by
-    sigma^(-|S|) (the family of t / sigma, on the scale of ``TIE_TOL``) and
-    descends on the given values.  With sigma = 0 the instance is
+    Optionally reduces every variable to two points and descends on the
+    given values the family of t / sigma, on the scale of ``TIE_TOL``: the
+    table is scaled by sigma^(-|S|) inside ``ProductLevels``, in one step
+    with its power-of-two units.  With sigma = 0 the instance is
     deterministic (or supported on zero matrices) and the answer is
     immediate with achieved = 0; a sigma^2 that underflows to 0 on a
     varying variable raises NumericalFailure.
@@ -136,10 +137,7 @@ def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResu
         achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
         cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (m + 1), (np.inf,) * m)
         return DiscrepancyResult(outcome, achieved, 0.0, 0.0, cert)
-    table = SubsetTable.build(inst.ensemble)
-    power = sigma ** -np.arange(table.dim + 1.0)  # c_S = 0 for |S| > d, where sigma^-|S| may overflow
-    scaled = replace(table, coeffs=table.coeffs * power[np.minimum(table.sizes, table.dim)])
-    cert = greedy_descent_quadratic(scaled, dists)
+    cert = greedy_descent_quadratic(SubsetTable.build(inst.ensemble), dists, sigma)
     achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, cert.assignment)
     return DiscrepancyResult(cert.assignment, achieved, sigma, 4.0 * sigma, cert)
 

@@ -14,7 +14,14 @@ class EmptyMatrix(InterlaceError):
 
 
 class NumericalFailure(InterlaceError):
-    """An underlying eigensolver or root finder did not converge."""
+    """An underlying eigensolver or root finder did not converge.
+
+    row is the failing polynomial's index in the certified stack, if any.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class NotPSD(InterlaceError):

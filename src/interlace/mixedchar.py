@@ -317,10 +317,16 @@ class ProductLevels:
     """Branch polynomials of the centered quadratic family along a descent
     that fixes indices 0, 1, ... in order.
 
-    Index i at value v enters as t = deviations[i][v], from
-    ``FiniteDistribution.deviations()``, in units of a power of two near its
-    standard deviation: exact, so each branch is bit for bit the unscaled one,
-    and the table and the products of the free variances stay in range.
+    Index i at value v enters as t / scale, with t = deviations[i][v] from
+    ``FiniteDistribution.deviations()``: the family of the table
+    c_S scale^(-|S|).  Each index is read in units 2^e_i, a power of two
+    near its standard deviation, so the table carries
+    c_S 2^(sum_(i in S) e_i) scale^(-|S|).  With scale = m 2^f, 1/2 <= m < 1,
+    that is c_S m^(-|S|) rounded once and then multiplied exactly by
+    2^(sum_(i in S) (e_i - f)): each branch is bit for bit the unscaled one
+    wherever that stays in range, and the table, the deviations and the
+    products of the free variances stay in range however far the spread of
+    the values lies from scale and from the matrices' trace.
     ``branch(v)`` is the polynomial with the committed values, the next index
     k set to v and the indices after k free, which ``expected_product_poly``
     gives for the spec of ``descent.conditional_spec_quadratic``;
@@ -341,15 +347,22 @@ class ProductLevels:
     commit keeps that value's R_v.
     """
 
-    def __init__(self, table: SubsetTable, deviations: Sequence[Mapping[float, float]], variances: Sequence[float]):
+    def __init__(
+        self,
+        table: SubsetTable,
+        deviations: Sequence[Mapping[float, float]],
+        variances: Sequence[float],
+        scale: float = 1.0,
+    ):
         if not len(deviations) == len(variances) == table.n:
             raise ValueError(f"need {table.n} deviations and variances, got {len(deviations)} and {len(variances)}")
         self._deg = 2 * table.dim
         self._table = table
         exps = [math.frexp(v)[1] // 2 for v in variances]  # 2^e_i: sqrt(variances[i]) within a factor 2
-        shift = np.zeros(1 << table.n, dtype=np.int64)  # sum of e_i over each mask
+        mantissa, f = math.frexp(scale)
+        shift = np.zeros(1 << table.n, dtype=np.int64)  # sum of e_i - f over each mask
         for i, e in enumerate(exps):
-            shift[1 << i : 2 << i] = shift[: 1 << i] + e
+            shift[1 << i : 2 << i] = shift[: 1 << i] + (e - f)
         self._deviations = [{v: math.ldexp(t, -e) for v, t in dev.items()} for dev, e in zip(deviations, exps)]
         self._q = subset_products([math.ldexp(v, -2 * e) for v, e in zip(variances, exps)])  # at stride 2^(k+1)
         self._next = 0  # the index the next level fixes
@@ -358,7 +371,8 @@ class ProductLevels:
         self._even = (ranks % 2 == 0).ravel()
         self._ranks = ranks.ravel()[self._even]
         self._row_sign = np.where(rows % 2, -1.0, 1.0)[:, None]
-        self._R = _ranked_table(replace(table, coeffs=np.ldexp(table.coeffs, shift)))
+        power = mantissa ** -np.arange(table.n + 1.0)  # at most 2^|S|
+        self._R = _ranked_table(replace(table, coeffs=np.ldexp(table.coeffs * power[table.sizes], shift)))
         self._branched: dict[float, np.ndarray] = {}  # this level's R_v per branched v
 
     def _check_open(self) -> None:

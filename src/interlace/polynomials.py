@@ -345,7 +345,11 @@ def _enclose(polys: Sequence[RealPolynomial], seeds: Sequence[float]) -> list[Ma
         xs = _PASS_STEPS * ((ends[:, 1:] - ends[:, :1]) / (_PASS_POINTS + 1)) + ends[:, :1]
 
 
-def maxroot_certified(polys: Sequence[RealPolynomial], rootedness_tol: float = DEFAULT_ROOT_TOL) -> list[MaxRoot]:
+def maxroot_certified(
+    polys: Sequence[RealPolynomial],
+    rootedness_tol: float = DEFAULT_ROOT_TOL,
+    reports: Sequence[RootReport] | None = None,
+) -> list[MaxRoot]:
     """Enclosure of the largest root of each polynomial of a stack.
 
     With a positive leading coefficient, every derivative is positive above
@@ -356,10 +360,14 @@ def maxroot_certified(polys: Sequence[RealPolynomial], rootedness_tol: float = D
     at once, with the Cauchy bound as the last resort; passes of evenly
     spaced interior points then tighten [lo, hi] until it is MAXROOT_TOL wide
     or a pass no longer shrinks it.  Rows of one degree share each pass, and
-    every row's enclosure is the one it would get alone.  The first row that
-    is not real-rooted raises NotRealRooted carrying its index.
+    every row's enclosure is the one it would get alone.  ``reports`` are
+    the rows' ``root_report`` results when the caller already holds them, so
+    that none is computed twice.  The first row that is not real-rooted
+    raises NotRealRooted, and the first uncertified enclosure
+    NumericalFailure, each carrying its row's index.
     """
-    reports = root_report(polys, rootedness_tol)
+    if reports is None:
+        reports = root_report(polys, rootedness_tol)
     for row, report in enumerate(reports):
         if not report.real_rooted:
             raise NotRealRooted(f"residual {report.max_imag_residual:.3e} exceeds tolerance", row=row)
@@ -370,7 +378,7 @@ def maxroot_certified(polys: Sequence[RealPolynomial], rootedness_tol: float = D
     for rows in by_degree.values():
         for i, root in zip(rows, _enclose([polys[i] for i in rows], [reports[i].maxroot for i in rows])):
             out[i] = root
-    for lo, hi in out:
+    for row, (lo, hi) in enumerate(out):
         if not -math.inf < lo < hi < math.inf:
-            raise NumericalFailure(f"max root enclosure [{lo!r}, {hi!r}] is not certified")
+            raise NumericalFailure(f"max root enclosure [{lo!r}, {hi!r}] is not certified", row=row)
     return out

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,21 +8,27 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interlace import (
+    DiscrepancyInstance,
     FiniteDistribution,
     MatrixDistribution,
+    NumericalFailure,
+    RealPolynomial,
     ValueNotInSupport,
     conditional_spec_quadratic,
     ensemble,
     greedy_descent_linear,
     greedy_descent_quadratic,
     operator_norm,
+    solve_hermitian,
+    solve_kls,
 )
+from interlace import descent
 from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 from interlace.linalg import rank_one_completion
-from interlace.lyapunov import ks_r_partition
+from interlace.lyapunov import LyapunovInstance, ks_r_partition, lyapunov_select
 from interlace.mixedchar import SubsetTable, _graded_poly, expected_product_poly, mixed_char_poly, subset_convolve
-from interlace.polynomials import maxroot_certified
+from interlace.polynomials import MaxRoot, maxroot_certified, root_report
 
 FD = FiniteDistribution
 
@@ -69,11 +76,15 @@ def test_conditional_spec_centers_every_index():
 @example(offset=0.0, spread=1.0, units=[0.0, 8.07e-185], cuts=[2**15, 1, 2, 3])
 @example(offset=0.0, spread=1.0, units=[0.0, 2.23e-308], cuts=[2**15, 1, 2, 3])
 @example(offset=0.0, spread=1.0, units=[0.0, 2.63e-291], cuts=[2**15, 1, 2, 3])
+# deviations below the smallest normal double, where 8 eps max |d_v| is
+# about 2e-324, below the spacing 2^-1074 of any rounded sum
+@example(offset=0.0, spread=0.5, units=[0.0, 2.225073858507203e-309], cuts=[1, 2, 3, 4])
 def test_deviations_center_values_far_from_zero(offset, spread, units, cuts):
     # probabilities on a 2^-16 grid sum to exactly 1, so the exact mean is
     # the rational sum p v; E xi^2 - mu^2 cancels here by up to 3.7e14 relative.
-    # Each term p d_v^2 that underflows is off by at most 2^-1074 absolute,
-    # a floor that is negligible once the variance exceeds about 1e-307.
+    # Each term p d_v^2 or p d_v that underflows is off by at most 2^-1074
+    # absolute, a floor that is negligible once the variance exceeds about
+    # 1e-307, respectively the deviations about 1e-292.
     values = [offset + spread * u for u in units]
     assume(len(set(values)) == len(values))
     edges = [0, *sorted(cuts[: len(values) - 1]), 2**16]
@@ -88,7 +99,7 @@ def test_deviations_center_values_far_from_zero(offset, spread, units, cuts):
     dev = dist.deviations()
     assert list(dev) == list(dist.values)  # keyed by the given values
     residual = sum(p * Fraction(dev[float(v)]) for v, p in exact)
-    assert abs(residual) <= 8 * eps * max(abs(t) for t in dev.values())  # 2.2e-16 seen
+    assert abs(residual) <= 8 * eps * max(abs(t) for t in dev.values()) + floor  # 2.2e-16 seen
 
 
 def test_conditional_spec_rejects_foreign_value():
@@ -384,3 +395,103 @@ def test_root_enclosure_matches_the_reference_root_polynomial(solve, seed):
     want = maxroot_certified([reference], rootedness_tol=ROOTEDNESS_TOL)[0]
     assert cert.enclosures[0].hi == pytest.approx(want.hi, abs=1e-9)
     assert cert.enclosures[0].lo == pytest.approx(want.lo, abs=1e-9)
+
+
+def _kls_cert(rng):
+    E = trace_capped_ensemble(rng, 3, 6, 1.0)
+    return solve_kls(DiscrepancyInstance(E, tuple(random_two_valued(rng) for _ in range(6)))).certificate
+
+
+def _hermitian_cert(rng):
+    mats = [random_psd(rng, 2) - random_psd(rng, 2) for _ in range(5)]
+    return solve_hermitian(mats, [random_two_valued(rng) for _ in range(5)]).certificate
+
+
+def _select_cert(rng):
+    weights = [0.3, 1.0, 0.5, 0.0, 0.7, 0.2]  # 0 and 1 are point masses: one branch each
+    return lyapunov_select(LyapunovInstance.make(trace_capped_ensemble(rng, 2, 6, 0.25), weights)).solver.certificate
+
+
+def _partition_cert(rng):
+    return ks_r_partition(covering_ensemble(rng, 3, 8, 0.9), [0.2, 0.3, 0.5]).certificate
+
+
+SOLVERS = {"solve_kls": _kls_cert, "solve_hermitian": _hermitian_cert, "lyapunov_select": _select_cert, "ks_r_partition": _partition_cert}
+
+
+def _recording_reports(monkeypatch, edit=lambda level, reports: reports):
+    # the stack of every level's root_report, through the name the descent calls
+    stacks = []
+
+    def recording(polys, tol):
+        stacks.append(list(polys))
+        return edit(len(stacks) - 1, root_report(polys, tol))
+
+    monkeypatch.setattr(descent, "root_report", recording)
+    return stacks
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_stacked_enclosure_is_each_level_certified_alone(monkeypatch, solver, seed):
+    # one enclosure over every level's rows gives each row the enclosure of
+    # its level's stack alone, bit for bit, and so the same margins
+    stacks = _recording_reports(monkeypatch)
+    cert = SOLVERS[solver](np.random.default_rng(seed))
+    assert len(stacks) == len(cert.margins) == len(cert.enclosures) - 1
+    for level, (stack, chosen, margin) in enumerate(zip(stacks, cert.enclosures[1:], cert.margins)):
+        alone = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL)
+        if level == 0:
+            *alone, root = alone
+            assert root == cert.enclosures[0]
+        rivals = list(alone)
+        rivals.remove(chosen)
+        assert margin == min((rival.hi for rival in rivals), default=math.inf) - chosen.hi
+
+
+def test_descent_refuses_a_decision_its_enclosures_contradict(monkeypatch):
+    # companion roots that rank two branches the wrong way round pick the
+    # branch with the higher max root; the certified ends must refuse it
+    rng = np.random.default_rng(4)
+    E = trace_capped_ensemble(rng, 3, 6, 1.0)
+    inst = DiscrepancyInstance(E, tuple(random_two_valued(rng) for _ in range(6)))
+    margins = solve_kls(inst).certificate.margins
+    level = int(np.argmax(margins))
+    assert margins[level] > 1e-3
+
+    def swap(at, reports):
+        if at == level:
+            first, second = reports[0].maxroot, reports[1].maxroot
+            reports[:2] = [replace(reports[0], maxroot=second), replace(reports[1], maxroot=first)]
+        return reports
+
+    _recording_reports(monkeypatch, swap)
+    with pytest.raises(NumericalFailure, match=rf"^level {level}: the chosen branch's certified max root"):
+        solve_kls(inst)
+
+
+def test_descent_names_the_level_of_an_uncertified_enclosure(monkeypatch):
+    # two levels of single-root branches at v, then at v - 1/2, each level
+    # mixing to the branch committed before it: 3 + 1 root rows and then 2,
+    # so the stacked enclosure's row 4 is level 1's first branch
+    from interlace import polynomials
+    from interlace.descent import _run_descent
+
+    enclose = polynomials._enclose
+
+    def spoiled(polys, seeds):
+        out = enclose(polys, seeds)
+        out[4] = MaxRoot(out[4].hi, out[4].hi)
+        return out
+
+    monkeypatch.setattr(polynomials, "_enclose", spoiled)
+    committed = []
+    with pytest.raises(NumericalFailure, match=r"^level 1: max root enclosure .* is not certified$") as exc:
+        _run_descent(
+            num_levels=2,
+            candidates=lambda k: [(0, 1 / 3), (1, 1 / 3), (2, 1 / 3)] if k == 0 else [(0, 0.5), (1, 0.5)],
+            branch_poly=lambda v: RealPolynomial.from_coeffs([0.5 * len(committed) - v, 1.0]),
+            commit=committed.append,
+        )
+    assert exc.value.row == 4
+    assert committed == [0, 0]

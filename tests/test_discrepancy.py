@@ -128,9 +128,9 @@ def test_solve_kls_raises_when_sigma_underflows():
 @pytest.mark.parametrize("scale", [1e-30, 1e30])
 @pytest.mark.parametrize("part", ["values", "matrices"])
 def test_solve_kls_reads_any_scale_of_values_and_matrices(part, scale):
-    # the table carries sigma^-|S| and the engine reads each index in units
-    # near its standard deviation, so neither the table nor the products of
-    # 14 free variances leave the double range
+    # the engine reads each index in units near its standard deviation and
+    # scales the table by sigma^-|S| in the same step, so neither the table
+    # nor the products of 14 free variances leave the double range
     E = trace_capped_ensemble(np.random.default_rng(3), 4, 14, 1.0)
     values, mats = (scale, 1.0) if part == "values" else (1.0, scale)
 
@@ -142,6 +142,31 @@ def test_solve_kls_reads_any_scale_of_values_and_matrices(part, scale):
     assert np.allclose(got.certificate.maxroots, want.certificate.maxroots, rtol=0.0, atol=1e-9)
     assert got.sigma == pytest.approx(values * mats * want.sigma, rel=1e-12)
     assert got.achieved <= got.bound
+
+
+@pytest.mark.parametrize("scale", [1e-32, 1e32, 2.0**-106, 2.0**106])
+def test_solve_kls_folds_sigma_into_the_units_at_full_depth(scale):
+    # at d = 10 a table scaled by sigma^-|S| alone held sigma^-10: 1e320,
+    # a NaN in the companion matrix, and 1e-320, subnormal, a false
+    # NotRealRooted.  Scaled by 2^k, the values leave every unit of the
+    # engine where it was, so the enclosures and margins are bit for bit the
+    # unit ones.
+    E = trace_capped_ensemble(np.random.default_rng(3), 10, 12, 1.0)
+
+    def solve(v):
+        return solve_kls(inst(E, [FD.make([-v, 2 * v], [2 / 3, 1 / 3])] * 12))
+
+    want, got = solve(1.0), solve(scale)
+    assert 0.0 < got.achieved <= got.bound
+    assert got.achieved == pytest.approx(scale * want.achieved, rel=1e-9)
+    assert np.array_equal(np.sign(got.outcome), np.sign(want.outcome))
+    if scale == 2.0 ** round(np.log2(scale)):
+        assert (got.certificate.enclosures, got.certificate.margins) == (
+            want.certificate.enclosures,
+            want.certificate.margins,
+        )
+    else:
+        assert np.allclose(got.certificate.maxroots, want.certificate.maxroots, rtol=0.0, atol=1e-9)
 
 
 def test_solve_kls_outcomes_have_positive_probability():

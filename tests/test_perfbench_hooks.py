@@ -129,10 +129,11 @@ def test_run_descent_keeps_the_parameters_the_tracer_binds():
 
 
 def test_every_max_root_is_certified_inside_the_hooked_names():
-    # one maxroot_certified call, with one root_report inside it, per level
-    # (the level's branches certified as one stack, level 0's with the root
-    # polynomial as one more row): certification work moved out of these
-    # names would show here rather than as a drop in their self time
+    # one root_report per level (the level's branches as one stack, level
+    # 0's with the root polynomial as one more row) and one maxroot_certified
+    # per descent, seeded from those reports and running none of its own:
+    # certification work moved out of these names would show here rather
+    # than as a drop in their self time
     rng = np.random.default_rng(5)
     inst = DiscrepancyInstance(trace_capped_ensemble(rng, 3, 4, 1.0), tuple(random_two_valued(rng) for _ in range(4)))
     tracer = _tracing().Tracer()
@@ -140,7 +141,7 @@ def test_every_max_root_is_certified_inside_the_hooked_names():
         discrepancy.solve_kls(inst)
     spans = Counter(span[0] for span in tracer.spans)
     assert tracer.counts["descent.levels"] == 4
-    assert spans["polynomials.maxroot"] == tracer.counts["descent.levels"]
+    assert spans["polynomials.maxroot"] == 1
     assert spans["polynomials.root_report"] == tracer.counts["descent.levels"]
     # no full kernel pass: the branches are read from the level engine inside
     # the descent, and the root polynomial is their level-0 mixture
@@ -182,8 +183,8 @@ def _solve_hermitian(rng):
 @pytest.mark.parametrize("make", [_lyapunov_select, _solve_hermitian], ids=["lyapunov_select", "solve_hermitian"])
 def test_small_mix_solvers_count_every_level_and_branch(make):
     # the two small-mix solvers besides solve_kls: one level per variable,
-    # one branch per support value, and one certified stack per level, the
-    # root polynomial being one more row of level 0's
+    # one branch per support value, one root report per level, the root
+    # polynomial being one more row of level 0's, and one enclosure per descent
     solve, dists = make(np.random.default_rng(5))
     tracer = _tracing().Tracer()
     with tracer.installed():
@@ -191,5 +192,5 @@ def test_small_mix_solvers_count_every_level_and_branch(make):
     spans = Counter(span[0] for span in tracer.spans)
     assert tracer.counts["descent.levels"] == len(dists)
     assert tracer.counts["descent.branches"] == sum(len(dist.support()) for dist in dists)
-    assert spans["polynomials.maxroot"] == tracer.counts["descent.levels"]
+    assert spans["polynomials.maxroot"] == 1
     assert spans["polynomials.root_report"] == tracer.counts["descent.levels"]
