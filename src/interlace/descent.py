@@ -265,7 +265,8 @@ def greedy_descent_quadratic(
     over value assignments s.
 
     ``table`` must come from PSD matrices, as ``DiscrepancyInstance``
-    validates; c_S lambda^|S| is the family of lambda t.  ``ProductLevels``
+    validates; the hermitian lift's parts are PSD by construction.
+    c_S lambda^|S| is the family of lambda t.  ``ProductLevels``
     serves the branches from it, the ``deviations()`` and scale.  The leaf reached
     satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
     polynomial, which by the norm transfer bound controls

@@ -7,13 +7,13 @@ A_i, the solver descends the centered product interlacing family of
     || sum_i (s_i - E[xi_i]) A_i ||  <=  4 sigma,
 
 where sigma^2 = max(max_i var(xi_i) tr(A_i)^2, ||sum_i var(xi_i) tr(A_i) A_i||).
-Hermitian inputs go through a block-diagonal PSD lift of their positive and
-negative parts at the cost of a factor 2 in the bound.
+Hermitian inputs descend the PSD lift diag((B_i)+, (B_i)-) at the cost of a
+factor 2 in the bound; its sigma and table come from the d x d parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -69,14 +69,16 @@ class DiscrepancyResult:
 
 def sigma_bound(inst: DiscrepancyInstance) -> float:
     """sigma = sqrt(max(max_i var tr(A_i)^2, ||sum var tr(A_i) A_i||))."""
-    return _sigma(inst.ensemble, inst.dists)
+    return _sigma([inst.ensemble], inst.dists)
 
 
-def _sigma(matrices: Sequence, dists: Sequence[FiniteDistribution]) -> float:
+def _sigma(parts: Sequence[Sequence], dists: Sequence[FiniteDistribution]) -> float:
+    """sigma of diag(parts[0][i], parts[1][i], ...): traces add, the norm is the largest block's."""
     var = [dist.variance() for dist in dists]
-    tr = [H.trace() for H in matrices]
+    tr = [sum(H.trace() for H in blocks) for blocks in zip(*parts)]
     term1 = max(v * t * t for v, t in zip(var, tr))
-    term2 = operator_norm(weighted_sum(matrices, [v * t for v, t in zip(var, tr)]))
+    weights = [v * t for v, t in zip(var, tr)]
+    term2 = max(operator_norm(weighted_sum(part, weights)) for part in parts)
     return float(np.sqrt(max(term1, term2)))
 
 
@@ -116,6 +118,23 @@ def _recompute_achieved(
     return operator_norm(weighted_sum(matrices, [s - dist.mean() for dist, s in zip(dists, outcome)]))
 
 
+def _solve(matrices: Sequence, given: Sequence, parts: Sequence, reduce: bool) -> DiscrepancyResult:
+    """The 4-sigma descent of the PSD family diag(parts[0][i], parts[1][i], ...),
+    its outcome's norm taken on ``matrices`` and the given variables."""
+    dists = tuple(two_point_reduction(d) for d in given) if reduce else tuple(given)
+    sigma = _sigma(parts, dists)
+    if sigma == 0.0:
+        traces = [sum(H.trace() for H in blocks) for blocks in zip(*parts)]
+        if any(len(dist.support()) > 1 and t != 0.0 for dist, t in zip(dists, traces)):
+            raise NumericalFailure("sigma^2 underflows to 0 on a variable with two or more support values")
+        outcome = _degenerate_outcome(dists)
+        cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (len(dists) + 1), (np.inf,) * len(dists))
+    else:
+        cert = greedy_descent_quadratic(SubsetTable.build(*parts), dists, sigma)
+    achieved = _recompute_achieved(matrices, given, cert.assignment)
+    return DiscrepancyResult(cert.assignment, achieved, sigma, 4.0 * sigma, cert)
+
+
 def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResult:
     """Constructive 4-sigma discrepancy for PSD ensembles.
 
@@ -127,46 +146,22 @@ def solve_kls(inst: DiscrepancyInstance, reduce: bool = True) -> DiscrepancyResu
     immediate with achieved = 0; a sigma^2 that underflows to 0 on a
     varying variable raises NumericalFailure.
     """
-    dists = tuple(two_point_reduction(d) for d in inst.dists) if reduce else inst.dists
-    sigma = _sigma(inst.ensemble, dists)
-    m = len(inst.ensemble)
-    if sigma == 0.0:
-        if any(len(dist.support()) > 1 and H.trace() != 0.0 for dist, H in zip(dists, inst.ensemble)):
-            raise NumericalFailure("sigma^2 underflows to 0 on a variable with two or more support values")
-        outcome = _degenerate_outcome(dists)
-        achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, outcome)
-        cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (m + 1), (np.inf,) * m)
-        return DiscrepancyResult(outcome, achieved, 0.0, 0.0, cert)
-    cert = greedy_descent_quadratic(SubsetTable.build(inst.ensemble), dists, sigma)
-    achieved = _recompute_achieved(inst.ensemble.matrices, inst.dists, cert.assignment)
-    return DiscrepancyResult(cert.assignment, achieved, sigma, 4.0 * sigma, cert)
+    return _solve(inst.ensemble.matrices, inst.dists, [inst.ensemble], reduce)
 
 
-def solve_hermitian(
-    matrices, dists: Sequence[FiniteDistribution], reduce: bool = True
-) -> DiscrepancyResult:
+def solve_hermitian(matrices, dists: Sequence[FiniteDistribution], reduce: bool = True) -> DiscrepancyResult:
     """8-sigma discrepancy for hermitian (not necessarily PSD) matrices.
 
-    sigma is computed with |B_i| in place of A_i; the solver runs on the
-    2d x 2d block-diagonal lift diag((B_i)+, (B_i)-) and the outcome is
-    evaluated on the original matrices.  Both |B_i| = (B_i)+ + (B_i)- and
-    the lift come from one spectral split of B_i.
+    sigma is computed with |B_i| in place of A_i; the descent runs on the
+    block-diagonal lift diag((B_i)+, (B_i)-), whose table is built from the
+    d x d parts, and the outcome is evaluated on the original matrices.  Both
+    parts, PSD by construction, and |B_i| come from one spectral split of B_i.
     """
     mats = as_ensemble(matrices)
     dists = tuple(dists)
     if len(dists) != len(mats):
         raise ValueError("one distribution per matrix required")
-    d = mats.dim
-    absolute = []
-    lifted = []
-    for B in mats:
-        pos, neg = positive_negative_parts(B)
-        absolute.append(make_hermitian(pos.entries + neg.entries, tol=np.inf))
-        block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-        block[:d, :d] = pos.entries
-        block[d:, d:] = neg.entries
-        lifted.append(make_hermitian(block, tol=np.inf))
-    sigma = _sigma(absolute, dists)
-    inner = solve_kls(DiscrepancyInstance.make(lifted, dists), reduce=reduce)
-    achieved = _recompute_achieved(mats, dists, inner.outcome)
-    return DiscrepancyResult(inner.outcome, achieved, sigma, 8.0 * sigma, inner.certificate)
+    pos, neg = zip(*(positive_negative_parts(B) for B in mats))
+    absolute = [make_hermitian(P.entries + N.entries, tol=np.inf) for P, N in zip(pos, neg)]
+    sigma = _sigma([absolute], dists)
+    return replace(_solve(mats, dists, [pos, neg], reduce), sigma=sigma, bound=8.0 * sigma)

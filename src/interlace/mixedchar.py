@@ -35,7 +35,8 @@ squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
 One batched eigensolve over the subset sums, the elementary-symmetric
 recurrence on their eigenvalues and one ranked Moebius pass give every c_S.
 Signs, scalar multiples and operator coefficients enter only through
-per-subset weights, since c_S is multilinear in the matrix arguments.
+per-subset weights, since c_S is multilinear in the matrix arguments.  A
+block-diagonal family such as the hermitian lift is built from its blocks.
 
 ``subset_convolve`` combines weighted copies of the table (the block
 factors of a lifted determinant) by a ranked subset convolution.  Its rank
@@ -106,31 +107,33 @@ class SubsetTable:
     sizes: np.ndarray
 
     @classmethod
-    def build(cls, matrices) -> "SubsetTable":
-        mats = [as_hermitian(M).entries for M in matrices]
-        dim = mats[0].shape[0]
-        n = len(mats)
-        if n > MAX_INDICES or dim > MAX_DIM:
+    def build(cls, *parts) -> "SubsetTable":
+        """The table of diag(parts[0][i], parts[1][i], ...), i < n, from the
+        d x d blocks: a subset sum's eigenvalues are its block sums' together.
+        ``MAX_DIM`` bounds d."""
+        A = np.stack([[as_hermitian(M).entries for M in part] for part in parts], axis=1)
+        n, blocks, d = A.shape[:3]
+        if n > MAX_INDICES or d > MAX_DIM:
             raise SizeGuard(
                 f"fast path limited to {MAX_INDICES} indices and dim {MAX_DIM}; "
-                f"got n={n}, d={dim}"
+                f"got n={n}, d={d}"
             )
+        dim = blocks * d
         sizes = popcounts(n)
         top = min(n, dim)
-        # Only subsets U with |U| <= d enter an alternating sum that the
+        # Only subsets U with |U| <= dim enter an alternating sum that the
         # table reads.  Their sums are formed by doubling, each from the sum
         # without its highest index, and freed once the eigenvalues are taken.
-        A = np.stack(mats)
         keep = np.flatnonzero(sizes <= top)
         sums = np.zeros((len(keep),) + A.shape[1:], dtype=A.dtype)
         for i in range(n):
             lo, hi = np.searchsorted(keep, (1 << i, 2 << i))
             parents = np.searchsorted(keep, keep[lo:hi] - (1 << i))
             np.add(sums[parents], A[i], out=sums[lo:hi])
-        lam = np.linalg.eigvalsh(sums)
+        lam = np.linalg.eigvalsh(sums).reshape(len(keep), dim)
         del sums
-        # E[k, U] = e_k(eigenvalues of sum_{i in U} A_i) for k <= min(n, d);
-        # the table reads rank |S| at S, and c_S = 0 for |S| > d.
+        # E[k, U] = e_k(eigenvalues of sum_{i in U} A_i) for k <= min(n, dim);
+        # the table reads rank |S| at S, and c_S = 0 for |S| > dim.
         low = np.zeros((top + 1, len(keep)))
         low[0] = 1.0
         for j, col in enumerate(lam.T):

@@ -437,12 +437,17 @@ def _eig_norm(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(M))))
 
 
-@pytest.mark.parametrize("command", ["discrepancy", "hermitian", "lyapunov", "partition"])
-def test_cli_reported_norms_match_a_plain_numpy_eigensolve(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, dim",
+    [pytest.param(c, 3, id=c) for c in ("discrepancy", "hermitian", "lyapunov", "partition")]
+    # the lift's table is built from its d x d parts, so d = 8 is in reach
+    + [pytest.param("hermitian", 8, id="hermitian-d8")],
+)
+def test_cli_reported_norms_match_a_plain_numpy_eigensolve(tmp_path, command, dim):
     kind = {"discrepancy": "psd-trace-capped", "hermitian": "psd-trace-capped",
             "lyapunov": "lyapunov", "partition": "ksr"}[command]
     inst, rep = tmp_path / "i.json", tmp_path / "rep.json"
-    assert main(["gen", "--kind", kind, "--dim", "3", "--count", "6", "--epsilon", "0.3",
+    assert main(["gen", "--kind", kind, "--dim", str(dim), "--count", "6", "--epsilon", "0.3",
                  "--seed", "11", "--out", str(inst)]) == 0
     doc = json.loads(inst.read_text())
     if command == "hermitian":  # make the instance indefinite

@@ -225,7 +225,10 @@ def test_psd_verdict_is_computed_once_per_matrix(monkeypatch):
     mats = [np.diag([1.0, -0.5]) + 0.1 * k * np.array([[0.0, 1.0], [1.0, 0.0]]) for k in range(4)]
     calls.clear()
     solve_hermitian(mats, [FiniteDistribution.fair_signs()] * 4)
-    assert len(calls) == 9  # the four lifts are checked once each
+    # sigma of |B|, one block norm per part for sigma of the lift, the table's
+    # one batched solve over both parts and the achieved norm: the lift is
+    # never assembled, so nothing re-checks it for PSD or takes a norm on it
+    assert calls == [(2, 2), (2, 2), (2, 2), (16, 2, 2, 2), (2, 2)]
 
 
 def test_ensemble_stats_examples():

@@ -219,6 +219,36 @@ def test_table_empty_set_and_oversize_subsets(d, n):
     assert np.all(table.coeffs[table.sizes <= d] != 0.0)
 
 
+def _lift(P, N):
+    d = len(P)
+    block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+    block[:d, :d], block[d:, d:] = P, N
+    return block
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "rank-deficient", "mixed"])
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 6), (3, 8), (4, 10), (5, 12)])
+def test_block_build_matches_the_dense_lift_and_the_convolved_parts(kind, d, n):
+    # The table of diag(P_i, N_i) from its d x d parts equals the table of
+    # the assembled 2d x 2d lifts and, since det of a block-diagonal matrix
+    # factors, the subset convolution of the two parts' tables.
+    makers = {"indefinite": [_indefinite], "rank-deficient": [_singular, _rank_one]}
+    makers["mixed"] = makers["indefinite"] + makers["rank-deficient"]
+    rng = np.random.default_rng(d * 100 + n)
+    pick = makers[kind]
+    P, N = ([pick[int(rng.integers(len(pick)))](rng, d) for _ in range(n)] for _ in range(2))
+    table = SubsetTable.build(P, N)
+    assert (table.dim, table.n) == (2 * d, n)
+    lifts = [_lift(A, B) for A, B in zip(P, N)]
+    scale = _error_scale(lifts)
+    for want in (
+        SubsetTable.build(lifts).coeffs,
+        subset_convolve([SubsetTable.build(P).coeffs, SubsetTable.build(N).coeffs], n),
+    ):
+        gap = np.abs(table.coeffs - want)
+        assert np.all(gap <= 1e-12 * scale), (kind, d, n, float(np.max(gap / scale)))
+
+
 def _mixed_distributions(rng, n):
     """Point masses, two-point and three-point variables, in random order."""
     dists = []

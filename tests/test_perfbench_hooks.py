@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interlace import DiscrepancyInstance, discrepancy, lyapunov
-from interlace.descent import FiniteDistribution, _run_descent
+from interlace import DiscrepancyInstance, SizeGuard, discrepancy, lyapunov
+from interlace.descent import TIE_TOL, FiniteDistribution, _run_descent
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -51,6 +51,25 @@ def test_benchmark_checker_accepts_every_tiny_workload(monkeypatch):
             for case in [case for cases in module.build_pool(workload, seed) for case in cases]:
                 ratio, _ = module.verify(case, module.solve(case))
                 assert 0.0 <= ratio <= 1.0
+
+
+@pytest.mark.parametrize("d, n", [(6, 10), (8, 11), (10, 12)])
+def test_benchmark_checker_accepts_hermitian_solves_up_to_the_block_guard(monkeypatch, d, n):
+    # The lift's table is built from its d x d parts, so MAX_DIM bounds d
+    # itself: these sizes raised SizeGuard while the 2d x 2d lift was built.
+    # At d = 10 the branches have degree 40 and are solved as degree 20.
+    module = _workloads(monkeypatch)
+    case = module._make_case(np.random.default_rng(d), "hermitian", (d, n))
+    res = module.solve(case)
+    ratio, _ = module.verify(case, res)
+    assert 0.0 < ratio <= 1.0
+    assert max(res.certificate.bands) < TIE_TOL
+
+
+def test_hermitian_past_the_block_guard_names_its_dimension(monkeypatch):
+    case = _workloads(monkeypatch)._make_case(np.random.default_rng(11), "hermitian", (11, 4))
+    with pytest.raises(SizeGuard, match=r"d=11\b"):
+        discrepancy.solve_hermitian(*case.args)
 
 
 def _skewed(rng, offset, count):
