@@ -32,8 +32,11 @@ squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
 
     c_S = sum_{U subset S} (-1)^(|S|-|U|) e_{|S|}(sum_{i in U} A_i).
 
-One batched eigensolve over the subset sums, the elementary-symmetric
-recurrence on their eigenvalues and one ranked Moebius pass give every c_S.
+Only the subsets U with |U| <= min(n, d) enter a sum that the table reads,
+and one with |U| = d enters only c_U, through e_d = det.  So one batched
+determinant over the subset sums at the top rank, one batched eigensolve
+with the elementary-symmetric recurrence on their eigenvalues below it, and
+one ranked Moebius pass over the kept masks give every c_S.
 Signs, scalar multiples and operator coefficients enter only through
 per-subset weights, since c_S is multilinear in the matrix arguments.  A
 block-diagonal family such as the hermitian lift is built from its blocks.
@@ -53,6 +56,7 @@ a branch's coefficients are binomial-weighted sums of the rank product
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -109,8 +113,21 @@ class SubsetTable:
     @classmethod
     def build(cls, *parts) -> "SubsetTable":
         """The table of diag(parts[0][i], parts[1][i], ...), i < n, from the
-        d x d blocks: a subset sum's eigenvalues are its block sums' together.
-        ``MAX_DIM`` bounds d."""
+        d x d blocks: a subset sum's eigenvalues are its block sums' together,
+        and its determinant is the product of theirs.  ``MAX_DIM`` bounds d.
+
+        With D = blocks * d and n >= D, a subset sum with D indices is read
+        only at the top rank and is not eigensolved: e_D is the real part of
+        its blocks' determinants (LU), multiplied.  Against 50-digit values,
+        each top-rank c_S stays within 4 u (sum_{i in S} ||A_i||_*)^|S|,
+        u = 2^-53, with ||.||_* the nuclear norm of the whole matrix, on
+        rank-one completion pieces, rank-capped, near-singular and 1e+-6
+        trace-spread inputs at d = 3, n = 7 or 8, and on two-part builds
+        (tests/test_mixedchar.py).  Over 40 seeds of such inputs the largest
+        error seen was 2.0 u, and 1.4 u with e_D taken from the spectrum.
+        Ranks below D are read off the spectra, so the table below the top
+        rank is bit for bit the one a full eigensolve gives.
+        """
         A = np.stack([[as_hermitian(M).entries for M in part] for part in parts], axis=1)
         n, blocks, d = A.shape[:3]
         if n > MAX_INDICES or d > MAX_DIM:
@@ -121,28 +138,75 @@ class SubsetTable:
         dim = blocks * d
         sizes = popcounts(n)
         top = min(n, dim)
-        # Only subsets U with |U| <= dim enter an alternating sum that the
-        # table reads.  Their sums are formed by doubling, each from the sum
-        # without its highest index, and freed once the eigenvalues are taken.
-        keep = np.flatnonzero(sizes <= top)
-        sums = np.zeros((len(keep),) + A.shape[1:], dtype=A.dtype)
-        for i in range(n):
-            lo, hi = np.searchsorted(keep, (1 << i, 2 << i))
-            parents = np.searchsorted(keep, keep[lo:hi] - (1 << i))
-            np.add(sums[parents], A[i], out=sums[lo:hi])
-        lam = np.linalg.eigvalsh(sums).reshape(len(keep), dim)
+        masks, starts, parents, high, partners = _kept_masks(n, top)
+        # Only subsets U with |U| <= top enter an alternating sum that the
+        # table reads.  Their sums are formed rank by rank, each from the sum
+        # without its highest index, and freed once they are solved.
+        sums = np.zeros((len(masks),) + A.shape[1:], dtype=A.dtype)
+        for k in range(1, top + 1):
+            lo, hi = starts[k], starts[k + 1]
+            np.add(sums[parents[lo:hi]], A[high[lo:hi]], out=sums[lo:hi])
+        # X[U, k] = e_k(eigenvalues of sum_{i in U} A_i) for k <= top, one
+        # row per kept mask and a zero row after them.  A mask U with
+        # |U| = dim is read only at c_U, as e_dim: one det per block.  The
+        # masks below the top rank need every e_k and are eigensolved.
+        X = np.zeros((len(masks) + 1, top + 1))
+        low = starts[dim] if n >= dim else len(masks)
+        if n >= dim:
+            X[low:-1, dim] = np.linalg.det(sums[low:]).real.prod(axis=-1)
+        lam = np.linalg.eigvalsh(sums[:low]).reshape(low, dim)
         del sums
-        # E[k, U] = e_k(eigenvalues of sum_{i in U} A_i) for k <= min(n, dim);
-        # the table reads rank |S| at S, and c_S = 0 for |S| > dim.
-        low = np.zeros((top + 1, len(keep)))
-        low[0] = 1.0
+        E = np.zeros((top + 1, low))
+        E[0] = 1.0
         for j, col in enumerate(lam.T):
             for k in range(min(j + 1, top), 0, -1):
-                low[k] += col * low[k - 1]
-        E = np.zeros((top + 1, 1 << n))
-        E[:, keep] = low
-        coeffs = _ranked_mobius_collapse(E, n, sizes)
+                E[k] += col * E[k - 1]
+        X[:low] = E.T
+        _kept_mobius(X, partners)
+        coeffs = np.zeros(1 << n)
+        coeffs[masks] = X[np.arange(len(masks)), sizes[masks]]
         return cls(dim=dim, n=n, coeffs=coeffs, sizes=sizes)
+
+
+@functools.lru_cache(maxsize=16)
+def _kept_masks(n: int, top: int):
+    """The masks below 2^n with at most ``top`` bits, ordered by bit count
+    and then by value, and their index arrays (all read-only):
+
+    masks, starts: the masks, and rank k's slice starts[k]:starts[k + 1];
+    parents, high: per mask, the position of the mask without its highest
+        bit, and that bit's index;
+    partners[b]: per mask, the position of the mask without bit b, or
+        len(masks), a zero row, when bit b is clear.
+    """
+    sizes = popcounts(n)
+    masks = np.flatnonzero(sizes <= top)
+    masks = masks[np.argsort(sizes[masks], kind="stable")]
+    starts = np.searchsorted(sizes[masks], np.arange(top + 2))
+    at = np.zeros(1 << n, dtype=np.int64)
+    at[masks] = np.arange(len(masks))
+    high = np.zeros(len(masks), dtype=np.int64)
+    for i in range(n):
+        high[masks >= 1 << i] = i
+    parents = at[masks - (1 << high)]
+    parents[0] = 0  # the empty mask's sum is never formed
+    bits = 1 << np.arange(n)[:, None]
+    partners = np.where(masks & bits, at[masks ^ bits], len(masks))
+    for a in (masks, starts, parents, high, partners):
+        a.flags.writeable = False
+    return masks, starts, parents, high, partners
+
+
+def _kept_mobius(X: np.ndarray, partners: np.ndarray) -> None:
+    """In-place Moebius transform over the kept masks of a mask-major X, one
+    row per mask of ``_kept_masks`` and a zero last row: for b = 0..n-1,
+    X[U] -= X[U without b] where U has bit b.  Every mask's subsets are
+    kept, so each row ends as ``_ranked_mobius_collapse`` leaves that mask,
+    bit for bit."""
+    buf = np.empty_like(X[:-1])
+    for idx in partners:
+        np.take(X, idx, axis=0, out=buf)
+        X[:-1] -= buf
 
 
 def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:

@@ -125,17 +125,26 @@ def test_solve_kls_raises_when_sigma_underflows():
         solve_kls(inst(E, [FD.make([0.0, 8.072794129396667e-185], [0.5, 0.5])] * 3))
 
 
-@pytest.mark.parametrize("scale", [1e-30, 1e30])
-@pytest.mark.parametrize("part", ["values", "matrices"])
-def test_solve_kls_reads_any_scale_of_values_and_matrices(part, scale):
+@pytest.mark.parametrize(
+    "part, scale, d, n",
+    [
+        pytest.param(part, scale, 4, 14, id=f"{part}-{scale:g}")
+        for part in ("values", "matrices")
+        for scale in (1e-30, 1e30)
+    ]
+    + [pytest.param("matrices", scale, 10, 12, id=f"matrices-{scale:g}-d10") for scale in (1e-28, 1e28)],
+)
+def test_solve_kls_reads_any_scale_of_values_and_matrices(part, scale, d, n):
     # the engine reads each index in units near its standard deviation and
     # scales the table by sigma^-|S| in the same step, so neither the table
-    # nor the products of 14 free variances leave the double range
-    E = trace_capped_ensemble(np.random.default_rng(3), 4, 14, 1.0)
+    # nor the products of the free variances leave the double range.  At
+    # d = 10 the table's top rank is the determinant of a scaled subset sum,
+    # and it still serves matrices scaled by 1e+-28.
+    E = trace_capped_ensemble(np.random.default_rng(3), d, n, 1.0)
     values, mats = (scale, 1.0) if part == "values" else (1.0, scale)
 
     def solve(v, c):
-        return solve_kls(inst([c * H.entries for H in E], [FD.make([-v, 2 * v], [2 / 3, 1 / 3])] * 14))
+        return solve_kls(inst([c * H.entries for H in E], [FD.make([-v, 2 * v], [2 / 3, 1 / 3])] * n))
 
     want, got = solve(1.0, 1.0), solve(values, mats)
     assert np.array_equal(np.sign(got.outcome), np.sign(want.outcome))

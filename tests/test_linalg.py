@@ -223,12 +223,18 @@ def test_psd_verdict_is_computed_once_per_matrix(monkeypatch):
     lyapunov_select(inst)
     assert len(calls) == 3  # sigma, the table's one batched solve and the achieved norm
     mats = [np.diag([1.0, -0.5]) + 0.1 * k * np.array([[0.0, 1.0], [1.0, 0.0]]) for k in range(4)]
+    dets = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(np.shape(a)) or det(a))
     calls.clear()
     solve_hermitian(mats, [FiniteDistribution.fair_signs()] * 4)
     # sigma of |B|, one block norm per part for sigma of the lift, the table's
     # one batched solve over both parts and the achieved norm: the lift is
-    # never assembled, so nothing re-checks it for PSD or takes a norm on it
-    assert calls == [(2, 2), (2, 2), (2, 2), (16, 2, 2, 2), (2, 2)]
+    # never assembled, so nothing re-checks it for PSD or takes a norm on it.
+    # The lift has dim 4 = n, so the table eigensolves the 15 subset sums
+    # below the top rank and takes the full sum's e_4 as one batched det.
+    assert calls == [(2, 2), (2, 2), (2, 2), (15, 2, 2, 2), (2, 2)]
+    assert dets == [(1, 2, 2, 2)]
 
 
 def test_ensemble_stats_examples():

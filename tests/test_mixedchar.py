@@ -1,6 +1,8 @@
 import itertools
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,96 @@ def test_block_build_matches_the_dense_lift_and_the_convolved_parts(kind, d, n):
     ):
         gap = np.abs(table.coeffs - want)
         assert np.all(gap <= 1e-12 * scale), (kind, d, n, float(np.max(gap / scale)))
+
+
+@pytest.mark.parametrize("parts, d, n", [(1, 3, 6), (1, 3, 3), (1, 4, 3), (2, 2, 6), (2, 3, 4)])
+def test_table_eigensolves_below_the_top_rank_and_takes_dets_at_it(monkeypatch, parts, d, n):
+    # At n >= dim a subset sum with dim indices is read only at its own c_U,
+    # as e_dim: one batched det takes all of them and the eigensolve only the
+    # sums below.  At n < dim no kept sum reaches dim and no det is taken.
+    calls = {"eigvalsh": [], "det": []}
+    for name, log in calls.items():
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, f=f, log=log: log.append(np.shape(a)) or f(a, *args))
+    rng = np.random.default_rng(parts * 100 + n)
+    SubsetTable.build(*([_indefinite(rng, d) for _ in range(n)] for _ in range(parts)))
+    dim = parts * d
+    assert calls["eigvalsh"] == [(sum(math.comb(n, k) for k in range(min(n + 1, dim))), parts, d, d)]
+    assert calls["det"] == ([(math.comb(n, dim), parts, d, d)] if n >= dim else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_kept_mobius_is_the_ranked_collapse_bit_for_bit(n, seed):
+    # The pass over the kept masks does the strided pass's subtractions on
+    # every mask it keeps, in the same order; a mask without bit b takes
+    # x - 0.0, which is x even for -0.0.
+    rng = np.random.default_rng(seed)
+    pc = popcounts(n)
+    for top in range(n + 1):
+        masks, _, _, _, partners = mixedchar._kept_masks(n, top)
+        X = np.zeros((len(masks) + 1, top + 1))
+        X[:-1] = rng.standard_normal((len(masks), top + 1)) * 2.0 ** rng.integers(-60, 60, (len(masks), top + 1))
+        X[:-1][rng.random((len(masks), top + 1)) < 0.1] = -0.0
+        R = np.zeros((top + 1, 1 << n))
+        R[:, masks] = X[:-1].T
+        want = mixedchar._ranked_mobius_collapse(R, n, pc)
+        mixedchar._kept_mobius(X, partners)
+        got = np.zeros(1 << n)
+        got[masks] = X[np.arange(len(masks)), pc[masks]]
+        assert got.tobytes() == want.tobytes(), (n, top)
+
+
+def _top_rank_exact(parts, S):
+    """c_S at |S| = dim to 50 digits: the alternating sum over U subset S of
+    the product over blocks of det(sum_{i in U} A_i)."""
+    idx = [i for i in range(len(parts[0])) if S >> i & 1]
+    total = mpmath.mpf(0)
+    for r in range(len(idx) + 1):
+        for U in itertools.combinations(idx, r):
+            term = mpmath.mpf((-1) ** (len(idx) - r))
+            for part in parts:
+                M = mpmath.matrix(len(part[0]))
+                for i in U:
+                    M += mpmath.matrix(part[i].tolist())
+                term *= mpmath.re(mpmath.det(M))
+            total += term
+    return total
+
+
+def _budget_inputs(kind, rng):
+    """The parts of one build: d = 3 blocks, or two d = 2 parts."""
+    if kind == "completion":  # as a partition builds them: two copies of each piece
+        E = covering_ensemble(rng, 3, 2, 0.8)
+        return [[H.entries for H in list(E) + rank_one_completion(E.sum(), 0.1)]]
+    if kind == "rank-capped":
+        return [[random_psd(rng, 3, rank=int(rng.integers(1, 3))) for _ in range(7)]]
+    if kind == "near-singular":  # every sum nearly annihilates v
+        v = rng.standard_normal(3)
+        P = np.eye(3) - np.outer(v, v) / (v @ v)
+        return [[P @ random_psd(rng, 3) @ P + 1e-10 * np.outer(v, v) for _ in range(7)]]
+    if kind == "trace-spread":
+        return [[10.0 ** rng.uniform(-6, 6) * (_indefinite(rng, 3) if i % 2 else random_psd(rng, 3)) for i in range(7)]]
+    return [[_rank_one(rng, 2) for _ in range(6)], [_indefinite(rng, 2) for _ in range(6)]]
+
+
+@pytest.mark.parametrize("kind", ["completion", "rank-capped", "near-singular", "trace-spread", "two-part"])
+def test_top_rank_coefficients_stay_inside_their_error_budget(kind):
+    # SubsetTable.build states this budget: a top-rank c_S, read off LU
+    # determinants, within 4 u (sum_{i in S} ||A_i||_*)^|S| of its 50-digit
+    # value, where ||A_i||_* is the nuclear norm of the whole block-diagonal
+    # matrix.
+    worst = 0.0
+    with mpmath.workdps(50):
+        for seed in range(3):
+            parts = _budget_inputs(kind, np.random.default_rng(seed))
+            table = SubsetTable.build(*parts)
+            nuclear = sum(np.array([np.abs(np.linalg.eigvalsh(M)).sum() for M in part]) for part in parts)
+            for S in np.flatnonzero(table.sizes == table.dim):
+                scale = float(nuclear[(S >> np.arange(table.n)) & 1 == 1].sum()) ** table.dim
+                err = abs(mpmath.mpf(float(table.coeffs[S])) - _top_rank_exact(parts, int(S)))
+                worst = max(worst, float(err) / (2.0**-53 * scale))
+    assert worst <= 4.0, worst
 
 
 def _mixed_distributions(rng, n):
