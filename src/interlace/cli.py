@@ -70,10 +70,12 @@ def _fmt_poly(coeffs) -> str:
 
 
 def _set_certificate(rep: _Report, cert) -> None:
-    """The max-root chain, its widest enclosure and its closest branch decision."""
+    """The max-root chain, its widest enclosure, its closest branch decision
+    and the levels that fell back to a root report of their own."""
     rep.set("certificate_maxroots", _fmt_poly(cert.maxroots))
     rep.set("certificate_max_band", max(cert.bands, default=0.0))
     rep.set("certificate_min_margin", min(cert.margins, default=math.inf))
+    rep.set("certificate_fallback_levels", list(cert.fallback_levels))
 
 
 def cmd_mcp_eval(args) -> int:

@@ -4,10 +4,16 @@ Every descent walks an assignment tree level by level.  At each level the
 conditional expected polynomial of every positive-probability branch is
 evaluated; since the parent polynomial is their probability mixture and the
 family is interlacing, some branch has max root at most the parent's.  The
-branch with the least polished companion max root is taken, winning only by
-more than TIE_TOL (ties break to the smallest value, respectively the lowest
-index).  Level 0's mixture is the root polynomial; each later level's must
-match the branch committed before it.  After the last level one stacked
+branch with the least max root is taken, winning only by more than TIE_TOL
+(ties break to the smallest value, respectively the lowest index).  Level
+0's mixture is the root polynomial; each later level's must match the branch
+committed before it.  Level 0 ranks the polished companion max roots of one
+``root_report``.  A later level is decided at r, its parent's max root: the
+branches share a common interlacer, so a branch's max root lies below r
+exactly when its value at r is positive, and Newton's method from r then
+falls to that root.  A level the sign test cannot decide falls back to its
+own ``root_report``.  After the last level one more ``root_report`` gives
+the remaining rows' realness verdicts and seeds, one stacked
 ``maxroot_certified`` call encloses every level's rows, and the chain of
 enclosures is recorded as a certificate; a decision that the certified ends
 contradict raises NumericalFailure naming its level.
@@ -26,7 +32,7 @@ from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weigh
 # expected_product_poly is unused here but kept for perfbench's tracer,
 # which hooks this namespace.
 from .mixedchar import DerivativeSpec, ProductLevels, SubsetTable, expected_product_poly, mixed_char_poly  # noqa: F401
-from .polynomials import MaxRoot, RealPolynomial, maxroot_certified, root_report
+from .polynomials import MaxRoot, RealPolynomial, RootReport, evaluate_bounded, maxroot_certified, root_report
 
 TIE_TOL = 1e-9
 ROOTEDNESS_TOL = 1e-7
@@ -35,6 +41,8 @@ ROOTEDNESS_TOL = 1e-7
 # Weights summing to 1 + delta (|delta| <= 1e-12 is admitted) shift it by
 # delta times the branch without the index, so |delta| joins the budget.
 MIXTURE_TOL = 1e-12
+# Newton steps allowed from a parent's max root down to a branch's.
+NEWTON_STEPS = 200
 
 
 def _check_probs(values: Sequence, probs: Sequence[float]) -> None:
@@ -123,15 +131,20 @@ class DescentCertificate:
     followed by the chosen branch's per level, all from one stacked
     ``maxroot_certified`` call after the descent.  margins[k] is the least
     rival hi minus the chosen hi at level k (inf when the level has one
-    candidate).  The branch was chosen by its companion max root, winning only
-    by more than TIE_TOL, so a tie goes to the earlier candidate and a margin
-    may be negative within TIE_TOL; a chosen lo more than TIE_TOL above a
-    rival's hi is refused with NumericalFailure.
+    candidate).  The branch was chosen by its max root, a companion root at
+    level 0 and at the fallback_levels, else one found from the parent's max
+    root, winning only by more than TIE_TOL, so a tie goes to the earlier
+    candidate and a margin may be negative within TIE_TOL; a chosen lo more
+    than TIE_TOL above a rival's hi is refused with NumericalFailure.
+    fallback_levels lists, ascending, the levels past 0 that the sign test
+    at the parent's max root left open and that a ``root_report`` of their
+    own decided.
     """
 
     assignment: tuple
     enclosures: tuple[MaxRoot, ...]
     margins: tuple[float, ...]
+    fallback_levels: tuple[int, ...] = ()
 
     @property
     def maxroots(self) -> tuple[float, ...]:
@@ -178,6 +191,103 @@ def conditional_spec_quadratic(
     return DerivativeSpec.from_triples(triples)
 
 
+def _rank(roots: Sequence[float]) -> int:
+    """The tie rule: the first least root, a later one winning only by more than TIE_TOL."""
+    best = 0
+    for row, root in enumerate(roots):
+        if root < roots[best] - TIE_TOL:
+            best = row
+    return best
+
+
+def _descend_to_root(coeffs: Sequence[float], x: float) -> float | None:
+    """Newton's method from x > max root down to it, or None when it does not descend.
+
+    Above the max root of a real-rooted p with positive leading coefficient,
+    p, p' and p'' are all positive, so every step falls and none passes the
+    root.  The walk ends at the first step that no longer lowers x (rounding
+    has made p(x) <= 0 or the step less than x's ulp); a slope that is not
+    positive or NEWTON_STEPS steps without an end give None.
+    """
+    descending = coeffs[::-1]
+    for _ in range(NEWTON_STEPS):
+        value = slope = 0.0
+        for c in descending:  # Horner's rule for p and p'
+            slope = slope * x + value
+            value = value * x + c
+        if not slope > 0.0:  # NaN fails
+            return None
+        lower = x - value / slope
+        if not lower < x:
+            return x if lower >= x else None  # a NaN step gives None
+        x = lower
+    return None
+
+
+def _decide_at_parent_root(polys: Sequence[RealPolynomial], r: float) -> tuple[int, list] | None:
+    """(best, roots) of a level decided at r, the max root of the branch committed before it.
+
+    The branches share a common interlacer whose max root is at most r, so
+    each has exactly one root at or above it: p_i(r) provably > 0 puts branch
+    i's max root below r, where Newton's method from r finds it, and p_i(r)
+    provably < 0 puts it above r (roots[i] is then None).  best is the
+    branch the tie rule picks on the roots themselves, whatever the roots
+    above r are.  None falls back to the level's ``root_report``: a value
+    inside its ``evaluate_bounded`` error bound, a constant or a leading
+    coefficient that is not positive, a Newton walk that does not descend, or a tie rule the
+    roots above r leave open.
+    """
+    roots = []
+    for p in polys:
+        if p.degree < 1 or not p.coeffs[-1] > 0.0:
+            return None
+        value, bound = evaluate_bounded(p.coeffs, r)
+        if value < -bound:
+            roots.append(None)
+        elif value > bound:
+            root = _descend_to_root(p.coeffs, r)
+            if root is None:
+                return None
+            roots.append(root)
+        else:
+            return None
+    # the tie rule over every value the roots above r may take: a later
+    # branch beats the best so far when its root is lower by more than
+    # TIE_TOL for every such value, keeps it when for none, and else both
+    # stay possible; one possible winner decides the level
+    possible = {0}
+    for row, root in enumerate(roots[1:], 1):
+        stay = set()
+        for best in possible:
+            rival = roots[best]
+            if root is None:
+                beats = False if rival is not None else None
+            elif rival is None:
+                beats = True if root < r - TIE_TOL else None
+            else:
+                beats = root < rival - TIE_TOL
+            if beats is not False:
+                stay.add(row)
+            if beats is not True:
+                stay.add(best)
+        possible = stay
+    if len(possible) > 1:
+        return None
+    best = possible.pop()  # a branch with its root above r never stands alone
+    return best, roots
+
+
+def _real_rooted_or_raise(level: int, cands: Sequence, reports: Sequence[RootReport]) -> None:
+    """NotRealRooted naming the first branch of a level, or the root row after them, that is not real-rooted."""
+    for row, report in enumerate(reports):
+        if not report.real_rooted:
+            context = "root" if row == len(cands) else f"level {level}, branch {cands[row]!r}"
+            raise NotRealRooted(
+                f"{context}: expected polynomial not real-rooted (residual "
+                f"{report.max_imag_residual:.3e} exceeds tolerance); aborting descent"
+            )
+
+
 def _run_descent(
     num_levels: int,
     candidates: Callable[[int], Iterable[tuple[Any, float]]],
@@ -187,24 +297,32 @@ def _run_descent(
     """Shared greedy loop; candidates(k) yields (candidate, probability) in tie order.
 
     Level k reads branch_poly(cand) for each candidate, the polynomial with
-    the committed levels, k set to cand and the rest free, takes one
-    ``root_report`` of the level's branches as one stack, and then calls
-    commit(best) once.  Branches are ranked by their polished companion max
-    root, and a branch wins only by more than TIE_TOL.  The branches mix to
-    their parent: level 0's mixture is the root polynomial, one more row
-    of level 0's stack, and a later level whose mixture misses the branch
-    committed before it by more than MIXTURE_TOL raises NumericalFailure.
-    A polynomial that is not real-rooted aborts the descent, with the first
-    such branch in tie order or the root, before its level commits.
+    the committed levels, k set to cand and the rest free, decides the
+    level and then calls commit(best) once.  A branch wins only when its max
+    root is lower by more than TIE_TOL.  The branches mix to their parent:
+    level 0's mixture is the root polynomial, and a later level whose
+    mixture misses the branch committed before it by more than MIXTURE_TOL
+    raises NumericalFailure before it is decided.
 
-    After the last level one ``maxroot_certified`` call, seeded from the
-    reports already taken, encloses every level's rows; each enclosure is
-    the one its level's stack would get alone.  The chain and the margins
-    are read from the certified ends.  NumericalFailure names the level of
-    an uncertified enclosure, or of a decision the enclosures contradict:
-    a chosen lo more than TIE_TOL above a rival's hi.
+    Level 0 ranks its branches by their polished companion max roots, from
+    one ``root_report`` of its branches and the root polynomial as one
+    stack; a branch or root that is not real-rooted aborts the descent
+    before the commit.  A later level with one candidate carries its
+    parent's max root r over; one with more is decided at r by
+    ``_decide_at_parent_root``, and falls back to ranking its own
+    ``root_report`` where that cannot decide (the level is then listed in
+    the certificate's fallback_levels, and checked for realness before its
+    commit).  After the last level one ``root_report`` of the rows not yet
+    reported gives their realness verdicts, NotRealRooted naming the first
+    failing level and branch, and one ``maxroot_certified`` call, seeded
+    from every report, encloses every level's rows; each enclosure is the
+    one its level's stack would get alone.  The chain and the margins are
+    read from the certified ends.  NumericalFailure names the level of an
+    uncertified enclosure, of a decision the enclosures contradict (a chosen
+    lo more than TIE_TOL above a rival's hi), or of a root decided at r that
+    lies more than TIE_TOL outside its branch's enclosure.
     """
-    assignment, stack, reports, levels = [], [], [], []
+    assignment, stack, reports, levels, fallbacks, decided = [], [], [], [], [], []
     for level in range(num_levels):
         cands, weights = zip(*candidates(level))
         polys = [branch_poly(cand) for cand in cands]
@@ -212,32 +330,41 @@ def _run_descent(
         coeffs = np.array([p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys])
         weights = np.array(weights)
         mixture = weights @ coeffs
-        rows = polys + [RealPolynomial.from_coeffs(mixture)] if level == 0 else polys
-        level_reports = root_report(rows, ROOTEDNESS_TOL)
-        for row, report in enumerate(level_reports):
-            if not report.real_rooted:
-                context = "root" if row == len(cands) else f"level {level}, branch {cands[row]!r}"
-                raise NotRealRooted(
-                    f"{context}: expected polynomial not real-rooted (residual "
-                    f"{report.max_imag_residual:.3e} exceeds tolerance); aborting descent"
-                )
-        if level > 0:
+        rows, level_reports, found = polys, None, None
+        if level == 0:
+            rows = polys + [RealPolynomial.from_coeffs(mixture)]
+        else:
             gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
             scale = float(weights @ np.abs(coeffs).max(axis=1))
             if not gap <= (MIXTURE_TOL + abs(1.0 - weights.sum())) * scale:  # NaN fails
                 raise NumericalFailure(
                     f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
                 )
-        best = 0
-        for row, report in enumerate(level_reports[: len(cands)]):
-            if report.maxroot < level_reports[best].maxroot - TIE_TOL:
-                best = row
+            found = (0, [parent_root]) if len(cands) == 1 else _decide_at_parent_root(polys, parent_root)
+            if found is None:
+                fallbacks.append(level)
+        if found is None:
+            level_reports = root_report(rows, ROOTEDNESS_TOL)
+            _real_rooted_or_raise(level, cands, level_reports)
+            roots = [report.maxroot for report in level_reports[: len(cands)]]
+            best = _rank(roots)
+        else:
+            best, roots = found
+            if len(cands) > 1:
+                decided.append((level, len(stack), roots, parent_root))
         commit(cands[best])
         committed = coeffs[best]
+        parent_root = roots[best]
         assignment.append(cands[best])
-        levels.append((len(stack), len(cands), best))
+        levels.append((len(stack), cands, best))
         stack += rows
-        reports += level_reports
+        reports += level_reports or [None] * len(rows)
+    missing = [row for row, report in enumerate(reports) if report is None]
+    if missing:
+        for row, report in zip(missing, root_report([stack[row] for row in missing], ROOTEDNESS_TOL)):
+            reports[row] = report
+        for level, (start, cands, _) in enumerate(levels):
+            _real_rooted_or_raise(level, cands, reports[start : start + len(cands)])
     try:
         enclosures = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL, reports=reports)
     except NumericalFailure as exc:
@@ -245,9 +372,16 @@ def _run_descent(
             raise
         level = max(k for k, (start, _, _) in enumerate(levels) if start <= exc.row)
         raise NumericalFailure(f"level {level}: {exc}", row=exc.row) from exc
-    chain, margins = [enclosures[levels[0][1]]] if levels else [], []  # the root row closes level 0's stack
-    for level, (start, count, best) in enumerate(levels):
-        roots = enclosures[start : start + count]
+    for level, start, roots, r in decided:
+        for enclosure, root in zip(enclosures[start:], roots):
+            lo, hi = (r, math.inf) if root is None else (root, root)
+            if lo > enclosure.hi + TIE_TOL or hi < enclosure.lo - TIE_TOL:
+                raise NumericalFailure(
+                    f"level {level}: a max root decided at the parent's root lies outside its certified enclosure"
+                )
+    chain, margins = [enclosures[len(levels[0][1])]] if levels else [], []  # the root row closes level 0's stack
+    for level, (start, cands, best) in enumerate(levels):
+        roots = enclosures[start : start + len(cands)]
         chosen, rivals = roots[best], roots[:best] + roots[best + 1 :]
         if any(chosen.lo > rival.hi + TIE_TOL for rival in rivals):
             raise NumericalFailure(
@@ -255,7 +389,7 @@ def _run_descent(
             )
         chain.append(chosen)
         margins.append(min((rival.hi for rival in rivals), default=np.inf) - chosen.hi)
-    return DescentCertificate(tuple(assignment), tuple(chain), tuple(margins))
+    return DescentCertificate(tuple(assignment), tuple(chain), tuple(margins), tuple(fallbacks))
 
 
 def greedy_descent_quadratic(

@@ -44,6 +44,7 @@ REALITY_RESCUE_TOL = 1e-8
 # Relative imaginary part that root_report treats as macroscopic: such a
 # root is never rescued as part of a noisy real cluster.
 MACROSCOPIC_IMAG = 1e-3
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,32 @@ def root_report(polys: Sequence[RealPolynomial], tol: float = DEFAULT_ROOT_TOL) 
             real_rooted, residual, row = _realness(polys[i], row, mod, imag, tol)
             reports[i] = RootReport(top, bottom, real_rooted, residual, tuple(row.tolist()))
     return reports
+
+
+def evaluate_bounded(coeffs: Sequence[float], x: float) -> tuple[float, float]:
+    """(p(x), bound) by Horner's rule in Python floats, coefficients ascending.
+
+    For p of degree n the computed p(x) is within
+    bound = 4 (n + 1) eps sum |c_i| |x|^i + (n + 1) 2^-1074 max(1, |x|)^(n + 1)
+    of the exact value of the given coefficients at the given x.  Horner's
+    rule errs by at most gamma_2n = 2n u / (1 - 2n u) <= (n + 1) eps
+    relative to sum |c_i| |x|^i (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1), u = eps / 2 being the unit roundoff; the factor 4
+    spares room for the rounding of the sum itself, as ``_classify`` does.
+    A product that underflows errs by at most 2^-1075 more, which the later
+    steps multiply by at most max(1, |x|) each: the second term, taken with
+    max(1, |x|) rounded up to a power of two.  A NaN or infinite value or
+    bound proves nothing.
+    """
+    value = size = 0.0
+    ax = abs(x)
+    for c in reversed(coeffs):
+        value = value * x + c
+        size = size * ax + abs(c)
+    terms = len(coeffs)
+    shift = terms * max(0, math.frexp(ax)[1]) - 1074
+    floor = math.ldexp(terms, shift) if shift < 1000 else math.inf
+    return value, 4.0 * terms * _EPS * size + floor
 
 
 class MaxRoot(NamedTuple):

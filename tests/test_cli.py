@@ -426,6 +426,19 @@ def test_cli_json_reports_certificate_band_and_margin(tmp_path, command):
     assert doc["certificate_min_margin"] >= -1e-9
 
 
+@pytest.mark.parametrize("command", ["discrepancy", "hermitian", "lyapunov", "partition"])
+def test_cli_json_lists_the_levels_that_fell_back_to_their_own_report(tmp_path, command):
+    # every level past 0 of these seeded solves is decided at its parent's
+    # max root, so the list is empty, and it is a JSON list
+    kind = {"discrepancy": "psd-trace-capped", "hermitian": "psd-trace-capped",
+            "lyapunov": "lyapunov", "partition": "ksr"}[command]
+    inst, rep = tmp_path / "i.json", tmp_path / "rep.json"
+    assert main(["gen", "--kind", kind, "--dim", "3", "--count", "6", "--epsilon", "0.2",
+                 "--seed", "4", "--out", str(inst)]) == 0
+    assert main([command, "--input", str(inst), "--json", str(rep)]) == 0
+    assert json.loads(rep.read_text())["certificate_fallback_levels"] == []
+
+
 def test_cli_partition_rejects_nan_proportions(tmp_path, capsys):
     inst = tmp_path / "ksr.json"
     assert main(["gen", "--kind", "ksr", "--dim", "2", "--count", "4", "--out", str(inst)]) == 0

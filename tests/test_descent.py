@@ -1,7 +1,7 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,13 +22,13 @@ from interlace import (
     solve_hermitian,
     solve_kls,
 )
-from interlace import descent
+from interlace import descent, lyapunov
 from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 from interlace.linalg import rank_one_completion
 from interlace.lyapunov import LyapunovInstance, ks_r_partition, lyapunov_select
 from interlace.mixedchar import SubsetTable, _graded_poly, expected_product_poly, mixed_char_poly, subset_convolve
-from interlace.polynomials import MaxRoot, maxroot_certified, root_report
+from interlace.polynomials import MaxRoot, evaluate_bounded, maxroot_certified, root_report
 
 FD = FiniteDistribution
 
@@ -255,7 +255,7 @@ def test_descent_commits_each_level_once_with_its_winner():
     # before it.  Level 0 is won by candidate 1; at level 1 candidates 0 and
     # 2 tie within TIE_TOL, so the earlier one is committed even though its
     # root is higher by TIE_TOL / 2.
-    from interlace import NotRealRooted, RealPolynomial
+    from interlace import RealPolynomial
     from interlace.descent import TIE_TOL, _run_descent
 
     weights = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]
@@ -285,9 +285,13 @@ def test_descent_commits_each_level_once_with_its_winner():
     assert cert.assignment == (1, 0)
     assert cert.maxroots == pytest.approx((4.125, 3.5, 2.0), abs=1e-9)
     assert -TIE_TOL < cert.margins[1] < 0.0
-    # a branch that is not real-rooted aborts its level before the commit;
-    # every branch of the level is read before the level is certified
-    with pytest.raises(NotRealRooted, match=r"^level 1, branch 1: "):
+    # level 1 is decided at level 0's root 3.5: branches 0 and 2 lie below
+    # it and tie, branch 1 lies above it, and no report of its own is taken
+    assert cert.fallback_levels == ()
+    # a branch that is not real-rooted here also breaks its level's mixture,
+    # which refuses the level before it is decided or committed; every
+    # branch of the level is read first
+    with pytest.raises(NumericalFailure, match=r"^level 1: mixture .* off the branch committed at level 0$"):
         run(2, broken=(1, 1))
     assert calls == [("branch", 0, 0), ("branch", 0, 1), ("branch", 0, 2), ("commit", 1), ("branch", 1, 0), ("branch", 1, 1), ("branch", 1, 2)]
 
@@ -419,55 +423,126 @@ def _partition_cert(rng):
 SOLVERS = {"solve_kls": _kls_cert, "solve_hermitian": _hermitian_cert, "lyapunov_select": _select_cert, "ks_r_partition": _partition_cert}
 
 
-def _recording_reports(monkeypatch, edit=lambda level, reports: reports):
-    # the stack of every level's root_report, through the name the descent calls
+def _recording_reports(monkeypatch):
+    # the stack of every root_report the descent takes, through the name it calls
     stacks = []
 
     def recording(polys, tol):
         stacks.append(list(polys))
-        return edit(len(stacks) - 1, root_report(polys, tol))
+        return root_report(polys, tol)
 
     monkeypatch.setattr(descent, "root_report", recording)
     return stacks
 
 
+def _recording_levels(monkeypatch):
+    # every level's branch polynomials in candidate order, through both
+    # names the solvers call the descent by
+    levels = []
+    run = descent._run_descent
+
+    def recording(num_levels, candidates, branch_poly, commit):
+        def listed(k):
+            levels.append([])
+            return candidates(k)
+
+        def read(cand):
+            levels[-1].append(branch_poly(cand))
+            return levels[-1][-1]
+
+        return run(num_levels, listed, read, commit)
+
+    monkeypatch.setattr(descent, "_run_descent", recording)
+    monkeypatch.setattr(lyapunov, "_run_descent", recording)
+    return levels
+
+
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_stacked_enclosure_is_each_level_certified_alone(monkeypatch, solver, seed):
-    # one enclosure over every level's rows gives each row the enclosure of
-    # its level's stack alone, bit for bit, and so the same margins
+    # two reports per descent: level 0's branches with the root polynomial,
+    # and after the last level every later row, none of them reported twice.
+    # The one enclosure over every level's rows gives each row the enclosure
+    # of its level's stack alone, bit for bit, and so the same margins
     stacks = _recording_reports(monkeypatch)
+    levels = _recording_levels(monkeypatch)
     cert = SOLVERS[solver](np.random.default_rng(seed))
-    assert len(stacks) == len(cert.margins) == len(cert.enclosures) - 1
-    for level, (stack, chosen, margin) in enumerate(zip(stacks, cert.enclosures[1:], cert.margins)):
-        alone = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL)
+    assert len(levels) == len(cert.margins) == len(cert.enclosures) - 1
+    assert cert.fallback_levels == ()
+    assert len(stacks) == 2
+    *first, root = stacks[0]
+    assert first == levels[0]
+    assert stacks[1] == [p for rows in levels[1:] for p in rows]
+    for level, (rows, chosen, margin) in enumerate(zip(levels, cert.enclosures[1:], cert.margins)):
+        alone = maxroot_certified(rows + [root] if level == 0 else rows, rootedness_tol=ROOTEDNESS_TOL)
         if level == 0:
-            *alone, root = alone
-            assert root == cert.enclosures[0]
+            *alone, root_enclosure = alone
+            assert root_enclosure == cert.enclosures[0]
         rivals = list(alone)
         rivals.remove(chosen)
         assert margin == min((rival.hi for rival in rivals), default=math.inf) - chosen.hi
 
 
-def test_descent_refuses_a_decision_its_enclosures_contradict(monkeypatch):
-    # companion roots that rank two branches the wrong way round pick the
-    # branch with the higher max root; the certified ends must refuse it
-    rng = np.random.default_rng(4)
+def _inject_decision(monkeypatch, at, edit):
+    # rewrite the at-th decision taken at a parent's max root (0-based)
+    decide, calls = descent._decide_at_parent_root, []
+
+    def injected(polys, r):
+        found = decide(polys, r)
+        calls.append(r)
+        return edit(polys, *found) if len(calls) - 1 == at else found
+
+    monkeypatch.setattr(descent, "_decide_at_parent_root", injected)
+    return calls
+
+
+def _widest_decided_level(inst):
+    # the level past 0 decided with the widest margin; every level of these
+    # two-valued variables has two branches, so level k is decision k - 1
+    cert = solve_kls(inst).certificate
+    assert cert.fallback_levels == ()
+    level = 1 + int(np.argmax(cert.margins[1:]))
+    assert cert.margins[level] > 1e-3
+    return level
+
+
+def _kls_instance(seed):
+    rng = np.random.default_rng(seed)
     E = trace_capped_ensemble(rng, 3, 6, 1.0)
-    inst = DiscrepancyInstance(E, tuple(random_two_valued(rng) for _ in range(6)))
-    margins = solve_kls(inst).certificate.margins
-    level = int(np.argmax(margins))
-    assert margins[level] > 1e-3
+    return DiscrepancyInstance(E, tuple(random_two_valued(rng) for _ in range(6)))
 
-    def swap(at, reports):
-        if at == level:
-            first, second = reports[0].maxroot, reports[1].maxroot
-            reports[:2] = [replace(reports[0], maxroot=second), replace(reports[1], maxroot=first)]
-        return reports
 
-    _recording_reports(monkeypatch, swap)
+def test_descent_refuses_a_decision_its_enclosures_contradict(monkeypatch):
+    # a decision that takes the branch with the higher max root, naming
+    # every branch's true root, passes the check on its roots; the certified
+    # ends must refuse it
+    inst = _kls_instance(4)
+    level = _widest_decided_level(inst)
+
+    def wrong_way_round(polys, best, roots):
+        true = [report.maxroot for report in root_report(polys, ROOTEDNESS_TOL)]
+        return int(np.argmax(true)), true
+
+    _inject_decision(monkeypatch, level - 1, wrong_way_round)
     with pytest.raises(NumericalFailure, match=rf"^level {level}: the chosen branch's certified max root"):
         solve_kls(inst)
+
+
+def test_descent_refuses_a_decided_root_outside_its_enclosure(monkeypatch):
+    # the right branch with a max root 1e-6 too high: the next level is
+    # decided at that root, and the certified enclosure must refuse it
+    inst = _kls_instance(4)
+    level = _widest_decided_level(inst)
+
+    def off_root(polys, best, roots):
+        roots = list(roots)
+        roots[best] += 1e-6
+        return best, roots
+
+    calls = _inject_decision(monkeypatch, level - 1, off_root)
+    with pytest.raises(NumericalFailure, match=rf"^level {level}: a max root decided at the parent's root lies outside"):
+        solve_kls(inst)
+    assert len(calls) == len(inst.dists) - 1  # the descent ran to its end
 
 
 def test_descent_names_the_level_of_an_uncertified_enclosure(monkeypatch):
@@ -495,3 +570,146 @@ def test_descent_names_the_level_of_an_uncertified_enclosure(monkeypatch):
         )
     assert exc.value.row == 4
     assert committed == [0, 0]
+
+
+def _synthetic_levels(tops, weights, low_roots):
+    # level 0 has the one branch P = (x - sum w a) g, level 1 the branches
+    # p_i = (x - a_i) g that mix to it; g's roots lie below every a_i, so the
+    # branches interlace and p_i has the max root a_i
+    g = np.poly(low_roots)[::-1] if low_roots else np.ones(1)
+    mean = float(np.dot(weights, tops))
+    level0 = [RealPolynomial.from_coeffs(np.convolve([-mean, 1.0], g))]
+    level1 = [RealPolynomial.from_coeffs(np.convolve([-a, 1.0], g)) for a in tops]
+    return [level0, level1], [[1.0], list(weights)]
+
+
+def _run_levels(levels, weights):
+    committed = []
+    cert = descent._run_descent(
+        num_levels=len(levels),
+        candidates=lambda k: list(enumerate(weights[k])),
+        branch_poly=lambda v: levels[len(committed)][v],
+        commit=committed.append,
+    )
+    return cert, committed
+
+
+_NEAR_TIES = [0.0, 0.5, 0.999, 1.0, 1.001, 2.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base=st.floats(-2.0, 2.0),
+    offsets=st.lists(
+        st.one_of(
+            st.sampled_from(_NEAR_TIES).map(lambda t: t * descent.TIE_TOL),
+            st.sampled_from(_NEAR_TIES).map(lambda t: -t * descent.TIE_TOL),
+            st.floats(-1.0, 1.0),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    raw_weights=st.lists(st.sampled_from([1e-12, 1e-10, 1e-6, 0.01, 0.3, 0.5, 1.0]), min_size=4, max_size=4),
+    gaps=st.lists(st.floats(0.1, 2.0), max_size=3),
+)
+@example(base=0.0, offsets=[0.0, 0.0, 0.0], raw_weights=[1.0, 1.0, 1.0, 1.0], gaps=[1.0])  # exact tie at r
+@example(base=0.0, offsets=[1.0, 0.999e-9, 0.0], raw_weights=[1e-10, 1.0, 1.0, 1.0], gaps=[0.5])
+def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weights, gaps):
+    # exact ties, ties within and just past TIE_TOL, and roots far above r,
+    # with weights down to 1e-12 that put r within TIE_TOL of a branch root:
+    # a level decided at r must commit the branch that ranking the polished
+    # companion roots commits, or fall back to that ranking.  Two roots
+    # TIE_TOL apart to within rounding rank either way in either method
+    tops = [base + t for t in offsets]
+    assume(all(abs(abs(a - b) - descent.TIE_TOL) > 1e-12 for a in tops for b in tops))
+    weights = np.array(raw_weights[: len(tops)]) / sum(raw_weights[: len(tops)])
+    low = [min(tops) - sum(gaps[: k + 1]) for k in range(len(gaps))]
+    levels, probs = _synthetic_levels(tops, weights, low)
+    cert, committed = _run_levels(levels, probs)
+    companion = descent._rank([report.maxroot for report in root_report(levels[1], ROOTEDNESS_TOL)])
+    assert committed == [0, companion]
+    parent = root_report(levels[0], ROOTEDNESS_TOL)[0].maxroot
+    found = descent._decide_at_parent_root(levels[1], parent)
+    assert cert.fallback_levels == (() if found else (1,))
+    if found:
+        best, roots = found
+        assert best == companion
+        for root, top in zip(roots, tops):
+            # a root decided below r is the branch's; one left open lies above r
+            assert abs(root - top) <= 1e-12 if root is not None else top > parent
+
+
+def test_a_branch_root_at_the_parent_root_takes_one_fallback_report(monkeypatch):
+    # level 1's branches (x - 1)(x + 1/2) and (x - 1)(x + 3/2) both vanish
+    # at the parent's root 1, inside any error bound, so the level ranks a
+    # report of its own; level 2, (x - 1/2)(x + 1/2) against (x - 3/2)(x + 1/2)
+    # at 1, is decided without one, and its rows enter the last report
+    stacks = _recording_reports(monkeypatch)
+    poly = RealPolynomial.from_coeffs
+    levels = [
+        [poly([-1.0, 0.0, 1.0])],
+        [poly(np.convolve([-1.0, 1.0], [0.5, 1.0])), poly(np.convolve([-1.0, 1.0], [1.5, 1.0]))],
+        [poly(np.convolve([-0.5, 1.0], [0.5, 1.0])), poly(np.convolve([-1.5, 1.0], [0.5, 1.0]))],
+    ]
+    cert, committed = _run_levels(levels, [[1.0], [0.5, 0.5], [0.5, 0.5]])
+    assert committed == [0, 0, 0]
+    assert cert.fallback_levels == (1,)
+    assert [len(stack) for stack in stacks] == [2, 2, 2]
+    assert stacks[1] == levels[1] and stacks[2] == levels[2]
+    np.testing.assert_allclose(cert.maxroots, [1.0, 1.0, 1.0, 0.5], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "bad, fallbacks",
+    [
+        # (x - 1/2)(x^2 + 1/100) is positive at the parent's root 1 and Newton
+        # falls from there to 1/2: the level is decided, the last report
+        # finds the complex pair and names the branch after the descent
+        ([-0.005, 0.01, -0.5, 1.0], ()),
+        # x^2 + 1 at 1: Newton stalls at the minimum 0, so the level falls
+        # back to its own report, which names the branch before the commit
+        ([1.0, 0.0, 1.0], None),
+    ],
+    ids=["decided", "fallback"],
+)
+def test_descent_names_a_branch_past_level_0_that_is_not_real_rooted(bad, fallbacks):
+    # the parent x(x - 1)(x + 1), or (x - 1)(x + 1), is the equal mixture of
+    # the bad branch and its complement 2 P - bad
+    from interlace import NotRealRooted
+
+    parent = np.array([0.0, -1.0, 0.0, 1.0]) if len(bad) == 4 else np.array([-1.0, 0.0, 1.0])
+    bad = np.array(bad)
+    levels = [[RealPolynomial.from_coeffs(parent)], [RealPolynomial.from_coeffs(bad), RealPolynomial.from_coeffs(2 * parent - bad)]]
+    assert root_report(levels[1][1:], ROOTEDNESS_TOL)[0].real_rooted
+    found = descent._decide_at_parent_root(levels[1], 1.0)
+    assert (found is None) == (fallbacks is None)
+    committed = []
+    with pytest.raises(NotRealRooted, match=r"^level 1, branch 0: expected polynomial not real-rooted .*; aborting descent$"):
+        descent._run_descent(
+            num_levels=2,
+            candidates=lambda k: [(0, 1.0)] if k == 0 else [(0, 0.5), (1, 0.5)],
+            branch_poly=lambda v: levels[len(committed)][v],
+            commit=committed.append,
+        )
+    assert committed == ([0] if fallbacks is None else [0, 0])
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_sign_test_at_the_parent_root_stays_inside_its_error_budget(monkeypatch, solver, seed):
+    # every p_i(r) a solve's decisions read, against the same float
+    # coefficients and r evaluated in 50-digit mpmath
+    seen = []
+
+    def recording(coeffs, x):
+        out = evaluate_bounded(coeffs, x)
+        seen.append((coeffs, x, out))
+        return out
+
+    monkeypatch.setattr(descent, "evaluate_bounded", recording)
+    SOLVERS[solver](np.random.default_rng(seed))
+    assert seen
+    with mpmath.workdps(50):
+        for coeffs, x, (value, bound) in seen:
+            exact = mpmath.polyval([mpmath.mpf(c) for c in coeffs[::-1]], mpmath.mpf(x))
+            assert abs(mpmath.mpf(value) - exact) <= bound

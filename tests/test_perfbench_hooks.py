@@ -148,20 +148,22 @@ def test_run_descent_keeps_the_parameters_the_tracer_binds():
 
 
 def test_every_max_root_is_certified_inside_the_hooked_names():
-    # one root_report per level (the level's branches as one stack, level
-    # 0's with the root polynomial as one more row) and one maxroot_certified
-    # per descent, seeded from those reports and running none of its own:
-    # certification work moved out of these names would show here rather
-    # than as a drop in their self time
+    # two root_reports per descent (level 0's branches with the root
+    # polynomial as one more row, then every later level's rows; levels past
+    # 0 are decided at their parent's max root, with no fallback here) and
+    # one maxroot_certified, seeded from those reports and running none of
+    # its own: certification work moved out of these names would show here
+    # rather than as a drop in their self time
     rng = np.random.default_rng(5)
     inst = DiscrepancyInstance(trace_capped_ensemble(rng, 3, 4, 1.0), tuple(random_two_valued(rng) for _ in range(4)))
     tracer = _tracing().Tracer()
     with tracer.installed():
-        discrepancy.solve_kls(inst)
+        res = discrepancy.solve_kls(inst)
     spans = Counter(span[0] for span in tracer.spans)
     assert tracer.counts["descent.levels"] == 4
+    assert res.certificate.fallback_levels == ()
     assert spans["polynomials.maxroot"] == 1
-    assert spans["polynomials.root_report"] == tracer.counts["descent.levels"]
+    assert spans["polynomials.root_report"] == 2
     # no full kernel pass: the branches are read from the level engine inside
     # the descent, and the root polynomial is their level-0 mixture
     assert spans["mixedchar.assemble"] == 0
@@ -190,26 +192,29 @@ def _lyapunov_select(rng):
     # weights 0 and 1 are point masses: one branch each
     weights = [0.3, 1.0, 0.5, 0.0, 0.7]
     inst = lyapunov.LyapunovInstance.make(trace_capped_ensemble(rng, 2, 5, 0.25), weights)
-    return lambda: lyapunov.lyapunov_select(inst), [FiniteDistribution.bernoulli(t) for t in weights]
+    return lambda: lyapunov.lyapunov_select(inst).solver.certificate, [FiniteDistribution.bernoulli(t) for t in weights]
 
 
 def _solve_hermitian(rng):
     mats = [random_psd(rng, 2) - random_psd(rng, 2) for _ in range(4)]
     dists = [random_two_valued(rng), FiniteDistribution.point_mass(0.5), random_two_valued(rng), random_two_valued(rng)]
-    return lambda: discrepancy.solve_hermitian(mats, dists), dists
+    return lambda: discrepancy.solve_hermitian(mats, dists).certificate, dists
 
 
 @pytest.mark.parametrize("make", [_lyapunov_select, _solve_hermitian], ids=["lyapunov_select", "solve_hermitian"])
 def test_small_mix_solvers_count_every_level_and_branch(make):
     # the two small-mix solvers besides solve_kls: one level per variable,
-    # one branch per support value, one root report per level, the root
-    # polynomial being one more row of level 0's, and one enclosure per descent
+    # one branch per support value, two root reports per descent (level 0's
+    # with the root polynomial as one more row, then the rows of every later
+    # level, none of which falls back to a report of its own here) and one
+    # enclosure per descent
     solve, dists = make(np.random.default_rng(5))
     tracer = _tracing().Tracer()
     with tracer.installed():
-        solve()
+        cert = solve()
     spans = Counter(span[0] for span in tracer.spans)
     assert tracer.counts["descent.levels"] == len(dists)
     assert tracer.counts["descent.branches"] == sum(len(dist.support()) for dist in dists)
+    assert cert.fallback_levels == ()
     assert spans["polynomials.maxroot"] == 1
-    assert spans["polynomials.root_report"] == tracer.counts["descent.levels"]
+    assert spans["polynomials.root_report"] == 2

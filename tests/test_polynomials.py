@@ -20,7 +20,7 @@ from interlace import (
 from interlace.descent import FiniteDistribution
 from interlace.generate import random_psd
 from interlace.mixedchar import ProductLevels
-from interlace.polynomials import _newton_polish
+from interlace.polynomials import _newton_polish, evaluate_bounded
 
 
 def P(*coeffs):
@@ -559,3 +559,24 @@ def test_even_rows_of_dyadic_pairs_are_certified(numerators, zero_pairs, scale):
     assert lo < max(pairs) < hi
     stacked = maxroot_certified([p, P(-1, 0, 1), p])
     assert _bits([stacked[0], stacked[2]]) == _bits([(lo, hi)] * 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=16),
+    at=st.integers(0, 15),
+    offset=st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, 0.5]),
+    exponent=st.sampled_from([-1070, -1000, -300, 0, 300]),
+)
+def test_horner_value_stays_inside_its_error_bound(roots, at, offset, exponent):
+    # clustered and repeated roots, points on and next to a root where the
+    # value cancels to nothing, and coefficients scaled down to subnormal
+    # values or up near overflow: the value of the float coefficients at the
+    # float point, in 50-digit mpmath, is never farther than the bound
+    coeffs = [math.ldexp(c, exponent) for c in np.poly(roots)[::-1]]
+    x = roots[at % len(roots)] + offset
+    value, bound = evaluate_bounded(coeffs, x)
+    assert math.isfinite(value) and bound >= 0.0
+    with mpmath.workdps(50):
+        exact = mpmath.polyval([mpmath.mpf(c) for c in coeffs[::-1]], mpmath.mpf(x))
+        assert abs(mpmath.mpf(value) - exact) <= bound
