@@ -16,7 +16,10 @@ own ``root_report``.  After the last level one more ``root_report`` gives
 the remaining rows' realness verdicts and seeds, one stacked
 ``maxroot_certified`` call encloses every level's rows, and the chain of
 enclosures is recorded as a certificate; a decision that the certified ends
-contradict raises NumericalFailure naming its level.
+contradict raises NumericalFailure naming its level.  Branches travel as
+arrays of ascending coefficients from the level engines to the mixture
+check and the sign test; each becomes a ``RealPolynomial`` once, for the
+reports and the certifier.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class FiniteDistribution:
 
     def variance(self) -> float:
         """sum p d_v^2 over the deviations d_v."""
-        return float(sum(p * t * t for t, p in zip(self.deviations().values(), self.probs)))
+        return variance_of(self, self.deviations())
 
     def support(self) -> tuple[float, ...]:
         """Values carrying positive probability, ascending."""
@@ -121,6 +124,11 @@ class FiniteDistribution:
 
     def rescale(self, c: float) -> "FiniteDistribution":
         return FiniteDistribution.make([v * c for v in self.values], self.probs)
+
+
+def variance_of(dist: FiniteDistribution, deviations: Mapping[float, float]) -> float:
+    """``dist.variance()`` read off ``deviations``, the ``dist.deviations()`` a solve already holds."""
+    return float(sum(p * t * t for t, p in zip(deviations.values(), dist.probs)))
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,10 @@ def _descend_to_root(coeffs: Sequence[float], x: float) -> float | None:
     return None
 
 
-def _decide_at_parent_root(polys: Sequence[RealPolynomial], r: float) -> tuple[int, list] | None:
+def _decide_at_parent_root(rows: Sequence[Sequence[float]], r: float) -> tuple[int, list] | None:
     """(best, roots) of a level decided at r, the max root of the branch committed before it.
+
+    rows holds each branch's coefficients, ascending, without trailing zeros.
 
     The branches share a common interlacer whose max root is at most r, so
     each has exactly one root at or above it: p_i(r) provably > 0 puts branch
@@ -238,14 +248,14 @@ def _decide_at_parent_root(polys: Sequence[RealPolynomial], r: float) -> tuple[i
     roots above r leave open.
     """
     roots = []
-    for p in polys:
-        if p.degree < 1 or not p.coeffs[-1] > 0.0:
+    for coeffs in rows:
+        if len(coeffs) < 2 or not coeffs[-1] > 0.0:
             return None
-        value, bound = evaluate_bounded(p.coeffs, r)
+        value, bound = evaluate_bounded(coeffs, r)
         if value < -bound:
             roots.append(None)
         elif value > bound:
-            root = _descend_to_root(p.coeffs, r)
+            root = _descend_to_root(coeffs, r)
             if root is None:
                 return None
             roots.append(root)
@@ -288,17 +298,52 @@ def _real_rooted_or_raise(level: int, cands: Sequence, reports: Sequence[RootRep
             )
 
 
+def _trimmed(row: list) -> list:
+    """row without its trailing zeros, which are not part of its degree (as in ``RealPolynomial.from_coeffs``)."""
+    end = len(row)
+    while end and row[end - 1] == 0.0:
+        end -= 1
+    return row if end == len(row) else row[:end]
+
+
+def _mixture_gap(branches: Sequence[list], weights: Sequence[float], committed: list) -> tuple[float, float]:
+    """(gap, scale) of a level past 0, in floats: gap = max_j |sum_i w_i c_ij - committed_j|,
+    NaN when any term is and inf when the widest branch and the committed
+    row, padded to its level's widest, differ in length, and
+    scale = sum_i w_i max_j |c_ij|."""
+    scale = 0.0
+    for w, row in zip(weights, branches):
+        scale += w * max(map(abs, row), default=0.0)
+    if max(map(len, branches)) != len(committed):
+        return math.inf, scale
+    gap = 0.0
+    for j, c in enumerate(committed):
+        mixed = 0.0
+        for w, row in zip(weights, branches):
+            if j < len(row):
+                mixed += w * row[j]
+        d = abs(mixed - c)
+        if d > gap or d != d:  # a NaN stays
+            gap = d
+    return gap, scale
+
+
 def _run_descent(
     num_levels: int,
     candidates: Callable[[int], Iterable[tuple[Any, float]]],
-    branch_poly: Callable[[Any], RealPolynomial],
+    branch_poly: Callable[[Any], Sequence[float]],
     commit: Callable[[Any], None],
 ) -> DescentCertificate:
     """Shared greedy loop; candidates(k) yields (candidate, probability) in tie order.
 
-    Level k reads branch_poly(cand) for each candidate, the polynomial with
-    the committed levels, k set to cand and the rest free, decides the
-    level and then calls commit(best) once.  A branch wins only when its max
+    Level k reads branch_poly(cand) for each candidate, the coefficients,
+    ascending, of the polynomial with the committed levels, k set to cand
+    and the rest free (an array, or any sequence of floats; trailing zeros
+    are not part of its degree), decides the level and then calls
+    commit(best) once.  The mixture check and the decision at the parent's
+    max root read these rows as they are; each row becomes a
+    ``RealPolynomial`` once, in the stack the reports and the certifier
+    read.  A branch wins only when its max
     root is lower by more than TIE_TOL.  The branches mix to their parent:
     level 0's mixture is the root polynomial, and a later level whose
     mixture misses the branch committed before it by more than MIXTURE_TOL
@@ -325,22 +370,19 @@ def _run_descent(
     assignment, stack, reports, levels, fallbacks, decided = [], [], [], [], [], []
     for level in range(num_levels):
         cands, weights = zip(*candidates(level))
-        polys = [branch_poly(cand) for cand in cands]
-        width = max(len(p.coeffs) for p in polys)
-        coeffs = np.array([p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys])
-        weights = np.array(weights)
-        mixture = weights @ coeffs
-        rows, level_reports, found = polys, None, None
+        branches = [_trimmed(np.asarray(branch_poly(cand), dtype=np.float64).tolist()) for cand in cands]
+        width = max(map(len, branches))
+        rows, level_reports, found = [RealPolynomial(tuple(row)) for row in branches], None, None
         if level == 0:
-            rows = polys + [RealPolynomial.from_coeffs(mixture)]
+            mixture = np.array(weights) @ np.array([row + [0.0] * (width - len(row)) for row in branches])
+            rows.append(RealPolynomial.from_coeffs(mixture))
         else:
-            gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
-            scale = float(weights @ np.abs(coeffs).max(axis=1))
-            if not gap <= (MIXTURE_TOL + abs(1.0 - weights.sum())) * scale:  # NaN fails
+            gap, scale = _mixture_gap(branches, weights, committed)
+            if not gap <= (MIXTURE_TOL + abs(1.0 - math.fsum(weights))) * scale:  # NaN fails
                 raise NumericalFailure(
                     f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
                 )
-            found = (0, [parent_root]) if len(cands) == 1 else _decide_at_parent_root(polys, parent_root)
+            found = (0, [parent_root]) if len(cands) == 1 else _decide_at_parent_root(branches, parent_root)
             if found is None:
                 fallbacks.append(level)
         if found is None:
@@ -353,7 +395,7 @@ def _run_descent(
             if len(cands) > 1:
                 decided.append((level, len(stack), roots, parent_root))
         commit(cands[best])
-        committed = coeffs[best]
+        committed = branches[best] + [0.0] * (width - len(branches[best]))
         parent_root = roots[best]
         assignment.append(cands[best])
         levels.append((len(stack), cands, best))
@@ -393,7 +435,10 @@ def _run_descent(
 
 
 def greedy_descent_quadratic(
-    table: SubsetTable, dists: Sequence[FiniteDistribution], scale: float = 1.0
+    table: SubsetTable,
+    dists: Sequence[FiniteDistribution],
+    scale: float = 1.0,
+    centered: tuple[Sequence[Mapping[float, float]], Sequence[float]] | None = None,
 ) -> DescentCertificate:
     """Descend the centered product family mu[t A] * mu[-t A], t_i = (s_i - E xi_i) / scale,
     over value assignments s.
@@ -401,12 +446,17 @@ def greedy_descent_quadratic(
     ``table`` must come from PSD matrices, as ``DiscrepancyInstance``
     validates; the hermitian lift's parts are PSD by construction.
     c_S lambda^|S| is the family of lambda t.  ``ProductLevels``
-    serves the branches from it, the ``deviations()`` and scale.  The leaf reached
+    serves the branches from it, the ``deviations()``, the variances and
+    scale; ``centered`` is (deviations, variances) of dists when the caller
+    already holds them, so that none is computed twice.  The leaf reached
     satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
     polynomial, which by the norm transfer bound controls
     ||sum (s_i - E xi_i) A_i||.  The assignment holds the given values s_i.
     """
-    levels = ProductLevels(table, [d.deviations() for d in dists], [d.variance() for d in dists], scale)
+    if centered is None:
+        devs = [d.deviations() for d in dists]
+        centered = devs, [variance_of(d, dev) for d, dev in zip(dists, devs)]
+    levels = ProductLevels(table, *centered, scale)
     return _run_descent(
         num_levels=table.n,
         candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),
@@ -461,9 +511,9 @@ def greedy_descent_linear(choices: Sequence[MatrixDistribution]) -> DescentCerti
     ones = np.ones(len(choices))
     fixed: list[int] = []  # chosen value index per committed level
 
-    def branch_poly(v: int) -> RealPolynomial:
+    def branch_poly(v: int) -> tuple[float, ...]:
         mats = [choices[i].values[u] for i, u in enumerate(fixed + [v])] + means[len(fixed) + 1 :]
-        return mixed_char_poly(MatrixEnsemble(tuple(mats)), ones)
+        return mixed_char_poly(MatrixEnsemble(tuple(mats)), ones).coeffs
 
     return _run_descent(
         num_levels=len(choices),

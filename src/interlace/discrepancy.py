@@ -13,18 +13,18 @@ factor 2 in the bound; its sigma and table come from the d x d parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .descent import DescentCertificate, FiniteDistribution, greedy_descent_quadratic
+from .descent import DescentCertificate, FiniteDistribution, greedy_descent_quadratic, variance_of
 from .errors import NotPSD, NumericalFailure
 from .linalg import (
     MatrixEnsemble,
     ensemble as as_ensemble,
+    exact_hermitian,
     is_psd,
-    make_hermitian,
     operator_norm,
     positive_negative_parts,
     weighted_sum,
@@ -69,15 +69,14 @@ class DiscrepancyResult:
 
 def sigma_bound(inst: DiscrepancyInstance) -> float:
     """sigma = sqrt(max(max_i var tr(A_i)^2, ||sum var tr(A_i) A_i||))."""
-    return _sigma([inst.ensemble], inst.dists)
+    return _sigma([inst.ensemble], [dist.variance() for dist in inst.dists])
 
 
-def _sigma(parts: Sequence[Sequence], dists: Sequence[FiniteDistribution]) -> float:
+def _sigma(parts: Sequence[Sequence], variances: Sequence[float]) -> float:
     """sigma of diag(parts[0][i], parts[1][i], ...): traces add, the norm is the largest block's."""
-    var = [dist.variance() for dist in dists]
     tr = [sum(H.trace() for H in blocks) for blocks in zip(*parts)]
-    term1 = max(v * t * t for v, t in zip(var, tr))
-    weights = [v * t for v, t in zip(var, tr)]
+    term1 = max(v * t * t for v, t in zip(variances, tr))
+    weights = [v * t for v, t in zip(variances, tr)]
     term2 = max(operator_norm(weighted_sum(part, weights)) for part in parts)
     return float(np.sqrt(max(term1, term2)))
 
@@ -90,13 +89,17 @@ def two_point_reduction(dist: FiniteDistribution) -> FiniteDistribution:
     sign of their ``deviations()`` d_v; a support value with |d_v| <= 1e-12
     max |d_v| collapses the variable to the point mass there.
     """
+    return _reduce(dist, dist.deviations())
+
+
+def _reduce(dist: FiniteDistribution, dev: Mapping[float, float]) -> FiniteDistribution:
+    """``two_point_reduction`` reading dev, the variable's ``deviations()``."""
     support = dist.support()
     if len(support) <= 2:
         if len(support) == len(dist.values):
             return dist
         keep = [(v, p) for v, p in zip(dist.values, dist.probs) if p > 0]
         return FiniteDistribution.make([v for v, _ in keep], [p for _, p in keep])
-    dev = dist.deviations()
     spread = max(abs(dev[v]) for v in support)
     for v in support:
         if abs(dev[v]) <= 1e-12 * spread:
@@ -107,8 +110,9 @@ def two_point_reduction(dist: FiniteDistribution) -> FiniteDistribution:
     return FiniteDistribution.make([lower, upper], [p_low, 1.0 - p_low])
 
 
-def _degenerate_outcome(dists: Sequence[FiniteDistribution]) -> tuple[float, ...]:
-    devs = [dist.deviations() for dist in dists]
+def _degenerate_outcome(
+    dists: Sequence[FiniteDistribution], devs: Sequence[Mapping[float, float]]
+) -> tuple[float, ...]:
     return tuple(min(dist.support(), key=lambda v: (abs(dev[v]), v)) for dist, dev in zip(dists, devs))
 
 
@@ -118,20 +122,38 @@ def _recompute_achieved(
     return operator_norm(weighted_sum(matrices, [s - dist.mean() for dist, s in zip(dists, outcome)]))
 
 
-def _solve(matrices: Sequence, given: Sequence, parts: Sequence, reduce: bool) -> DiscrepancyResult:
+def _solve(
+    matrices: Sequence, given: Sequence, parts: Sequence, reduce: bool, absolute: Sequence | None = None
+) -> DiscrepancyResult:
     """The 4-sigma descent of the PSD family diag(parts[0][i], parts[1][i], ...),
-    its outcome's norm taken on ``matrices`` and the given variables."""
-    dists = tuple(two_point_reduction(d) for d in given) if reduce else tuple(given)
-    sigma = _sigma(parts, dists)
+    its outcome's norm taken on ``matrices`` and the given variables.
+
+    With ``absolute``, the |B_i| of the hermitian path, the reported sigma is
+    the given variables' on it, taken first, and the bound 8 sigma.  Each
+    variable's ``deviations()`` is computed once per solve, and every
+    variance, the reduction, the descent and a degenerate outcome read it.
+    """
+    given_devs = [dist.deviations() for dist in given]
+    if absolute is not None:
+        reported = _sigma([absolute], [variance_of(g, dev) for g, dev in zip(given, given_devs)])
+    if reduce:
+        dists = [_reduce(g, dev) for g, dev in zip(given, given_devs)]
+        devs = [dev if d is g else d.deviations() for d, g, dev in zip(dists, given, given_devs)]
+    else:
+        dists, devs = list(given), given_devs
+    variances = [variance_of(d, dev) for d, dev in zip(dists, devs)]
+    sigma = _sigma(parts, variances)
     if sigma == 0.0:
         traces = [sum(H.trace() for H in blocks) for blocks in zip(*parts)]
         if any(len(dist.support()) > 1 and t != 0.0 for dist, t in zip(dists, traces)):
             raise NumericalFailure("sigma^2 underflows to 0 on a variable with two or more support values")
-        outcome = _degenerate_outcome(dists)
+        outcome = _degenerate_outcome(dists, devs)
         cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (len(dists) + 1), (np.inf,) * len(dists))
     else:
-        cert = greedy_descent_quadratic(SubsetTable.build(*parts), dists, sigma)
+        cert = greedy_descent_quadratic(SubsetTable.build(*parts), dists, sigma, (devs, variances))
     achieved = _recompute_achieved(matrices, given, cert.assignment)
+    if absolute is not None:
+        return DiscrepancyResult(cert.assignment, achieved, reported, 8.0 * reported, cert)
     return DiscrepancyResult(cert.assignment, achieved, sigma, 4.0 * sigma, cert)
 
 
@@ -155,13 +177,13 @@ def solve_hermitian(matrices, dists: Sequence[FiniteDistribution], reduce: bool 
     sigma is computed with |B_i| in place of A_i; the descent runs on the
     block-diagonal lift diag((B_i)+, (B_i)-), whose table is built from the
     d x d parts, and the outcome is evaluated on the original matrices.  Both
-    parts, PSD by construction, and |B_i| come from one spectral split of B_i.
+    parts, PSD by construction, and |B_i| come from one spectral split of B_i;
+    the sum |B_i| = (B_i)+ + (B_i)- is exactly hermitian and kept as it is.
     """
     mats = as_ensemble(matrices)
     dists = tuple(dists)
     if len(dists) != len(mats):
         raise ValueError("one distribution per matrix required")
     pos, neg = zip(*(positive_negative_parts(B) for B in mats))
-    absolute = [make_hermitian(P.entries + N.entries, tol=np.inf) for P, N in zip(pos, neg)]
-    sigma = _sigma([absolute], dists)
-    return replace(_solve(mats, dists, [pos, neg], reduce), sigma=sigma, bound=8.0 * sigma)
+    absolute = [exact_hermitian(P.entries + N.entries) for P, N in zip(pos, neg)]
+    return _solve(mats, dists, [pos, neg], reduce, absolute)

@@ -22,14 +22,17 @@ PSD_SLACK = 1e-10
 # The most indices a subset table holds, so the most completion pieces any
 # table can index.
 MAX_INDICES = 14
+# Parts this large overflow in the M + M* of make_hermitian.
+_HALF_OVERFLOW = 2.0**1023
 
 
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Validated dense d x d complex hermitian matrix.
 
-    Construct through :func:`make_hermitian`; the stored array is
-    symmetrized and marked read-only, so the PSD verdict is computed once.
+    Construct through :func:`make_hermitian`, or :func:`exact_hermitian` for
+    a sum that is exactly hermitian already; the stored array is hermitian
+    and marked read-only, so the PSD verdict is computed once.
     """
 
     entries: np.ndarray
@@ -43,7 +46,7 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        return float(self.entries.trace().real)
 
     @functools.cached_property
     def psd(self) -> bool:
@@ -130,22 +133,26 @@ def positive_negative_parts(H) -> tuple[HermitianMatrix, HermitianMatrix]:
 def absolute_value(H) -> HermitianMatrix:
     """|H| = H+ + H-."""
     pos, neg = positive_negative_parts(H)
-    return make_hermitian(pos.entries + neg.entries, tol=np.inf)
+    return exact_hermitian(pos.entries + neg.entries)
 
 
-def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
+def rank_one_completion(
+    A, epsilon: float, spectrum: tuple[np.ndarray, np.ndarray] | None = None
+) -> list[HermitianMatrix]:
     """Split I - A into PSD rank-one pieces with trace at most ``epsilon``.
 
     Requires 0 <= A <= I. Each eigenvalue lam of I - A is divided into
     max(1, ceil(lam / epsilon)) equal multiples of its eigenprojector, so the
     output length never exceeds d * ceil(1 / epsilon).  The pieces are
     counted before any is built: more than ``MAX_INDICES`` raise
-    ``SizeGuard``.
+    ``SizeGuard``.  ``spectrum`` is ``eigh(A)`` when the caller already
+    holds it, so that A is eigensolved once; the checks read it as they
+    read their own.
     """
     A = as_hermitian(A)
     if not epsilon > 0:  # also rejects a NaN epsilon
         raise ValueError(f"epsilon must be positive; got {epsilon}")
-    w, V = eigh(A)
+    w, V = eigh(A) if spectrum is None else spectrum
     if not _psd_spectrum(w):
         raise NotPSD("completion requires A >= 0")
     if w[-1] > 1.0 + PSD_SLACK:
@@ -204,8 +211,8 @@ class MatrixEnsemble:
     def sum(self) -> HermitianMatrix:
         total = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for H in self.matrices:
-            total = total + H.entries
-        return make_hermitian(total, tol=np.inf)
+            total += H.entries
+        return exact_hermitian(total)
 
     def traces(self) -> np.ndarray:
         return np.array([H.trace() for H in self.matrices])
@@ -218,30 +225,62 @@ def ensemble(arrays: Iterable, tol: float | None = None) -> MatrixEnsemble:
     return MatrixEnsemble.from_arrays(arrays, tol)
 
 
+def exact_hermitian(total: np.ndarray) -> HermitianMatrix:
+    """Wrap, as it is, a sum of exactly hermitian matrices with real coefficients.
+
+    Each term c H has its (j, i) entry exactly the conjugate of its (i, j)
+    entry, because negation is exact and rounding is symmetric, and so has
+    the sum.  (M + M*) / 2 therefore returns it unchanged: bit for bit when
+    the sum was accumulated from +0, which leaves no -0 in it, and in value
+    otherwise (a zero may change sign).  A part that is NaN, infinite or at
+    least 2^1023, where M + M* overflows, goes through
+    ``make_hermitian(total, tol=np.inf)``, which raises NotHermitian on a
+    NaN or infinite entry.
+    """
+    if not np.abs(total.view(np.float64)).max() < _HALF_OVERFLOW:  # NaN fails
+        return make_hermitian(total, tol=np.inf)
+    total.flags.writeable = False
+    return HermitianMatrix(total)
+
+
 def weighted_sum(matrices, coeffs) -> HermitianMatrix:
-    """sum_i coeffs[i] H_i, accumulated from zero in index order."""
+    """sum_i coeffs[i] H_i, accumulated from zero in index order.
+
+    With real coefficients the sum is kept as it is (``exact_hermitian``);
+    a complex coefficient takes the symmetrising pass of ``make_hermitian``.
+    """
     total = np.zeros((matrices[0].dim, matrices[0].dim), dtype=np.complex128)
+    real = True
     for H, c in zip(matrices, coeffs):
-        total = total + c * H.entries
-    return make_hermitian(total, tol=np.inf)
+        total += c * H.entries
+        real = real and not isinstance(c, (complex, np.complexfloating))
+    return exact_hermitian(total) if real else make_hermitian(total, tol=np.inf)
 
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Summary used by the trace-capped hypotheses: max trace, sum norm, flags."""
+    """Summary used by the trace-capped hypotheses: max trace, sum norm, flags.
+
+    ``total`` is the sum and ``spectrum`` its one ``eigh``, which the
+    ``<= I`` flag reads and the rank-one completion reuses.
+    """
 
     epsilon: float
     sum_norm: float
     sum_leq_identity: bool
     all_psd: bool
+    total: HermitianMatrix
+    spectrum: tuple[np.ndarray, np.ndarray]
 
 
 def ensemble_stats(E: MatrixEnsemble) -> EnsembleStats:
     total = E.sum()
-    w = eigenvalues(total)
+    w, V = eigh(total)
     return EnsembleStats(
         epsilon=float(np.max(E.traces())),
         sum_norm=float(np.max(np.abs(w))),
         sum_leq_identity=bool(w[-1] <= 1.0 + PSD_SLACK),
         all_psd=all(is_psd(H) for H in E),
+        total=total,
+        spectrum=(w, V),
     )

@@ -50,6 +50,7 @@ from .errors import (
 from .linalg import (
     MAX_INDICES,
     PSD_SLACK,
+    EnsembleStats,
     MatrixEnsemble,
     eigenvalues,
     ensemble as as_ensemble,
@@ -67,8 +68,8 @@ MAX_LIFTED_DIM = 48
 RESULT_SLACK = 1e-7
 
 
-def _trace_capped(ensemble, epsilon: float | None) -> tuple[MatrixEnsemble, float]:
-    """The PSD ensemble with sum at most I, and its trace cap.
+def _trace_capped(ensemble, epsilon: float | None) -> tuple[MatrixEnsemble, float, EnsembleStats]:
+    """The PSD ensemble with sum at most I, its trace cap and its ``ensemble_stats``.
 
     The cap is the maximum trace unless ``epsilon`` declares a larger one,
     at most the dimension: 0 <= A <= I has trace at most d, so a larger cap
@@ -86,7 +87,7 @@ def _trace_capped(ensemble, epsilon: float | None) -> tuple[MatrixEnsemble, floa
             f"declared trace cap {eps:.6g} must lie between the actual maximum trace"
             f" {stats.epsilon:.6g} and the dimension {ens.dim}"
         )
-    return ens, eps
+    return ens, eps, stats
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class LyapunovInstance:
         for t in weights:
             if not 0.0 <= t <= 1.0:
                 raise WeightOutOfRange(f"weight {t} outside [0, 1]")
-        ens, eps = _trace_capped(ens, epsilon)
+        ens, eps, _ = _trace_capped(ens, epsilon)
         return cls(ens, weights, eps)
 
 
@@ -185,18 +186,18 @@ def ks_r_partition(
     t = [float(x) for x in proportions]
     if not t or not all(x > 0 for x in t) or not abs(sum(t) - 1.0) <= 1e-12:  # NaN fails
         raise BadProportions("proportions must be positive and sum to 1")
-    ens, eps = _trace_capped(ensemble, epsilon)
+    ens, eps, stats = _trace_capped(ensemble, epsilon)
     r = len(t)
     m = len(ens)
     d = ens.dim
-    total = ens.sum()
+    total = stats.total
     # pieces of trace at most eps fill I - sum A: at least (d - tr sum A) / eps
     # of them, less one per eigenvalue for rounding; refuse before building any
     if eps > 0 and m + (d - total.trace()) / eps - d > MAX_INDICES:
         raise SizeGuard(f"the rank-one completion at trace cap {eps:.6g} exceeds {MAX_INDICES} indices")
     if d * r > MAX_LIFTED_DIM:
         raise SizeGuard(f"lifted dimension {d * r} exceeds {MAX_LIFTED_DIM}")
-    completion = rank_one_completion(total, eps)
+    completion = rank_one_completion(total, eps, stats.spectrum)
     recon = total.entries + sum((B.entries for B in completion), np.zeros((d, d), dtype=np.complex128))
     if float(np.linalg.norm(recon - np.eye(d))) > 1e-8 * d:
         raise ValidationError("completion failed to reconstruct the identity")
@@ -242,7 +243,7 @@ def mixed_bound_reference(ensemble, rank_cap: int | None = None) -> float:
     Without a rank cap: (1 + sqrt(eps))^2.  With all ranks at most k and
     0 < eps <= (k-1)^2/k: (sqrt(1 - eps/(k-1)) + sqrt(eps))^2.
     """
-    ens, eps = _trace_capped(ensemble, None)
+    ens, eps, _ = _trace_capped(ensemble, None)
     if rank_cap is None:
         return (1.0 + math.sqrt(eps)) ** 2
     k = int(rank_cap)

@@ -24,8 +24,9 @@ pass.  The (S, T) and (T, S) terms of an odd coefficient cancel exactly, so
 it sums only the even anti-diagonals, and its branches are polynomials in
 x^2 whose odd coefficients are exactly 0.0 (``root_report`` solves them at
 half the degree).  Both level engines answer a descent's ``branch(v)``
-(next index set to v) and ``commit(v)`` (fix it), and its root polynomial
-is level 0's mixture: the full passes are references.
+(next index set to v, returned as an array of ascending coefficients) and
+``commit(v)`` (fix it), and its root polynomial is level 0's mixture: the
+full passes are references.
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -278,13 +279,18 @@ class DerivativeSpec:
         return cls(tuple(map(float, a)), tuple(map(float, b)), tuple(map(float, c)))
 
 
-def _graded_poly(sizes: np.ndarray, weights: np.ndarray, deg: int) -> RealPolynomial:
-    """sum_S weights[S] x^(deg - sizes[S]) over masks S with sizes[S] <= deg."""
+def _graded_coeffs(sizes: np.ndarray, weights: np.ndarray, deg: int) -> np.ndarray:
+    """Ascending coefficients of sum_S weights[S] x^(deg - sizes[S]) over masks S with sizes[S] <= deg."""
     sums = np.bincount(sizes, weights=weights)
     top = min(len(sums) - 1, deg)
     coeffs = np.zeros(deg + 1)
     coeffs[deg - top :] = sums[top::-1]
-    return RealPolynomial.from_coeffs(coeffs)
+    return coeffs
+
+
+def _graded_poly(sizes: np.ndarray, weights: np.ndarray, deg: int) -> RealPolynomial:
+    """sum_S weights[S] x^(deg - sizes[S]) over masks S with sizes[S] <= deg."""
+    return RealPolynomial.from_coeffs(_graded_coeffs(sizes, weights, deg))
 
 
 def _require_table(E: MatrixEnsemble, table: SubsetTable | None) -> SubsetTable:
@@ -411,7 +417,8 @@ class ProductLevels:
     so only the even anti-diagonals are summed, and every branch is a
     polynomial in x^2 with odd coefficients exactly 0.0.  Level k works on
     the 2^(n-k) masks still free, with one contraction per branch value; a
-    commit keeps that value's R_v.
+    commit keeps that value's R_v.  A branch is returned as its ascending
+    coefficients, an array of length 2d + 1.
     """
 
     def __init__(
@@ -452,12 +459,12 @@ class ProductLevels:
             self._branched[v] = _contract_low_bit(self._R, self._deviations[self._next][v])
         return self._branched[v]
 
-    def branch(self, v: float) -> RealPolynomial:
-        """The polynomial with the next index set to v."""
+    def branch(self, v: float) -> np.ndarray:
+        """Ascending coefficients of the polynomial with the next index set to v."""
         self._check_open()
         R = self._contract(v)
         gram = (R * self._q[:: 2 << self._next]) @ R.T
-        return _graded_poly(self._ranks, (gram * self._row_sign).ravel()[self._even], self._deg)
+        return _graded_coeffs(self._ranks, (gram * self._row_sign).ravel()[self._even], self._deg)
 
     def commit(self, v: float) -> None:
         """Fix the next index to v."""
@@ -501,7 +508,8 @@ class ConvolutionLevels:
     that puts indices 0, 1, ... into slots in order.
 
     ``branch(s)`` is the polynomial with the committed slots, the next index
-    k in slot s and the indices after k free; ``commit(s)`` puts index k into
+    k in slot s and the indices after k free, returned as its ascending
+    coefficients, an array of length r d + 1; ``commit(s)`` puts index k into
     slot s for good, and the next level is k + 1.  Slot s's table is
     c_S prod_{i in S} f_{s,i}, with factor -1 for a free index, -scales[s]
     for an index put in slot s and 0 for an index put in another slot.
@@ -588,15 +596,15 @@ class ConvolutionLevels:
         W = _binomial_weights(cap, len(P))[:, self._table.sizes[: 1 << cap]]
         return W, self._read(P, W, 0), others
 
-    def branch(self, s: int) -> RealPolynomial:
-        """The polynomial with the next index in slot s."""
+    def branch(self, s: int) -> np.ndarray:
+        """Ascending coefficients of the polynomial with the next index in slot s."""
         self._check_open(s)
         if self._level is None:
             self._level = self._start_level()
         W, a, others = self._level
         D, L = self._difference(s), others[s]
         b = self._read(D if L is None else _rank_product(D, L, self._free_after()), W, 1)
-        return RealPolynomial.from_coeffs((a + self._scales[s] * b)[::-1])
+        return (a + self._scales[s] * b)[::-1]
 
     def commit(self, s: int) -> None:
         """Put the next index into slot s."""

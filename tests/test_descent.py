@@ -243,7 +243,7 @@ def test_descent_aborts_on_non_real_rooted_branch():
             _run_descent(
                 num_levels=1,
                 candidates=lambda k: [(0, 0.5), (1, 0.5)],
-                branch_poly=lambda cand: branches[cand],
+                branch_poly=lambda cand: branches[cand].coeffs,
                 commit=committed.append,
             )
         assert committed == []
@@ -255,7 +255,6 @@ def test_descent_commits_each_level_once_with_its_winner():
     # before it.  Level 0 is won by candidate 1; at level 1 candidates 0 and
     # 2 tie within TIE_TOL, so the earlier one is committed even though its
     # root is higher by TIE_TOL / 2.
-    from interlace import RealPolynomial
     from interlace.descent import TIE_TOL, _run_descent
 
     weights = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]
@@ -268,8 +267,8 @@ def test_descent_commits_each_level_once_with_its_winner():
             level = sum(1 for call in calls if call[0] == "commit")
             calls.append(("branch", level, cand))
             if (level, cand) == broken:
-                return RealPolynomial.from_coeffs([1.0, 0.0, 1.0])  # roots +-i
-            return RealPolynomial.from_coeffs([-maxroots[level][cand], 1.0])
+                return [1.0, 0.0, 1.0]  # roots +-i
+            return [-maxroots[level][cand], 1.0]
 
         calls.clear()
         return _run_descent(
@@ -303,7 +302,7 @@ def test_descent_names_the_level_whose_mixture_leaves_the_committed_branch(drift
     # mixes to the branch committed before it.  Commit number drift_at also
     # moves x by `drift`; past the rounding budget, the next level must
     # refuse before its own commit.
-    from interlace import NumericalFailure, RealPolynomial
+    from interlace import NumericalFailure
     from interlace.descent import _run_descent
 
     def run(drift, commits):
@@ -316,7 +315,7 @@ def test_descent_names_the_level_whose_mixture_leaves_the_committed_branch(drift
         return _run_descent(
             num_levels=4,
             candidates=lambda k: [(-1.0, 0.5), (1.0, 0.5)],
-            branch_poly=lambda v: RealPolynomial.from_coeffs([-(x[0] + v * 2.0 ** -len(commits)), 1.0]),
+            branch_poly=lambda v: [-(x[0] + v * 2.0 ** -len(commits)), 1.0],
             commit=commit,
         )
 
@@ -447,8 +446,9 @@ def _recording_levels(monkeypatch):
             return candidates(k)
 
         def read(cand):
-            levels[-1].append(branch_poly(cand))
-            return levels[-1][-1]
+            row = branch_poly(cand)
+            levels[-1].append(RealPolynomial.from_coeffs(row))
+            return row
 
         return run(num_levels, listed, read, commit)
 
@@ -487,10 +487,10 @@ def _inject_decision(monkeypatch, at, edit):
     # rewrite the at-th decision taken at a parent's max root (0-based)
     decide, calls = descent._decide_at_parent_root, []
 
-    def injected(polys, r):
-        found = decide(polys, r)
+    def injected(rows, r):
+        found = decide(rows, r)
         calls.append(r)
-        return edit(polys, *found) if len(calls) - 1 == at else found
+        return edit([RealPolynomial(tuple(row)) for row in rows], *found) if len(calls) - 1 == at else found
 
     monkeypatch.setattr(descent, "_decide_at_parent_root", injected)
     return calls
@@ -565,7 +565,7 @@ def test_descent_names_the_level_of_an_uncertified_enclosure(monkeypatch):
         _run_descent(
             num_levels=2,
             candidates=lambda k: [(0, 1 / 3), (1, 1 / 3), (2, 1 / 3)] if k == 0 else [(0, 0.5), (1, 0.5)],
-            branch_poly=lambda v: RealPolynomial.from_coeffs([0.5 * len(committed) - v, 1.0]),
+            branch_poly=lambda v: [0.5 * len(committed) - v, 1.0],
             commit=committed.append,
         )
     assert exc.value.row == 4
@@ -588,7 +588,7 @@ def _run_levels(levels, weights):
     cert = descent._run_descent(
         num_levels=len(levels),
         candidates=lambda k: list(enumerate(weights[k])),
-        branch_poly=lambda v: levels[len(committed)][v],
+        branch_poly=lambda v: levels[len(committed)][v].coeffs,
         commit=committed.append,
     )
     return cert, committed
@@ -629,7 +629,7 @@ def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weig
     companion = descent._rank([report.maxroot for report in root_report(levels[1], ROOTEDNESS_TOL)])
     assert committed == [0, companion]
     parent = root_report(levels[0], ROOTEDNESS_TOL)[0].maxroot
-    found = descent._decide_at_parent_root(levels[1], parent)
+    found = descent._decide_at_parent_root([p.coeffs for p in levels[1]], parent)
     assert cert.fallback_levels == (() if found else (1,))
     if found:
         best, roots = found
@@ -681,14 +681,14 @@ def test_descent_names_a_branch_past_level_0_that_is_not_real_rooted(bad, fallba
     bad = np.array(bad)
     levels = [[RealPolynomial.from_coeffs(parent)], [RealPolynomial.from_coeffs(bad), RealPolynomial.from_coeffs(2 * parent - bad)]]
     assert root_report(levels[1][1:], ROOTEDNESS_TOL)[0].real_rooted
-    found = descent._decide_at_parent_root(levels[1], 1.0)
+    found = descent._decide_at_parent_root([p.coeffs for p in levels[1]], 1.0)
     assert (found is None) == (fallbacks is None)
     committed = []
     with pytest.raises(NotRealRooted, match=r"^level 1, branch 0: expected polynomial not real-rooted .*; aborting descent$"):
         descent._run_descent(
             num_levels=2,
             candidates=lambda k: [(0, 1.0)] if k == 0 else [(0, 0.5), (1, 0.5)],
-            branch_poly=lambda v: levels[len(committed)][v],
+            branch_poly=lambda v: levels[len(committed)][v].coeffs,
             commit=committed.append,
         )
     assert committed == ([0] if fallbacks is None else [0, 0])

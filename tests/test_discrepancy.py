@@ -6,6 +6,7 @@ import pytest
 from interlace import (
     DiscrepancyInstance,
     FiniteDistribution,
+    NotHermitian,
     NotPSD,
     NumericalFailure,
     ensemble,
@@ -333,3 +334,80 @@ def test_solve_keeps_values_that_scale_alike():
     assert res.sigma == pytest.approx(0.62299, abs=1e-5)
     assert res.outcome[0] in close.support()
     assert res.achieved <= res.bound
+
+
+def _counting_deviations(monkeypatch):
+    """A list that gains the distribution of every FiniteDistribution.deviations call."""
+    calls = []
+    real = FD.deviations
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FD, "deviations", counting)
+    return calls
+
+
+def test_each_variable_is_centered_once_per_solve_with_no_memo_across_solves(monkeypatch):
+    # _solve computes every variable's deviations once, and the variances,
+    # sigma, the reduction and the descent read them; nothing is kept on
+    # the distribution, so a second solve of the same instance centers again
+    from interlace import LyapunovInstance, lyapunov_select
+
+    rng = np.random.default_rng(6)
+    kls = inst(trace_capped_ensemble(rng, 3, 5, 1.0), [random_two_valued(rng) for _ in range(5)])
+    signs = inst(trace_capped_ensemble(rng, 2, 4, 1.0), [FD.fair_signs()] * 4)  # one object, four variables
+    mats = [random_psd(rng, 2) - 0.5 * np.eye(2) for _ in range(4)]
+    dists = [random_two_valued(rng) for _ in range(4)]
+    weights = [0.25, 0.5, 0.75, 0.0, 1.0]
+    select = LyapunovInstance.make(trace_capped_ensemble(rng, 2, 5, 1.0).matrices, weights)
+    calls = _counting_deviations(monkeypatch)
+    for solve, variables in (
+        (lambda: solve_kls(kls), 5),
+        (lambda: solve_kls(signs), 4),
+        (lambda: solve_hermitian(mats, dists), 4),
+        (lambda: lyapunov_select(select), 5),
+    ):
+        for _ in range(2):
+            calls.clear()
+            solve()
+            assert len(calls) == variables
+    # a variable the reduction replaces is centered once, and its two-point
+    # replacement once more
+    three = FD.make([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3])
+    calls.clear()
+    solve_kls(inst(kls.ensemble, [three] + list(kls.dists[1:])))
+    assert len(calls) == 6 and calls[0] is three and calls.count(three) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_sigma_whose_variance_times_trace_overflows_fails_as_before():
+    # var tr(A) = 1e300 * 1e200 overflows, and the weighted sum that sigma
+    # takes the norm of turns NaN: its finiteness check hands it to
+    # make_hermitian, which refuses it: "asymmetry nan exceeds tolerance inf"
+    rng = np.random.default_rng(2)
+    mats = [1e200 * A / np.trace(A).real for A in (random_psd(rng, 2) for _ in range(3))]
+    dists = [FD.make([-1e150, 1e150], [0.5, 0.5])] * 3
+    with pytest.raises(NotHermitian, match=r"^asymmetry nan exceeds tolerance inf$"):
+        sigma_bound(inst(ensemble(mats), dists))
+    with pytest.raises(NotHermitian, match=r"^asymmetry nan exceeds tolerance inf$"):
+        solve_kls(inst(ensemble(mats), dists))
+    with pytest.raises(NotHermitian, match=r"^asymmetry nan exceeds tolerance inf$"):
+        solve_hermitian([A - 0.25e200 * np.eye(2) for A in mats], dists)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_part_still_raises_not_hermitian_in_the_absolute_sum(monkeypatch, bad):
+    # the |B| = B+ + B- sum is kept as it is; a NaN or infinite entry in a
+    # part still raises NotHermitian from its one finiteness check
+    from interlace import discrepancy
+    from interlace.linalg import HermitianMatrix
+
+    def parts(B):
+        return HermitianMatrix(np.diag([bad, 1.0]).astype(np.complex128)), HermitianMatrix(np.zeros((2, 2), dtype=np.complex128))
+
+    monkeypatch.setattr(discrepancy, "positive_negative_parts", parts)
+    with pytest.raises(NotHermitian):
+        solve_hermitian([np.diag([1.0, -1.0])] * 2, [FD.fair_signs()] * 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import (
     EmptyMatrix,
@@ -20,7 +22,7 @@ from interlace import (
     solve_hermitian,
 )
 from interlace.generate import random_psd, trace_capped_ensemble
-from interlace.linalg import MAX_INDICES, absolute_value, is_psd, weighted_sum
+from interlace.linalg import MAX_INDICES, HermitianMatrix, MatrixEnsemble, absolute_value, is_psd, weighted_sum
 
 
 def test_make_hermitian_identity_case():
@@ -45,21 +47,124 @@ def test_make_hermitian_rejects_nan():
             make_hermitian(M)
 
 
-def test_weighted_sum_equals_explicit_loops_bit_for_bit():
-    rng = np.random.default_rng(12)
-    E = ensemble([random_psd(rng, 3) for _ in range(4)], tol=np.inf)
-    coeffs = rng.standard_normal(4)
-    total = np.zeros((3, 3), dtype=np.complex128)
-    for c, H in zip(coeffs, E):
+def _exactly_hermitian(upper, diagonal, exponent):
+    """A HermitianMatrix whose lower triangle is the conjugate of its upper one
+    and whose diagonal has imaginary parts +-0, scaled by 2^exponent."""
+    d = len(diagonal)
+    M = np.zeros((d, d), dtype=np.complex128)
+    rows, cols = np.triu_indices(d, 1)
+    M[rows, cols] = [complex(re, im) for re, im in upper[: len(rows)]]
+    M[cols, rows] = M[rows, cols].conj()
+    M[np.arange(d), np.arange(d)] = [complex(re, im) for re, im in diagonal]
+    M *= 2.0**exponent
+    M.flags.writeable = False
+    return HermitianMatrix(M)
+
+
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, allow_subnormal=False))
+_hermitian_inputs = st.integers(1, 4).flatmap(
+    lambda d: st.lists(
+        st.builds(
+            _exactly_hermitian,
+            st.lists(st.tuples(_parts, _parts), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2),
+            st.lists(st.tuples(_parts, st.sampled_from([0.0, -0.0])), min_size=d, max_size=d),
+            st.integers(-500, 500),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+_coefficients = st.builds(
+    lambda c, e: c * 2.0**e,
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)),
+    st.integers(-500, 500),
+)
+
+
+def _same_bits(A, B) -> bool:
+    return np.array_equal(np.asarray(A).view(np.uint64), np.asarray(B).view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(mats=_hermitian_inputs, data=st.data())
+def test_weighted_sum_equals_explicit_loops_bit_for_bit(mats, data):
+    # Exactly hermitian inputs, scaled by 2^-500 .. 2^500, with zero and
+    # negative coefficients at the same scales: the sum kept as it is equals
+    # the symmetrised one bit for bit, so no sign differs, not even that of
+    # a zero imaginary part on the diagonal (which LAPACK's hermitian solvers
+    # do not read): the sum starts from +0 and so holds no -0.  Parts of
+    # 2^1023 or more take the symmetrising pass, where M + M* overflows.
+    coeffs = data.draw(st.lists(_coefficients, min_size=len(mats), max_size=len(mats)))
+    d = mats[0].dim
+    total = np.zeros((d, d), dtype=np.complex128)
+    for c, H in zip(coeffs, mats):
         total = total + c * H.entries
-    assert np.array_equal(weighted_sum(E, coeffs).entries, make_hermitian(total, tol=np.inf).entries)
-    # 0/1 coefficients equal the sum over the members of a block, even an empty one
-    for block in [(), (2,), (0, 3), (0, 1, 2, 3)]:
-        block_sum = np.zeros((3, 3), dtype=np.complex128)
-        for i in block:
-            block_sum = block_sum + E[i].entries
-        fast = weighted_sum(E, [float(i in block) for i in range(4)])
-        assert np.array_equal(fast.entries, make_hermitian(block_sum, tol=np.inf).entries)
+    if not np.isfinite(total).all():
+        with pytest.raises(NotHermitian):
+            make_hermitian(total, tol=np.inf)
+        with pytest.raises(NotHermitian):
+            weighted_sum(mats, coeffs)
+        return
+    assert _same_bits(weighted_sum(mats, coeffs).entries, make_hermitian(total, tol=np.inf).entries)
+    # 0/1 coefficients equal the sum over the members of a block, even an
+    # empty one; all ones is the ensemble's sum
+    members = data.draw(st.lists(st.booleans(), min_size=len(mats), max_size=len(mats)))
+    block_sum = np.zeros((d, d), dtype=np.complex128)
+    for H, member in zip(mats, members):
+        if member:
+            block_sum = block_sum + H.entries
+    if np.isfinite(block_sum).all():
+        fast = weighted_sum(mats, [float(member) for member in members])
+        assert _same_bits(fast.entries, make_hermitian(block_sum, tol=np.inf).entries)
+        if all(members):
+            assert _same_bits(MatrixEnsemble(tuple(mats)).sum().entries, fast.entries)
+
+
+def test_weighted_sum_with_a_complex_coefficient_takes_the_symmetrising_pass():
+    # i H is not hermitian: its asymmetry passes tol=inf, and (M + M*)/2
+    # returns the hermitian part, zero here
+    H = make_hermitian([[1.0, 2.0j], [-2.0j, 3.0]])
+    assert np.array_equal(weighted_sum([H], [1j]).entries, np.zeros((2, 2)))
+    assert np.array_equal(weighted_sum([H, H], [np.complex128(1.0), 1.0]).entries, 2.0 * H.entries)
+
+
+def _non_finite_cases():
+    H = make_hermitian([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        yield pytest.param([H, H], [1.0, bad], id=f"coefficient-{bad}")
+        for where, name in (((0, 0), "diagonal"), ((0, 1), "off-diagonal")):
+            M = np.array(H.entries)
+            M[where] = bad
+            M[where[::-1]] = np.conj(M[where])
+            yield pytest.param([H, HermitianMatrix(M)], [1.0, 1.0], id=f"{name}-entry-{bad}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mats, coeffs", list(_non_finite_cases()))
+def test_a_non_finite_coefficient_or_entry_still_raises_not_hermitian(mats, coeffs):
+    # the sums kept as they are run one finiteness check, which hands a NaN or
+    # infinite entry to make_hermitian, which refuses it
+    with pytest.raises(NotHermitian):
+        weighted_sum(mats, coeffs)
+    if coeffs == [1.0, 1.0]:
+        with pytest.raises(NotHermitian):
+            MatrixEnsemble(tuple(mats)).sum()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_part_still_raises_not_hermitian_in_the_absolute_value(monkeypatch, bad):
+    # |B| = B+ + B- is kept as it is; a NaN or infinite entry in a part is refused
+    from interlace import linalg
+
+    def parts(H):
+        P = np.diag([bad, 1.0]).astype(np.complex128)
+        return HermitianMatrix(P), HermitianMatrix(np.zeros((2, 2), dtype=np.complex128))
+
+    monkeypatch.setattr(linalg, "positive_negative_parts", parts)
+    with pytest.raises(NotHermitian):
+        absolute_value(np.eye(2))
 
 
 def test_make_hermitian_rejects_empty():

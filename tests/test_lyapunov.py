@@ -219,6 +219,34 @@ def test_ks_r_size_guard_fires_before_the_completion_is_built(monkeypatch, trace
         ks_r_partition([diag(trace), diag(trace)], [0.5, 0.5])
 
 
+def test_ks_r_eigensolves_the_ensemble_sum_once(monkeypatch):
+    # one eigh of sum A serves the <= I check of ensemble_stats and the
+    # rank-one completion, whose pieces are those of its own eigh
+    from interlace import linalg, lyapunov
+
+    E = covering_ensemble(np.random.default_rng(5), 3, 6, 0.9)
+    total = sum(H.entries for H in E)
+    want = rank_one_completion(E.sum(), max(H.trace() for H in E))
+    solved = []
+
+    def recording(name, real):
+        def solve(H):
+            solved.append((name, np.array(getattr(H, "entries", H))))
+            return real(H)
+
+        return solve
+
+    for module, name in ((linalg, "eigh"), (linalg, "eigenvalues"), (lyapunov, "eigenvalues")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    built = []
+    completion = lyapunov.rank_one_completion
+    monkeypatch.setattr(lyapunov, "rank_one_completion", lambda *args: built.append(completion(*args)) or built[-1])
+    ks_r_partition(E, [0.5, 0.5])
+    assert [name for name, M in solved if np.allclose(M, total, rtol=0.0, atol=1e-15)] == ["eigh"]
+    assert len(built) == 1 and all(np.array_equal(B.entries, C.entries) for B, C in zip(built[0], want))
+    assert len(built[0]) == len(want)
+
+
 def test_ks_r_admits_a_completion_that_fills_the_index_guard():
     # 12 pieces of trace 0.85 / 12 beside the two matrices: 14 indices
     res = ks_r_partition([diag(0.075), diag(0.075)], [0.5, 0.5])

@@ -545,7 +545,7 @@ def test_product_levels_match_the_full_pass_on_every_branch(d, n):
     for k in range(n):
         support = dists[k].support()
         for v in support:
-            got = np.array(levels.branch(v).coeffs)
+            got = np.array(levels.branch(v))
             want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
             assert got.shape == want.shape == (2 * d + 1,)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
@@ -566,7 +566,7 @@ def test_product_levels_match_the_ring_oracle(seed):
     for k in range(n):
         for v in dists[k].support():
             want = truncated_ring_oracle(E, spec=conditional_spec_quadratic(dists, {**fixed, k: v})).coeffs
-            got = levels.branch(v).coeffs
+            got = levels.branch(v)
             assert len(got) == len(want)
             assert np.max(np.abs(np.subtract(got, want))) <= TOL_COEFF, (d, n, k, v)
         fixed[k] = dists[k].support()[-1]
@@ -610,7 +610,7 @@ def test_product_levels_hold_the_contract_on_uncentered_walks(seed):
     for k in range(n):
         support = dists[k].support()
         for v in support:
-            got = np.array(levels.branch(v).coeffs)
+            got = np.array(levels.branch(v))
             want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
         fixed[k] = support[int(rng.integers(len(support)))]
@@ -625,7 +625,7 @@ def test_product_levels_reject_a_level_past_the_last_index():
     for v in (-1.0, 1.0, 1.0):
         levels.commit(v)
     want = expected_product_poly(E, conditional_spec_quadratic(dists, {0: -1.0, 1: 1.0, 2: 1.0, 3: -1.0})).coeffs
-    assert np.max(np.abs(np.subtract(levels.branch(-1.0).coeffs, want))) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(np.subtract(levels.branch(-1.0), want))) <= 1e-12 * np.max(np.abs(want))
     levels.commit(-1.0)
     leaf = levels._R.copy()
     for call in (levels.branch, levels.commit):
@@ -654,7 +654,7 @@ def test_product_levels_branches_are_exactly_even(seed):
         support = dists[k].support()
         branches = []
         for v in support:
-            got = np.array(levels.branch(v).coeffs)
+            got = np.array(levels.branch(v))
             assert np.all(got[1::2] == 0.0), (k, v, got[1::2])
             want = np.array(expected_product_poly(E, conditional_spec_quadratic(dists, {**fixed, k: v}), table).coeffs)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, v, float(np.max(np.abs(got - want) / scale)))
@@ -786,7 +786,7 @@ def test_convolution_levels_match_the_ranked_convolution_on_every_branch(d, m, r
         for s in range(r):
             tables = _slot_tables(table, t, {**fixed, k: s})
             want = np.array(_graded_poly(table.sizes, subset_convolve(tables, n), r * d).coeffs)
-            got = np.array(levels.branch(s).coeffs)
+            got = np.array(levels.branch(s))
             scale = _convolution_scale(tables, n, r * d)
             assert got.shape == want.shape == (r * d + 1,)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), (k, s, float(np.max(np.abs(got - want) / scale)))
@@ -811,7 +811,7 @@ def test_convolution_levels_reject_a_missing_slot_or_a_level_past_the_last_index
         fixed[k] = slot
         tables = _slot_tables(table, t, fixed)
         want = np.array(_graded_poly(table.sizes, subset_convolve(tables, 4), 4).coeffs)
-        got = np.array(levels.branch(slot).coeffs)
+        got = np.array(levels.branch(slot))
         assert np.all(np.abs(got - want) <= 1e-12 * _convolution_scale(tables, 4, 4))
         levels.commit(slot)
     for call in (levels.branch, levels.commit):  # past the last index
@@ -840,7 +840,7 @@ def test_convolution_levels_match_the_ranked_convolution_along_any_path(d, m, r,
         for s in range(r):
             tables = _slot_tables(table, t, {**fixed, k: s})
             want = np.array(_graded_poly(table.sizes, subset_convolve(tables, n), r * d).coeffs)
-            got = np.array(levels.branch(s).coeffs)
+            got = np.array(levels.branch(s))
             assert np.all(np.abs(got - want) <= 1e-12 * _convolution_scale(tables, n, r * d)), (k, s)
         fixed[k] = int(rng.integers(r))
         levels.commit(fixed[k])
