@@ -306,28 +306,6 @@ def _trimmed(row: list) -> list:
     return row if end == len(row) else row[:end]
 
 
-def _mixture_gap(branches: Sequence[list], weights: Sequence[float], committed: list) -> tuple[float, float]:
-    """(gap, scale) of a level past 0, in floats: gap = max_j |sum_i w_i c_ij - committed_j|,
-    NaN when any term is and inf when the widest branch and the committed
-    row, padded to its level's widest, differ in length, and
-    scale = sum_i w_i max_j |c_ij|."""
-    scale = 0.0
-    for w, row in zip(weights, branches):
-        scale += w * max(map(abs, row), default=0.0)
-    if max(map(len, branches)) != len(committed):
-        return math.inf, scale
-    gap = 0.0
-    for j, c in enumerate(committed):
-        mixed = 0.0
-        for w, row in zip(weights, branches):
-            if j < len(row):
-                mixed += w * row[j]
-        d = abs(mixed - c)
-        if d > gap or d != d:  # a NaN stays
-            gap = d
-    return gap, scale
-
-
 def _run_descent(
     num_levels: int,
     candidates: Callable[[int], Iterable[tuple[Any, float]]],
@@ -340,11 +318,11 @@ def _run_descent(
     ascending, of the polynomial with the committed levels, k set to cand
     and the rest free (an array, or any sequence of floats; trailing zeros
     are not part of its degree), decides the level and then calls
-    commit(best) once.  The mixture check and the decision at the parent's
-    max root read these rows as they are; each row becomes a
-    ``RealPolynomial`` once, in the stack the reports and the certifier
-    read.  A branch wins only when its max
-    root is lower by more than TIE_TOL.  The branches mix to their parent:
+    commit(best) once.  The mixture check, on the level's rows padded to
+    one array, and the decision at the parent's max root read these rows;
+    each row becomes a ``RealPolynomial`` once, in the stack the reports
+    and the certifier read.  A branch wins only when its max root is lower
+    by more than TIE_TOL.  The branches mix to their parent:
     level 0's mixture is the root polynomial, and a later level whose
     mixture misses the branch committed before it by more than MIXTURE_TOL
     raises NumericalFailure before it is decided.
@@ -372,13 +350,16 @@ def _run_descent(
         cands, weights = zip(*candidates(level))
         branches = [_trimmed(np.asarray(branch_poly(cand), dtype=np.float64).tolist()) for cand in cands]
         width = max(map(len, branches))
+        coeffs = np.array([row + [0.0] * (width - len(row)) for row in branches])
+        weights = np.array(weights)
+        mixture = weights @ coeffs
         rows, level_reports, found = [RealPolynomial(tuple(row)) for row in branches], None, None
         if level == 0:
-            mixture = np.array(weights) @ np.array([row + [0.0] * (width - len(row)) for row in branches])
             rows.append(RealPolynomial.from_coeffs(mixture))
         else:
-            gap, scale = _mixture_gap(branches, weights, committed)
-            if not gap <= (MIXTURE_TOL + abs(1.0 - math.fsum(weights))) * scale:  # NaN fails
+            gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
+            scale = float(weights @ np.abs(coeffs).max(axis=1))
+            if not gap <= (MIXTURE_TOL + abs(1.0 - weights.sum())) * scale:  # NaN fails
                 raise NumericalFailure(
                     f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
                 )
@@ -395,7 +376,7 @@ def _run_descent(
             if len(cands) > 1:
                 decided.append((level, len(stack), roots, parent_root))
         commit(cands[best])
-        committed = branches[best] + [0.0] * (width - len(branches[best]))
+        committed = coeffs[best]
         parent_root = roots[best]
         assignment.append(cands[best])
         levels.append((len(stack), cands, best))
@@ -438,7 +419,7 @@ def greedy_descent_quadratic(
     table: SubsetTable,
     dists: Sequence[FiniteDistribution],
     scale: float = 1.0,
-    centered: tuple[Sequence[Mapping[float, float]], Sequence[float]] | None = None,
+    deviations: Sequence[Mapping[float, float]] | None = None,
 ) -> DescentCertificate:
     """Descend the centered product family mu[t A] * mu[-t A], t_i = (s_i - E xi_i) / scale,
     over value assignments s.
@@ -447,16 +428,17 @@ def greedy_descent_quadratic(
     validates; the hermitian lift's parts are PSD by construction.
     c_S lambda^|S| is the family of lambda t.  ``ProductLevels``
     serves the branches from it, the ``deviations()``, the variances and
-    scale; ``centered`` is (deviations, variances) of dists when the caller
-    already holds them, so that none is computed twice.  The leaf reached
+    scale; ``deviations`` is the ``deviations()`` of dists when the caller
+    already holds them, so that none is computed twice, and the variances
+    are read off them.  The leaf reached
     satisfies maxroot f_(s_1..s_m) <= maxroot of the root expected
     polynomial, which by the norm transfer bound controls
     ||sum (s_i - E xi_i) A_i||.  The assignment holds the given values s_i.
     """
-    if centered is None:
-        devs = [d.deviations() for d in dists]
-        centered = devs, [variance_of(d, dev) for d, dev in zip(dists, devs)]
-    levels = ProductLevels(table, *centered, scale)
+    if deviations is None:
+        deviations = [d.deviations() for d in dists]
+    variances = [variance_of(d, dev) for d, dev in zip(dists, deviations)]
+    levels = ProductLevels(table, deviations, variances, scale)
     return _run_descent(
         num_levels=table.n,
         candidates=lambda k: sorted((v, p) for v, p in zip(dists[k].values, dists[k].probs) if p > 0),

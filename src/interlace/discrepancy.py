@@ -150,7 +150,7 @@ def _solve(
         outcome = _degenerate_outcome(dists, devs)
         cert = DescentCertificate(outcome, (MaxRoot(0.0, 0.0),) * (len(dists) + 1), (np.inf,) * len(dists))
     else:
-        cert = greedy_descent_quadratic(SubsetTable.build(*parts), dists, sigma, (devs, variances))
+        cert = greedy_descent_quadratic(SubsetTable.build(*parts), dists, sigma, devs)
     achieved = _recompute_achieved(matrices, given, cert.assignment)
     if absolute is not None:
         return DiscrepancyResult(cert.assignment, achieved, reported, 8.0 * reported, cert)

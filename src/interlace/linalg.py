@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -136,23 +136,23 @@ def absolute_value(H) -> HermitianMatrix:
     return exact_hermitian(pos.entries + neg.entries)
 
 
-def rank_one_completion(
-    A, epsilon: float, spectrum: tuple[np.ndarray, np.ndarray] | None = None
-) -> list[HermitianMatrix]:
+def rank_one_completion(A, epsilon: float) -> list[HermitianMatrix]:
     """Split I - A into PSD rank-one pieces with trace at most ``epsilon``.
 
     Requires 0 <= A <= I. Each eigenvalue lam of I - A is divided into
     max(1, ceil(lam / epsilon)) equal multiples of its eigenprojector, so the
     output length never exceeds d * ceil(1 / epsilon).  The pieces are
     counted before any is built: more than ``MAX_INDICES`` raise
-    ``SizeGuard``.  ``spectrum`` is ``eigh(A)`` when the caller already
-    holds it, so that A is eigensolved once; the checks read it as they
-    read their own.
+    ``SizeGuard``.
     """
-    A = as_hermitian(A)
+    return _completion_from_spectrum(*eigh(A), epsilon)
+
+
+def _completion_from_spectrum(w: np.ndarray, V: np.ndarray, epsilon: float) -> list[HermitianMatrix]:
+    """``rank_one_completion`` of the A with ``eigh(A) == (w, V)``, for a
+    caller that holds the spectrum already."""
     if not epsilon > 0:  # also rejects a NaN epsilon
         raise ValueError(f"epsilon must be positive; got {epsilon}")
-    w, V = eigh(A) if spectrum is None else spectrum
     if not _psd_spectrum(w):
         raise NotPSD("completion requires A >= 0")
     if w[-1] > 1.0 + PSD_SLACK:
@@ -262,15 +262,16 @@ class EnsembleStats:
     """Summary used by the trace-capped hypotheses: max trace, sum norm, flags.
 
     ``total`` is the sum and ``spectrum`` its one ``eigh``, which the
-    ``<= I`` flag reads and the rank-one completion reuses.
+    ``<= I`` flag reads and a partition's rank-one completion reuses; they
+    take no part in comparison or repr.
     """
 
     epsilon: float
     sum_norm: float
     sum_leq_identity: bool
     all_psd: bool
-    total: HermitianMatrix
-    spectrum: tuple[np.ndarray, np.ndarray]
+    total: HermitianMatrix | None = field(default=None, compare=False, repr=False)
+    spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
 def ensemble_stats(E: MatrixEnsemble) -> EnsembleStats:

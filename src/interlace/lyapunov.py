@@ -52,12 +52,12 @@ from .linalg import (
     PSD_SLACK,
     EnsembleStats,
     MatrixEnsemble,
+    _completion_from_spectrum,
     eigenvalues,
     ensemble as as_ensemble,
     ensemble_stats,
     make_hermitian,
     operator_norm,
-    rank_one_completion,
     weighted_sum,
 )
 # subset_convolve is unused here but kept for perfbench's tracer, which hooks this namespace.
@@ -197,7 +197,7 @@ def ks_r_partition(
         raise SizeGuard(f"the rank-one completion at trace cap {eps:.6g} exceeds {MAX_INDICES} indices")
     if d * r > MAX_LIFTED_DIM:
         raise SizeGuard(f"lifted dimension {d * r} exceeds {MAX_LIFTED_DIM}")
-    completion = rank_one_completion(total, eps, stats.spectrum)
+    completion = _completion_from_spectrum(*stats.spectrum, eps)
     recon = total.entries + sum((B.entries for B in completion), np.zeros((d, d), dtype=np.complex128))
     if float(np.linalg.norm(recon - np.eye(d))) > 1e-8 * d:
         raise ValidationError("completion failed to reconstruct the identity")

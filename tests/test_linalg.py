@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from interlace import (
     EmptyMatrix,
+    EnsembleStats,
     FiniteDistribution,
     LyapunovInstance,
     NotContraction,
@@ -354,6 +355,19 @@ def test_ensemble_stats_examples():
 
     st = ensemble_stats(ensemble([np.diag([1.0, -1.0])]))
     assert not st.all_psd
+
+
+def test_ensemble_stats_compare_and_print_by_their_four_scalars():
+    # the kept sum and its eigh ride along but take no part in ==, hash or
+    # repr, and the four-field constructor still works
+    E = ensemble([np.diag([0.5, 0.0]), np.diag([0.0, 0.25])])
+    st, again = ensemble_stats(E), ensemble_stats(E)
+    assert st == again and hash(st) == hash(again)
+    assert st == EnsembleStats(0.5, 0.5, True, True)
+    assert "spectrum" not in repr(st) and "total" not in repr(st)
+    w, V = st.spectrum
+    np.testing.assert_array_equal(st.total.entries, np.diag([0.5, 0.25]))
+    np.testing.assert_allclose((V * w) @ V.conj().T, st.total.entries, atol=1e-15)
 
 
 def test_operator_norm_symmetry_and_subadditivity():

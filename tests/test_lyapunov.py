@@ -214,9 +214,16 @@ def test_ks_r_size_guard_fires_before_the_completion_is_built(monkeypatch, trace
     def fail(*args):
         raise AssertionError("the completion was built")
 
-    monkeypatch.setattr(lyapunov, "rank_one_completion", fail)
+    monkeypatch.setattr(lyapunov, "_completion_from_spectrum", fail)
     with pytest.raises(SizeGuard, match="rank-one completion"):
         ks_r_partition([diag(trace), diag(trace)], [0.5, 0.5])
+
+
+def test_ks_r_refuses_the_zero_trace_cap_of_an_all_zero_ensemble():
+    # the completion built from the kept spectrum checks its cap as
+    # rank_one_completion does
+    with pytest.raises(ValueError, match="epsilon must be positive; got 0.0"):
+        ks_r_partition([np.zeros((2, 2)), np.zeros((2, 2))], [0.5, 0.5])
 
 
 def test_ks_r_eigensolves_the_ensemble_sum_once(monkeypatch):
@@ -239,8 +246,8 @@ def test_ks_r_eigensolves_the_ensemble_sum_once(monkeypatch):
     for module, name in ((linalg, "eigh"), (linalg, "eigenvalues"), (lyapunov, "eigenvalues")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     built = []
-    completion = lyapunov.rank_one_completion
-    monkeypatch.setattr(lyapunov, "rank_one_completion", lambda *args: built.append(completion(*args)) or built[-1])
+    completion = lyapunov._completion_from_spectrum
+    monkeypatch.setattr(lyapunov, "_completion_from_spectrum", lambda *args: built.append(completion(*args)) or built[-1])
     ks_r_partition(E, [0.5, 0.5])
     assert [name for name, M in solved if np.allclose(M, total, rtol=0.0, atol=1e-15)] == ["eigh"]
     assert len(built) == 1 and all(np.array_equal(B.entries, C.entries) for B, C in zip(built[0], want))
@@ -267,7 +274,7 @@ def test_ks_r_lifted_dimension_guard_fires_before_the_completion_is_built(monkey
     def fail(*args):
         raise AssertionError("the completion was built")
 
-    monkeypatch.setattr(lyapunov, "rank_one_completion", fail)
+    monkeypatch.setattr(lyapunov, "_completion_from_spectrum", fail)
     E = covering_ensemble(np.random.default_rng(14), 10, 3, 0.9)
     with pytest.raises(SizeGuard, match="lifted dimension 50 exceeds 48"):
         ks_r_partition(E, [0.2] * 5)
