@@ -108,7 +108,7 @@ def cmd_mcp_eval(args) -> int:
     rep.set("coefficients_ascending", _fmt_poly(poly.coeffs))
     rep.set("real_rooted", report.real_rooted)
     if report.real_rooted:
-        rep.set("maxroot", maxroot_certified([poly], rootedness_tol=max(args.tol, 1e-7))[0].hi)
+        rep.set("maxroot", maxroot_certified([poly], reports=[report])[0].hi)
         rep.set("minroot", report.minroot)
     return rep.finish(args.json)
 

@@ -11,15 +11,16 @@ committed before it.  Level 0 ranks the polished companion max roots of one
 ``root_report``.  A later level is decided at r, its parent's max root: the
 branches share a common interlacer, so a branch's max root lies below r
 exactly when its value at r is positive, and Newton's method from r then
-falls to that root.  A level the sign test cannot decide falls back to its
-own ``root_report``.  After the last level one more ``root_report`` gives
-the remaining rows' realness verdicts and seeds, one stacked
-``maxroot_certified`` call encloses every level's rows, and the chain of
-enclosures is recorded as a certificate; a decision that the certified ends
-contradict raises NumericalFailure naming its level.  Branches travel as
-arrays of ascending coefficients from the level engines to the mixture
-check and the sign test; each becomes a ``RealPolynomial`` once, for the
-reports and the certifier.
+falls to that root; ``_rank``, the one tie rule, counts a root above r as
+infinite.  A level the sign test cannot decide, or whose ranking would need
+a root above r, falls back to its own ``root_report``.  After the last level
+one more ``root_report`` gives the remaining rows' realness verdicts and
+seeds, one stacked ``maxroot_certified`` call encloses every level's rows,
+and the chain of enclosures is recorded as a certificate; a decision that
+the certified ends contradict raises NumericalFailure naming its level.
+Branches travel as arrays of ascending coefficients from the level engines
+to the mixture check and the sign test; each becomes a ``RealPolynomial``
+once, for the reports and the certifier.
 """
 
 from __future__ import annotations
@@ -144,9 +145,11 @@ class DescentCertificate:
     root, winning only by more than TIE_TOL, so a tie goes to the earlier
     candidate and a margin may be negative within TIE_TOL; a chosen lo more
     than TIE_TOL above a rival's hi is refused with NumericalFailure.
-    fallback_levels lists, ascending, the levels past 0 that the sign test
-    at the parent's max root left open and that a ``root_report`` of their
-    own decided.
+    fallback_levels lists, ascending, the levels past 0 that a
+    ``root_report`` of their own decided: those whose sign test at the
+    parent's max root r failed to prove a sign, whose Newton walk did not
+    descend, that found no root below r, or that had a root above r while a
+    found root lay within TIE_TOL of r.
     """
 
     assignment: tuple
@@ -240,12 +243,14 @@ def _decide_at_parent_root(rows: Sequence[Sequence[float]], r: float) -> tuple[i
     The branches share a common interlacer whose max root is at most r, so
     each has exactly one root at or above it: p_i(r) provably > 0 puts branch
     i's max root below r, where Newton's method from r finds it, and p_i(r)
-    provably < 0 puts it above r (roots[i] is then None).  best is the
-    branch the tie rule picks on the roots themselves, whatever the roots
-    above r are.  None falls back to the level's ``root_report``: a value
-    inside its ``evaluate_bounded`` error bound, a constant or a leading
-    coefficient that is not positive, a Newton walk that does not descend, or a tie rule the
-    roots above r leave open.
+    provably < 0 puts it above r (roots[i] is then None).  best is ``_rank``
+    of the roots, a root above r counted as +inf: with every found root more
+    than TIE_TOL below r, that is the branch the tie rule picks on the roots
+    themselves, whatever the roots above r are.  None falls back to the
+    level's ``root_report``: a value inside its ``evaluate_bounded`` error
+    bound, a constant or a leading coefficient that is not positive, a
+    Newton walk that does not descend, no root found below r, or a root
+    above r while a found root lies within TIE_TOL of r.
     """
     roots = []
     for coeffs in rows:
@@ -261,30 +266,10 @@ def _decide_at_parent_root(rows: Sequence[Sequence[float]], r: float) -> tuple[i
             roots.append(root)
         else:
             return None
-    # the tie rule over every value the roots above r may take: a later
-    # branch beats the best so far when its root is lower by more than
-    # TIE_TOL for every such value, keeps it when for none, and else both
-    # stay possible; one possible winner decides the level
-    possible = {0}
-    for row, root in enumerate(roots[1:], 1):
-        stay = set()
-        for best in possible:
-            rival = roots[best]
-            if root is None:
-                beats = False if rival is not None else None
-            elif rival is None:
-                beats = True if root < r - TIE_TOL else None
-            else:
-                beats = root < rival - TIE_TOL
-            if beats is not False:
-                stay.add(row)
-            if beats is not True:
-                stay.add(best)
-        possible = stay
-    if len(possible) > 1:
+    known = [root for root in roots if root is not None]
+    if not known or (len(known) < len(roots) and max(known) >= r - TIE_TOL):
         return None
-    best = possible.pop()  # a branch with its root above r never stands alone
-    return best, roots
+    return _rank([math.inf if root is None else root for root in roots]), roots
 
 
 def _real_rooted_or_raise(level: int, cands: Sequence, reports: Sequence[RootReport]) -> None:
@@ -332,8 +317,11 @@ def _run_descent(
     stack; a branch or root that is not real-rooted aborts the descent
     before the commit.  A later level with one candidate carries its
     parent's max root r over; one with more is decided at r by
-    ``_decide_at_parent_root``, and falls back to ranking its own
-    ``root_report`` where that cannot decide (the level is then listed in
+    ``_decide_at_parent_root``, which ranks the roots it finds below r with
+    each root above r counted as +inf.  The level falls back to ranking its
+    own ``root_report`` when a sign at r is not proven or a Newton walk does
+    not descend, when no root lies below r, or when a root lies above r
+    while a found root lies within TIE_TOL of r (the level is then listed in
     the certificate's fallback_levels, and checked for realness before its
     commit).  After the last level one ``root_report`` of the rows not yet
     reported gives their realness verdicts, NotRealRooted naming the first

@@ -13,6 +13,7 @@ factor 2 in the bound; its sigma and table come from the d x d parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -73,12 +74,20 @@ def sigma_bound(inst: DiscrepancyInstance) -> float:
 
 
 def _sigma(parts: Sequence[Sequence], variances: Sequence[float]) -> float:
-    """sigma of diag(parts[0][i], parts[1][i], ...): traces add, the norm is the largest block's."""
+    """sigma of diag(parts[0][i], parts[1][i], ...): traces add, the norm is the largest block's.
+
+    A term that is not finite (an overflow, or a NaN norm of a sum whose
+    parts overflowed) raises NumericalFailure naming it."""
     tr = [sum(H.trace() for H in blocks) for blocks in zip(*parts)]
-    term1 = max(v * t * t for v, t in zip(variances, tr))
     weights = [v * t for v, t in zip(variances, tr)]
-    term2 = max(operator_norm(weighted_sum(part, weights)) for part in parts)
-    return float(np.sqrt(max(term1, term2)))
+    terms = {
+        "max_i var tr(A_i)^2": [v * t * t for v, t in zip(variances, tr)],
+        "||sum var tr(A_i) A_i||": [operator_norm(weighted_sum(part, weights)) for part in parts],
+    }
+    for name, values in terms.items():
+        if not all(map(math.isfinite, values)):
+            raise NumericalFailure(f"sigma^2 term {name} is not finite")
+    return float(np.sqrt(max(map(max, terms.values()))))
 
 
 def two_point_reduction(dist: FiniteDistribution) -> FiniteDistribution:

@@ -647,6 +647,19 @@ ORACLE_MAX_DIM = 4
 ORACLE_MAX_INDICES = 4
 
 
+def _accumulate(out: dict[int, np.ndarray], mask: int, poly: np.ndarray) -> None:
+    """out[mask] += poly, the shorter coefficient array added into a copy of the longer."""
+    cur = out.get(mask)
+    if cur is None:
+        out[mask] = poly
+        return
+    if len(cur) < len(poly):
+        cur, poly = poly, cur
+    total = cur.copy()
+    total[: len(poly)] += poly
+    out[mask] = total
+
+
 class _Multilinear:
     """Element of R[x][z_1..z_n] / (z_i^2), terms keyed by variable bitmask."""
 
@@ -658,15 +671,7 @@ class _Multilinear:
     def add(self, other: "_Multilinear") -> "_Multilinear":
         out = dict(self.terms)
         for mask, poly in other.terms.items():
-            if mask in out:
-                a, b = out[mask], poly
-                if len(a) < len(b):
-                    a, b = b, a
-                s = a.copy()
-                s[: len(b)] += b
-                out[mask] = s
-            else:
-                out[mask] = poly
+            _accumulate(out, mask, poly)
         return _Multilinear(out)
 
     def neg(self) -> "_Multilinear":
@@ -678,17 +683,7 @@ class _Multilinear:
             for m2, p2 in other.terms.items():
                 if m1 & m2:
                     continue  # z_i^2 truncates to zero
-                prod = np.convolve(p1, p2)
-                mask = m1 | m2
-                if mask in out:
-                    cur = out[mask]
-                    if len(cur) < len(prod):
-                        cur, prod = prod, cur
-                    s = cur.copy()
-                    s[: len(prod)] += prod
-                    out[mask] = s
-                else:
-                    out[mask] = prod
+                _accumulate(out, m1 | m2, np.convolve(p1, p2))
         return _Multilinear(out)
 
 

@@ -219,6 +219,24 @@ def test_cli_mcp_eval_real_rooted_prints_max_and_min_root(tmp_path):
     assert doc["minroot"] == pytest.approx(roots.min(), abs=1e-7)
 
 
+@pytest.mark.parametrize("flags", [(), ("--quadratic",), ("--tol=1e-5",)], ids=["linear", "quadratic", "loose-tol"])
+def test_cli_mcp_eval_takes_one_root_report(tmp_path, monkeypatch, flags):
+    # the realness verdict at --tol also seeds the certified max root
+    from interlace import cli, polynomials
+
+    calls = []
+
+    def counting(polys, tol=polynomials.DEFAULT_ROOT_TOL, _report=polynomials.root_report):
+        calls.append(tol)
+        return _report(polys, tol)
+
+    monkeypatch.setattr(cli, "root_report", counting)
+    monkeypatch.setattr(polynomials, "root_report", counting)
+    _, doc = _mcp_eval_report(tmp_path, *flags)
+    assert doc["real_rooted"] is True and math.isfinite(doc["maxroot"])
+    assert len(calls) == 1
+
+
 def test_cli_discrepancy_compare_random_reports_the_samples(tmp_path, capsys):
     inst = str(tmp_path / "inst.json")
     assert main(["gen", "--kind", "psd-trace-capped", "--dim", "2", "--count", "3", "--out", inst]) == 0

@@ -639,6 +639,32 @@ def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weig
             assert abs(root - top) <= 1e-12 if root is not None else top > parent
 
 
+def test_a_found_root_within_tie_tol_of_the_parent_root_falls_back_beside_an_open_one():
+    # branch 0's root 0 lies TIE_TOL / 2 below r = 5e-10 and branch 1's root
+    # 1 lies above r: the tie rule ranks them only once the roots above r
+    # are known, so the level ranks a report of its own, which commits 0
+    weights = [1.0 - 0.5 * descent.TIE_TOL, 0.5 * descent.TIE_TOL]
+    levels, probs = _synthetic_levels([0.0, 1.0], weights, [-1.0])
+    parent = root_report(levels[0], ROOTEDNESS_TOL)[0].maxroot
+    assert parent == pytest.approx(0.5 * descent.TIE_TOL, rel=1e-6)
+    assert descent._decide_at_parent_root([p.coeffs for p in levels[1]], parent) is None
+    cert, committed = _run_levels(levels, probs)
+    assert committed == [0, 0]
+    assert cert.fallback_levels == (1,)
+
+
+def test_a_found_root_after_two_open_ones_is_decided_at_the_parent_root():
+    # roots 1 and 2 lie above r = 0.3 and root 0 below it by far more than
+    # TIE_TOL: each root above r counts as +inf, so branch 2 wins at r
+    levels, probs = _synthetic_levels([1.0, 2.0, 0.0], [0.1, 0.1, 0.8], [-1.0])
+    parent = root_report(levels[0], ROOTEDNESS_TOL)[0].maxroot
+    best, roots = descent._decide_at_parent_root([p.coeffs for p in levels[1]], parent)
+    assert best == 2 and roots[:2] == [None, None] and abs(roots[2]) <= 1e-12
+    cert, committed = _run_levels(levels, probs)
+    assert committed == [0, 2]
+    assert cert.fallback_levels == ()
+
+
 def test_a_branch_root_at_the_parent_root_takes_one_fallback_report(monkeypatch):
     # level 1's branches (x - 1)(x + 1/2) and (x - 1)(x + 3/2) both vanish
     # at the parent's root 1, inside any error bound, so the level ranks a

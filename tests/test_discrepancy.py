@@ -398,6 +398,34 @@ def test_a_sigma_whose_variance_times_trace_overflows_fails_as_before():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_sigma_whose_norm_term_overflows_raises_numerical_failure():
+    # traces 1e154 with fair signs: var tr(A)^2 = 1e308 is finite, but the
+    # weighted sum has parts past 2^1023, its M + M* overflows and the norm
+    # is NaN; sigma must not drop it and report sqrt(1e308) = 1e154
+    rng = np.random.default_rng(2)
+    mats = [1e154 * A / np.trace(A).real for A in (random_psd(rng, 2) for _ in range(3))]
+    dists = [FD.fair_signs()] * 3
+    message = r"^sigma\^2 term \|\|sum var tr\(A_i\) A_i\|\| is not finite$"
+    with pytest.raises(NumericalFailure, match=message):
+        sigma_bound(inst(ensemble(mats), dists))
+    with pytest.raises(NumericalFailure, match=message):
+        solve_kls(inst(ensemble(mats), dists))
+    with pytest.raises(NumericalFailure, match=message):
+        solve_hermitian(mats, dists)
+
+
+def test_a_sigma_whose_trace_term_overflows_raises_numerical_failure(monkeypatch):
+    # var tr(A) = 1e305 but var tr(A)^2 overflows; with the weighted sum
+    # replaced by a finite matrix, the infinite trace term alone is named
+    from interlace import discrepancy
+
+    monkeypatch.setattr(discrepancy, "weighted_sum", lambda part, weights: part[0])
+    dists = [FD.make([-1e150, 1e150], [0.5, 0.5])] * 2
+    with pytest.raises(NumericalFailure, match=r"^sigma\^2 term max_i var tr\(A_i\)\^2 is not finite$"):
+        sigma_bound(inst(ensemble([diag(1e5, 0), diag(0, 1e5)]), dists))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_part_still_raises_not_hermitian_in_the_absolute_sum(monkeypatch, bad):
     # the |B| = B+ + B- sum is kept as it is; a NaN or infinite entry in a

@@ -43,14 +43,23 @@ def _workloads(monkeypatch):
 
 def test_benchmark_checker_accepts_every_tiny_workload(monkeypatch):
     # the benchmark re-checks each solve itself, reading dist.variance() for
-    # sigma, so a change that makes it reject outputs fails here first
+    # sigma, so a change that makes it reject outputs fails here first; and
+    # every level past 0 of these pools is decided at its parent's max root,
+    # so a tie rule that sends pool traffic to a root report of its own
+    # fails here too
     module = _workloads(monkeypatch)
+    solves = 0
     for name, cells in module.TINY.items():
         workload = dataclasses.replace(module.WORKLOADS[name], cells=cells, passes=2)
         for seed in (7, 21):
             for case in [case for cases in module.build_pool(workload, seed) for case in cases]:
-                ratio, _ = module.verify(case, module.solve(case))
+                res = module.solve(case)
+                ratio, _ = module.verify(case, res)
                 assert 0.0 <= ratio <= 1.0
+                cert = res.solver.certificate if case.solver == "select" else res.certificate
+                assert cert.fallback_levels == (), (name, seed, case.shape)
+                solves += 1
+    assert solves == 24
 
 
 @pytest.mark.parametrize("d, n", [(6, 10), (8, 11), (10, 12)])
