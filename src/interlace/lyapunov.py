@@ -16,12 +16,15 @@ per-index slot weights, and the factors are combined by ranked subset
 convolution.  The branches come from ``mixedchar.ConvolutionLevels``, which
 keeps the r ranked zeta transforms across the descent: ``branch(s)`` reads the
 polynomial with the next index in slot s by a binomial-weighted sum
-instead of a Moebius pass, and ``commit(s)``, called once per level with
-the winning slot, contracts that index out of every transform, so each
-level works on half the masks of the one before.  Rank arrays hold only the
-rows a c_S table can fill (min(n, d) + 1 per factor, min(n, r d) + 1 for
-the product).  Slot s has weight t_s, which cancels its factor 1/t_s, so the
-root polynomial is level 0's t-weighted mixture of its branches.
+instead of a Moebius pass, taken straight off two factors (slot s's
+difference and the product of the other slots) by one matrix product per
+rank, so the product over all r slots is never formed; ``commit(s)``,
+called once per level with the winning slot, contracts that index out of
+every transform, so each level works on half the masks of the one before.
+Rank arrays hold only the rows a c_S table can fill (min(n, d) + 1 per
+factor, min(n, r d) + 1 for a product).  Slot s has weight t_s, which
+cancels its factor 1/t_s, so the root polynomial is level 0's t-weighted
+mixture of its branches.
 """
 
 from __future__ import annotations

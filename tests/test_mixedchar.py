@@ -16,6 +16,7 @@ from interlace import (
     SubsetTable,
     ensemble,
     expected_product_poly,
+    ks_r_partition,
     lyapunov_select,
     mixed_char_poly,
     quadratic_mixed_char_poly,
@@ -33,8 +34,8 @@ from interlace.mixedchar import (
     ConvolutionLevels,
     ProductLevels,
     _binomial_weights,
+    _fused_read,
     _graded_poly,
-    _graded_read,
     _rank_product,
     _ranked_zeta,
     _ring_determinant,
@@ -339,6 +340,56 @@ def test_top_rank_coefficients_stay_inside_their_error_budget(kind):
                 err = abs(mpmath.mpf(float(table.coeffs[S])) - _top_rank_exact(parts, int(S)))
                 worst = max(worst, float(err) / (2.0**-53 * scale))
     assert worst <= 4.0, worst
+
+
+def _elementary_symmetric(values, k):
+    """e_k of ``values`` by the usual recurrence, in the values' own type."""
+    e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+    for x in values:
+        for j in range(k, 0, -1):
+            e[j] += x * e[j - 1]
+    return e[k]
+
+
+def _below_top_exact(parts, S, spectra):
+    """c_S at |S| < dim to 50 digits: the alternating sum over U subset S of
+    e_|S| of the eigenvalues of sum_{i in U} A_i, every block's together,
+    each spectrum from ``mpmath.eigh`` and kept in ``spectra`` by mask."""
+    idx = [i for i in range(len(parts[0])) if S >> i & 1]
+    total = mpmath.mpf(0)
+    for r in range(len(idx) + 1):
+        for U in itertools.combinations(idx, r):
+            mask = sum(1 << i for i in U)
+            if mask not in spectra:
+                spectra[mask] = []
+                for part in parts:
+                    M = mpmath.matrix(len(part[0]))
+                    for i in U:
+                        M += mpmath.matrix(part[i].tolist())
+                    spectra[mask] += list(mpmath.eigh(M, eigvals_only=True))
+            total += (-1) ** (len(idx) - r) * _elementary_symmetric(spectra[mask], len(idx))
+    return total
+
+
+@pytest.mark.parametrize("kind", ["completion", "rank-capped", "near-singular", "trace-spread", "two-part"])
+def test_coefficients_below_the_top_rank_stay_inside_their_error_budget(kind):
+    # SubsetTable.build states this budget: a c_S with 1 <= |S| < dim, read
+    # off the spectra, within 16 u (sum_{i in S} ||A_i||_*)^|S| of its
+    # 50-digit value, in the top rank's norm.  Largest error seen: 5.5 u at
+    # these seeds, 8.4 u over seeds 0-19.
+    worst = 0.0
+    with mpmath.workdps(50):
+        for seed in range(3):
+            parts = _budget_inputs(kind, np.random.default_rng(seed))
+            table = SubsetTable.build(*parts)
+            nuclear = sum(np.array([np.abs(np.linalg.eigvalsh(M)).sum() for M in part]) for part in parts)
+            spectra = {}
+            for S in np.flatnonzero((table.sizes >= 1) & (table.sizes < table.dim)):
+                size = int(table.sizes[S])
+                scale = float(nuclear[(S >> np.arange(table.n)) & 1 == 1].sum()) ** size
+                err = abs(mpmath.mpf(float(table.coeffs[S])) - _below_top_exact(parts, int(S), spectra))
+                worst = max(worst, float(err) / (2.0**-53 * scale))
+    assert worst <= 16.0, worst
 
 
 def _mixed_distributions(rng, n):
@@ -753,7 +804,7 @@ def _convolution_scale(tables, n, deg):
     H = np.ones((1, 1 << n))
     for t in tables:
         H = _rank_product(H, _ranked_zeta(np.abs(t), pc, n), n)
-    g = _graded_read(H, np.abs(_binomial_weights(n, len(H)))[:, pc])
+    g = (H * np.abs(_binomial_weights(n, len(H)))[:, pc]).sum(axis=-1)
     out = np.zeros(deg + 1)
     out[deg - np.arange(min(len(g), deg + 1))] = g[: deg + 1]
     return out
@@ -868,25 +919,69 @@ def test_convolution_levels_contract_each_committed_index_out_of_the_masks(d, m,
     assert max(counts) > top  # some slot's count axis saturated
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_partition_descent_forms_only_the_leave_one_out_rank_products(monkeypatch, r):
+    # Each read is fused with its last rank product, so a level forms only
+    # the products of the other slots' low halves: none at r <= 2, and
+    # r - 2 prefix, r - 2 suffix and r - 2 middle ones at r >= 3.
+    products, starts = [], []
+    real_product, real_start = mixedchar._rank_product, ConvolutionLevels._start_level
+    monkeypatch.setattr(mixedchar, "_rank_product", lambda *a: products.append(None) or real_product(*a))
+    monkeypatch.setattr(ConvolutionLevels, "_start_level", lambda self: starts.append(None) or real_start(self))
+    rng = np.random.default_rng(40 + r)
+    m = 8
+    res = ks_r_partition(covering_ensemble(rng, 2, m, 0.9), rng.dirichlet(np.full(r, 3.0)))
+    assert len(res.blocks) == r
+    assert len(starts) == m
+    assert len(products) == 3 * max(r - 2, 0) * m
+
+
+def _exact_fused_read(A, B, W, shift, deg):
+    """Per grade j: the exact sum of A[i, e, U] B[l, f, U] W[i + l, U] over
+    i + l + e + f + shift = j and i + l < len(W), its sum of absolute
+    values, and its number of terms, in rationals."""
+    exact, absolute, count = [Fraction(0)] * (deg + 1), [Fraction(0)] * (deg + 1), [0] * (deg + 1)
+    for i, e, l, f in itertools.product(range(len(A)), range(A.shape[1]), range(len(B)), range(B.shape[1])):
+        j = i + l + e + f + shift
+        if i + l >= len(W) or j > deg:
+            continue
+        w = [int(x) for x in W[i + l]]
+        terms = [Fraction(float(a)) * Fraction(float(b)) * x for a, b, x in zip(A[i, e], B[l, f], w)]
+        exact[j] += sum(terms)
+        absolute[j] += sum(abs(x) for x in terms)
+        count[j] += len(terms)
+    return exact, absolute, count
+
+
 @pytest.mark.parametrize("n", [4, 7, 10])
-def test_graded_read_stays_inside_its_error_bound(n):
-    # The read against exact rational arithmetic on the same float table:
-    # rank products of signed zetas, as the engine reads them, and plain
-    # noise of mixed signs.
+def test_fused_read_stays_inside_its_error_bound(n):
+    # The fused read against exact rational arithmetic on the same float
+    # inputs: a signed zeta times the rank product of two, as the engine
+    # reads a level, and plain noise of mixed signs with count axes.  BLAS
+    # sums a matrix product in its own order, so the bound is the one that
+    # holds for any order: gamma_(K+1) sum |terms| for the K terms of g[j]
+    # (two roundings per term).  Largest error seen, in u sum |terms|: 0.77
+    # on the zeta products (n = 4) and 6.2 on the noise (n = 10).
     rng = np.random.default_rng(n)
     pc = popcounts(n)
     signed = np.where(pc <= 3, rng.standard_normal(1 << n), 0.0) * (-1.0) ** pc
-    zeta = _ranked_zeta(signed, pc, 3)
-    product = _rank_product(_rank_product(zeta, zeta, n), zeta, n)
-    noise = rng.standard_normal((n + 1, 1 << n)) * 10.0 ** rng.uniform(-3, 3, (n + 1, 1 << n))
-    for H in (product, noise):
-        W = _binomial_weights(n, len(H))
-        got = _graded_read(H, W[:, pc])
-        for j in range(len(H)):
-            terms = [Fraction(float(H[j, U])) * int(W[j, pc[U]]) for U in range(1 << n)]
-            exact = sum(terms)
-            bound = (n + 13) * 2.0**-53 * float(sum(abs(x) for x in terms))
-            assert abs(Fraction(float(got[j])) - exact) <= bound, (j, float(abs(Fraction(float(got[j])) - exact)), bound)
+    zeta = _ranked_zeta(signed, pc, 3)[:, None]
+    noise = [
+        rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape) for shape in ((3, 2, 1 << n), (n + 1, 3, 1 << n))
+    ]
+    u = 2.0**-53
+    W = _binomial_weights(n, n + 1)[:, pc]
+    for A, B in [(zeta, _rank_product(zeta, zeta, n)), noise]:
+        deg = len(A) + A.shape[1] + len(B) + B.shape[1] - 4
+        got = _fused_read(A, B, W, 0, deg)
+        assert got.shape == (deg + 1,)
+        # a shift moves the same sums up, and drops the grade past deg
+        shifted = _fused_read(A, B, W, 1, deg)
+        assert shifted[0] == 0.0 and shifted[1:].tobytes() == got[:-1].tobytes()
+        for j, (exact, absolute, K) in enumerate(zip(*_exact_fused_read(A, B, W, 0, deg))):
+            err = abs(Fraction(float(got[j])) - exact)
+            gamma = (K + 1) * u / (1 - (K + 1) * u)
+            assert err <= gamma * absolute, (j, float(err), float(gamma * absolute))
 
 
 def test_expected_product_rejects_spec_of_wrong_length():

@@ -17,7 +17,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "replay_certificates.py"
-LINE = re.compile(r"^(?P<name>[a-z-]+) seed (?P<seed>\d+): (?P<solves>\d+) solves sha256 (?P<digest>[0-9a-f]{64})$")
+LINE = re.compile(
+    r"^(?P<name>[a-z-]+) seed (?P<seed>\d+): (?P<solves>\d+) solves"
+    r" sha256 (?P<digest>[0-9a-f]{64}) outcomes (?P<outcomes>[0-9a-f]{64})$"
+)
 
 
 def _replay(*args: str) -> list[dict]:
@@ -57,24 +60,52 @@ def _replay_module():
     return module
 
 
+def _tiny_kls_wide_solve(replay):
+    wl = replay.wl
+    case = wl.build_pool(replace(wl.WORKLOADS["kls-wide"], cells=wl.TINY["kls-wide"], passes=1), 3)[0][0]
+    return case, wl.solve(case)
+
+
+def _decision_edits(res):
+    """The solve with its outcome, its assignment or its fallback levels changed."""
+    cert = res.certificate
+    return [
+        replace(res, outcome=tuple(-s for s in res.outcome)),
+        replace(res, certificate=replace(cert, assignment=tuple(-s for s in cert.assignment))),
+        replace(res, certificate=replace(cert, fallback_levels=(1,))),
+    ]
+
+
+def _bit_edits(res):
+    """The solve with one enclosure end or one margin nudged by an ulp."""
+    cert = res.certificate
+    moved = cert.enclosures[1]._replace(hi=math.nextafter(cert.enclosures[1].hi, math.inf))
+    return [
+        replace(res, certificate=replace(cert, enclosures=(cert.enclosures[0], moved) + cert.enclosures[2:])),
+        replace(res, certificate=replace(cert, margins=(math.nextafter(cert.margins[0], 1.0),) + cert.margins[1:])),
+    ]
+
+
 def test_replay_key_reads_every_certificate_field():
     # a change to any recorded field of a certificate changes its key
     replay = _replay_module()
-    wl = replay.wl
-    case = wl.build_pool(replace(wl.WORKLOADS["kls-wide"], cells=wl.TINY["kls-wide"], passes=1), 3)[0][0]
-    res = wl.solve(case)
+    case, res = _tiny_kls_wide_solve(replay)
     key = replay.certificate_key(case, res)
-    cert = res.certificate
-    moved = cert.enclosures[1]._replace(hi=math.nextafter(cert.enclosures[1].hi, math.inf))
-    edits = [
-        replace(res, outcome=tuple(-s for s in res.outcome)),
-        replace(res, certificate=replace(cert, assignment=tuple(-s for s in cert.assignment))),
-        replace(res, certificate=replace(cert, enclosures=(cert.enclosures[0], moved) + cert.enclosures[2:])),
-        replace(res, certificate=replace(cert, margins=(math.nextafter(cert.margins[0], 1.0),) + cert.margins[1:])),
-        replace(res, certificate=replace(cert, fallback_levels=(1,))),
-    ]
-    for edited in edits:
+    for edited in _decision_edits(res) + _bit_edits(res):
         assert replay.certificate_key(case, edited) != key
+
+
+def test_outcome_key_reads_the_decisions_and_not_the_bits():
+    # a nudged enclosure end or margin moves the certificate key but not the
+    # outcome key; a changed outcome, assignment or fallback list moves both
+    replay = _replay_module()
+    case, res = _tiny_kls_wide_solve(replay)
+    key, outcome = replay.certificate_key(case, res), replay.outcome_key(case, res)
+    for edited in _bit_edits(res):
+        assert replay.certificate_key(case, edited) != key
+        assert replay.outcome_key(case, edited) == outcome
+    for edited in _decision_edits(res):
+        assert replay.outcome_key(case, edited) != outcome
 
 
 @pytest.mark.parametrize("bad", [["--seeds"], ["--seeds", "3", "--workloads", "no-such-workload"]])
