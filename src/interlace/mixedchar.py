@@ -35,9 +35,12 @@ squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
 
 Only the subsets U with |U| <= min(n, d) enter a sum that the table reads,
 and one with |U| = d enters only c_U, through e_d = det.  So one batched
-determinant over the subset sums at the top rank, one batched eigensolve
-with the elementary-symmetric recurrence on their eigenvalues below it, and
-one ranked Moebius pass over the kept masks give every c_S.
+determinant over the subset sums at the top rank, the e_k of the sums below
+it, and one ranked Moebius pass over the kept masks give every c_S.  Those
+e_k come from a batched Householder tridiagonalization and the three-term
+recurrence of det(I + tT), with no eigensolve; a batch too small to repay
+numpy's fixed cost per call is eigensolved instead, and the
+elementary-symmetric recurrence runs on its eigenvalues.
 Signs, scalar multiples and operator coefficients enter only through
 per-subset weights, since c_S is multilinear in the matrix arguments.  A
 block-diagonal family such as the hermitian lift is built from its blocks.
@@ -66,7 +69,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeGuard
+from .errors import NumericalFailure, SizeGuard
 from .linalg import MAX_INDICES, MatrixEnsemble, as_hermitian
 from .polynomials import RealPolynomial
 
@@ -128,13 +131,17 @@ class SubsetTable:
         trace-spread inputs at d = 3, n = 7 or 8, and on two-part builds
         (tests/test_mixedchar.py).  Over 40 seeds of such inputs the largest
         error seen was 2.0 u, and 1.4 u with e_D taken from the spectrum.
-        Ranks below D are read off the spectra, so the table below the top
-        rank is bit for bit the one a full eigensolve gives.  On the same
+        Below the top rank, a batch of at least ``TRIDIAGONAL_MIN_SUMS`` sums
+        takes its e_k from ``_tridiagonal_coefficients`` in chunks of
+        ``_CHUNK`` sums, and a smaller one from the spectra of one batched
+        eigensolve; the two routes differ in the last bits.  On the same
         inputs each c_S with 1 <= |S| < D stays within
         16 u (sum_{i in S} ||A_i||_*)^|S| of its 50-digit value, the
-        e_|S| of every subset sum taken from ``mpmath.eigh``: the largest
-        error seen was 5.5 u at the tested seeds and 8.4 u over 20 seeds,
-        which the top rank's 4 u does not cover.
+        e_|S| of every subset sum taken from ``mpmath.eigh``, on either
+        route: over seeds 0-19 the largest error seen was 5.8 u from the
+        tridiagonal and 8.4 u from the spectra, which the top rank's 4 u
+        does not cover.  A table that overflows (a c_S that is not finite)
+        raises NumericalFailure.
         """
         A = np.stack([[as_hermitian(M).entries for M in part] for part in parts], axis=1)
         n, blocks, d = A.shape[:3]
@@ -157,23 +164,121 @@ class SubsetTable:
         # X[U, k] = e_k(eigenvalues of sum_{i in U} A_i) for k <= top, one
         # row per kept mask and a zero row after them.  A mask U with
         # |U| = dim is read only at c_U, as e_dim: one det per block.  The
-        # masks below the top rank need every e_k and are eigensolved.
+        # masks below the top rank need every e_k.
         X = np.zeros((len(masks) + 1, top + 1))
         low = starts[dim] if n >= dim else len(masks)
         if n >= dim:
             X[low:-1, dim] = np.linalg.det(sums[low:]).real.prod(axis=-1)
-        lam = np.linalg.eigvalsh(sums[:low]).reshape(low, dim)
+        if low < TRIDIAGONAL_MIN_SUMS:
+            X[:low] = _spectral_coefficients(sums[:low], top)
+        else:
+            powers = np.arange(top + 1)
+            for lo in range(0, low, _CHUNK):
+                hi = min(lo + _CHUNK, low)
+                E, exps = _tridiagonal_coefficients(sums[lo:hi], top)
+                X[lo:hi] = np.ldexp(E, exps[:, None] * powers)
         del sums
-        E = np.zeros((top + 1, low))
-        E[0] = 1.0
-        for j, col in enumerate(lam.T):
-            for k in range(min(j + 1, top), 0, -1):
-                E[k] += col * E[k - 1]
-        X[:low] = E.T
         _kept_mobius(X, partners)
         coeffs = np.zeros(1 << n)
         coeffs[masks] = X[np.arange(len(masks)), sizes[masks]]
+        if not np.isfinite(coeffs).all():
+            raise NumericalFailure(
+                "subset-derivative table is not finite: the subset sums' "
+                f"elementary symmetric functions overflow (largest |entry| {np.abs(A).max():.3g})"
+            )
         return cls(dim=dim, n=n, coeffs=coeffs, sizes=sizes)
+
+
+# Batches of at least this many subset sums below the top rank take
+# ``_tridiagonal_coefficients``; smaller ones are eigensolved, where numpy's
+# fixed cost per call in the reduction outweighs LAPACK's per matrix.
+TRIDIAGONAL_MIN_SUMS = 64
+# The reduction works on this many subset sums at a time, so its
+# temporaries do not grow with n.
+_CHUNK = 1024
+# A column below this norm, in units of 2^exps (above half the sum's largest
+# entry), is not reflected: its coupling is still |x|^2, and the part of it
+# the reduction then drops is below 2^-499 of the sum's norm.
+_NEGLIGIBLE = 2.0**-500
+
+
+def _spectral_coefficients(sums: np.ndarray, top: int) -> np.ndarray:
+    """E[U, k] = e_k of the eigenvalues of sums[U], every block's together,
+    for k <= top: one batched eigensolve and the recurrence on its values."""
+    lam = np.linalg.eigvalsh(sums).reshape(len(sums), -1)
+    E = np.zeros((top + 1, len(sums)))
+    E[0] = 1.0
+    for j, col in enumerate(lam.T):
+        for k in range(min(j + 1, top), 0, -1):
+            E[k] += col * E[k - 1]
+    return E.T
+
+
+def _tridiagonal_coefficients(sums: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """E, exps with e_k(sums[U]) = E[U, k] 2^(k exps[U]) for k <= top, the
+    eigenvalues of every block of sums[U] taken together, without an
+    eigensolve.
+
+    Each sum is divided by 2^exps[U], a power of two near its largest entry,
+    which keeps the reduction clear of overflow and of subnormals and is
+    exact but for entries under 2^-1021 of the largest.  The whole batch is then Householder-tridiagonalized, d - 2
+    vectorised steps with the batch on the last axis, and e_k is read off
+    det(I + tT) = sum_k e_k t^k by its three-term recurrence over the
+    diagonal a and the squared couplings b (La Budde's method; Rehman and
+    Ipsen, 2011):
+
+        p_k(t) = (1 + a_k t) p_(k-1)(t) - b_(k-1) t^2 p_(k-2)(t).
+
+    A sum's blocks are one tridiagonal, joined by a zero coupling, so their
+    polynomials are never multiplied.  e_1 is the trace of the scaled sum,
+    which is more accurate than the reduced diagonal's sum.
+    """
+    N, blocks, d = sums.shape[:3]
+    B = N * blocks
+    A = np.ascontiguousarray(sums, dtype=np.complex128).reshape(B, d * d)
+    # 2^exps is within a factor 2 of the largest real or imaginary part; a
+    # sum whose entries are all subnormal is multiplied by 2^1022 only.
+    exps = np.maximum(np.frexp(np.abs(A.view(np.float64)).reshape(N, -1).max(axis=1, initial=0.0))[1], -1022)
+    A = A.T.copy()  # the batch on the last axis
+    A.view(np.float64)[...] *= np.repeat(np.ldexp(1.0, -exps), 2 * blocks)
+    diagonal = A[:: d + 1].real
+    A = A.reshape(d, d, B)
+    trace = diagonal.sum(axis=0).reshape(N, blocks).sum(axis=1)
+    b = np.zeros((d, B))  # b[k] = |T[k + 1, k]|^2; b[d - 1] = 0 joins the blocks
+    for k in range(d - 2):
+        x = A[k + 1 :, k]
+        b[k] = (x.real**2 + x.imag**2).sum(axis=0)
+        norm, head = np.sqrt(b[k]), np.abs(x[0])
+        # u = x + sign(x_0) |x| e_1 and H = I - tau u u^*, which maps x to
+        # -sign(x_0) |x| e_1: |u|^2 = 2 |x| (|x| + |x_0|).  An |x_0| of
+        # at most 2^-560, under 2^-60 of any reflected column's norm, takes
+        # sign 1, which keeps H unitary to well within u and 1 / |x_0| finite.
+        tau = np.divide(1.0, norm * (norm + head), out=np.zeros(B), where=norm > _NEGLIGIBLE)
+        u = x.copy()
+        u[0] += np.divide(x[0], head, out=np.ones(B, dtype=np.complex128), where=head > _NEGLIGIBLE * 2.0**-60) * norm
+        C = A[k + 1 :, k + 1 :]
+        p = (C * u).sum(axis=1)
+        p *= tau
+        w = p - (0.5 * tau * (u.real * p.real + u.imag * p.imag).sum(axis=0)) * u
+        M = u[:, None] * w.conj()
+        C -= M  # H C H = C - u w^* - w u^*
+        C -= M.conj().transpose(1, 0, 2)
+    if d > 1:
+        x = A[d - 1, d - 2]
+        b[d - 2] = x.real**2 + x.imag**2
+    a = diagonal.reshape(d, N, blocks).transpose(2, 0, 1).reshape(blocks * d, N)
+    b = b.reshape(d, N, blocks).transpose(2, 0, 1).reshape(blocks * d, N)
+    before, last = np.zeros((top + 1, N)), np.zeros((top + 1, N))
+    last[0] = 1.0
+    for k in range(blocks * d):
+        P = last.copy()
+        P[1:] += a[k] * last[:-1]
+        if k:
+            P[2:] -= b[k - 1] * before[:-2]
+        before, last = last, P
+    if top:
+        last[1] = trace
+    return last.T, exps
 
 
 @functools.lru_cache(maxsize=16)

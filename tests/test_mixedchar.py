@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from interlace import (
     DerivativeSpec,
     DiscrepancyInstance,
     LyapunovInstance,
+    NumericalFailure,
     SizeGuard,
     SubsetTable,
     ensemble,
@@ -48,6 +50,19 @@ from interlace.verification import TOL_COEFF
 
 def diag(*vals):
     return np.diag(np.array(vals, dtype=float))
+
+
+# TRIDIAGONAL_MIN_SUMS that sends every batch below the top rank down one
+# route of SubsetTable.build, whatever its size.
+ROUTES = {"spectra": 1 << 62, "tridiagonal": 0}
+
+
+@contextlib.contextmanager
+def table_route(route):
+    """Build every table inside the block on ``route``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixedchar, "TRIDIAGONAL_MIN_SUMS", ROUTES[route])
+        yield
 
 
 def test_subset_derivative_empty_set():
@@ -172,8 +187,9 @@ def _error_scale(mats) -> np.ndarray:
     return (bits @ nuc) ** bits.sum(axis=1)
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("kind", ["indefinite", "singular", "rank-one", "mixed"])
-def test_table_matches_ring_oracle_terms(kind):
+def test_table_matches_ring_oracle_terms(kind, route):
     # The coefficient of z^S in the oracle's det(xI + sum z_i A_i) is
     # c_S x^(d - |S|); masks with no oracle term have c_S = 0.
     makers = {"indefinite": _indefinite, "singular": _singular, "rank-one": _rank_one}
@@ -181,7 +197,8 @@ def test_table_matches_ring_oracle_terms(kind):
     for d, n in itertools.product(range(1, 5), range(1, 5)):
         pick = list(makers.values()) if kind == "mixed" else [makers[kind]]
         mats = [pick[int(rng.integers(len(pick)))](rng, d) for _ in range(n)]
-        table = SubsetTable.build(mats)
+        with table_route(route):
+            table = SubsetTable.build(mats)
         want = np.zeros(1 << n, dtype=np.complex128)
         for mask, poly in _ring_determinant(mats, d, 0).terms.items():
             k = bin(mask).count("1")
@@ -193,13 +210,15 @@ def test_table_matches_ring_oracle_terms(kind):
         assert np.all(gap <= 1e-12 * scale), (d, n, float(np.max(gap)))
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("d, n", [(7, 9), (10, 14)])
-def test_table_matches_cauchy_binet_for_rank_one(d, n):
+def test_table_matches_cauchy_binet_for_rank_one(d, n, route):
     # With A_i = v_i v_i^*, c_S = det(V_S V_S^*) (Cauchy-Binet), and
     # Hadamard's bound prod_{i in S} |v_i|^2 caps it.
     rng = np.random.default_rng(5)
     V = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) * rng.uniform(0.3, 3.0, (n, 1))
-    table = SubsetTable.build([np.outer(v, v.conj()) for v in V])
+    with table_route(route):
+        table = SubsetTable.build([np.outer(v, v.conj()) for v in V])
     sizes = popcounts(n)
     want = np.zeros(1 << n)
     want[0] = 1.0
@@ -229,9 +248,10 @@ def _lift(P, N):
     return block
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("kind", ["indefinite", "rank-deficient", "mixed"])
 @pytest.mark.parametrize("d, n", [(1, 3), (2, 6), (3, 8), (4, 10), (5, 12)])
-def test_block_build_matches_the_dense_lift_and_the_convolved_parts(kind, d, n):
+def test_block_build_matches_the_dense_lift_and_the_convolved_parts(kind, d, n, route):
     # The table of diag(P_i, N_i) from its d x d parts equals the table of
     # the assembled 2d x 2d lifts and, since det of a block-diagonal matrix
     # factors, the subset convolution of the two parts' tables.
@@ -240,32 +260,58 @@ def test_block_build_matches_the_dense_lift_and_the_convolved_parts(kind, d, n):
     rng = np.random.default_rng(d * 100 + n)
     pick = makers[kind]
     P, N = ([pick[int(rng.integers(len(pick)))](rng, d) for _ in range(n)] for _ in range(2))
-    table = SubsetTable.build(P, N)
-    assert (table.dim, table.n) == (2 * d, n)
     lifts = [_lift(A, B) for A, B in zip(P, N)]
+    with table_route(route):
+        table = SubsetTable.build(P, N)
+        wants = (
+            SubsetTable.build(lifts).coeffs,
+            subset_convolve([SubsetTable.build(P).coeffs, SubsetTable.build(N).coeffs], n),
+        )
+    assert (table.dim, table.n) == (2 * d, n)
     scale = _error_scale(lifts)
-    for want in (
-        SubsetTable.build(lifts).coeffs,
-        subset_convolve([SubsetTable.build(P).coeffs, SubsetTable.build(N).coeffs], n),
-    ):
+    for want in wants:
         gap = np.abs(table.coeffs - want)
         assert np.all(gap <= 1e-12 * scale), (kind, d, n, float(np.max(gap / scale)))
 
 
-@pytest.mark.parametrize("parts, d, n", [(1, 3, 6), (1, 3, 3), (1, 4, 3), (2, 2, 6), (2, 3, 4)])
+@pytest.mark.parametrize(
+    "parts, d, n", [(1, 3, 6), (1, 3, 3), (1, 4, 3), (2, 2, 6), (2, 3, 4), (1, 4, 10), (2, 2, 8), (1, 10, 10)]
+)
 def test_table_eigensolves_below_the_top_rank_and_takes_dets_at_it(monkeypatch, parts, d, n):
     # At n >= dim a subset sum with dim indices is read only at its own c_U,
     # as e_dim: one batched det takes all of them and the eigensolve only the
     # sums below.  At n < dim no kept sum reaches dim and no det is taken.
-    calls = {"eigvalsh": [], "det": []}
+    # A batch below the top rank of TRIDIAGONAL_MIN_SUMS sums or more (the
+    # last three cases) is reduced to tridiagonal form and not eigensolved.
+    calls = {"eigvalsh": [], "det": [], "_tridiagonal_coefficients": []}
     for name, log in calls.items():
-        f = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, *args, f=f, log=log: log.append(np.shape(a)) or f(a, *args))
+        owner = mixedchar if name.startswith("_") else np.linalg
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda a, *args, f=f, log=log: log.append(np.shape(a)) or f(a, *args))
     rng = np.random.default_rng(parts * 100 + n)
     SubsetTable.build(*([_indefinite(rng, d) for _ in range(n)] for _ in range(parts)))
     dim = parts * d
-    assert calls["eigvalsh"] == [(sum(math.comb(n, k) for k in range(min(n + 1, dim))), parts, d, d)]
+    below = sum(math.comb(n, k) for k in range(min(n + 1, dim)))
+    solved = below < mixedchar.TRIDIAGONAL_MIN_SUMS
+    assert solved == (n <= 6)
+    assert calls["eigvalsh"] == ([(below, parts, d, d)] if solved else [])
+    assert calls["_tridiagonal_coefficients"] == ([] if solved else [(below, parts, d, d)])
     assert calls["det"] == ([(math.comb(n, dim), parts, d, d)] if n >= dim else [])
+
+
+def test_table_reduces_a_large_batch_in_chunks_with_the_same_bits(monkeypatch):
+    # The reduction treats every sum on its own, so the chunk size moves no
+    # bit of the table; with chunks of 100, the 1093 sums below the top rank
+    # at (d, n) = (5, 13) take 11 calls.
+    rng = np.random.default_rng(13)
+    mats = [_indefinite(rng, 5) for _ in range(13)]
+    whole = SubsetTable.build(mats).coeffs
+    chunks = []
+    reduce = mixedchar._tridiagonal_coefficients
+    monkeypatch.setattr(mixedchar, "_CHUNK", 100)
+    monkeypatch.setattr(mixedchar, "_tridiagonal_coefficients", lambda a, top: chunks.append(len(a)) or reduce(a, top))
+    assert SubsetTable.build(mats).coeffs.tobytes() == whole.tobytes()
+    assert chunks == [100] * 10 + [93]
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,17 +417,20 @@ def _below_top_exact(parts, S, spectra):
     return total
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("kind", ["completion", "rank-capped", "near-singular", "trace-spread", "two-part"])
-def test_coefficients_below_the_top_rank_stay_inside_their_error_budget(kind):
-    # SubsetTable.build states this budget: a c_S with 1 <= |S| < dim, read
-    # off the spectra, within 16 u (sum_{i in S} ||A_i||_*)^|S| of its
-    # 50-digit value, in the top rank's norm.  Largest error seen: 5.5 u at
-    # these seeds, 8.4 u over seeds 0-19.
+def test_coefficients_below_the_top_rank_stay_inside_their_error_budget(kind, route):
+    # SubsetTable.build states this budget: a c_S with 1 <= |S| < dim, on
+    # either route, within 16 u (sum_{i in S} ||A_i||_*)^|S| of its 50-digit
+    # value, in the top rank's norm.  Largest error seen at these seeds: 5.8 u
+    # from the tridiagonal, 5.5 u from the spectra; over seeds 0-19, 5.8 u
+    # and 8.4 u.
     worst = 0.0
     with mpmath.workdps(50):
         for seed in range(3):
             parts = _budget_inputs(kind, np.random.default_rng(seed))
-            table = SubsetTable.build(*parts)
+            with table_route(route):
+                table = SubsetTable.build(*parts)
             nuclear = sum(np.array([np.abs(np.linalg.eigvalsh(M)).sum() for M in part]) for part in parts)
             spectra = {}
             for S in np.flatnonzero((table.sizes >= 1) & (table.sizes < table.dim)):
@@ -390,6 +439,82 @@ def test_coefficients_below_the_top_rank_stay_inside_their_error_budget(kind):
                 err = abs(mpmath.mpf(float(table.coeffs[S])) - _below_top_exact(parts, int(S), spectra))
                 worst = max(worst, float(err) / (2.0**-53 * scale))
     assert worst <= 16.0, worst
+
+
+def _edge_sums(d):
+    """d x d sums the tridiagonal reduction must get right, by name."""
+    rng = np.random.default_rng(d)
+    Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    sprinkled = _indefinite(rng, d)
+    sprinkled[-1, 0], sprinkled[0, -1] = 3e-320 + 5e-324j, 3e-320 - 5e-324j
+    sprinkled[1 % d, 0], sprinkled[0, 1 % d] = 5e-324 - 1e-323j, 5e-324 + 1e-323j  # the first reflector's x_0
+    sprinkled[0, 0] = 4e-321
+    return {
+        "zero": np.zeros((d, d)),
+        "scalar": -0.7 * np.eye(d),  # every column below the diagonal is 0
+        "diagonal": np.diag(rng.standard_normal(d)),
+        "rank-one": np.outer(v, v.conj()),
+        "repeated": (Q * np.repeat([1.5, -0.25], [d - d // 2, d // 2])) @ Q.conj().T,
+        "subnormal": np.outer(v, v.conj()) * 2.0**-1060,
+        "sprinkled": sprinkled,  # normal entries beside subnormal ones
+    }
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
+def test_tridiagonal_coefficients_match_mpmath_on_edge_sums(d, blocks):
+    # Each e_k within 16 u ||M||_*^k of its value from the 50-digit spectrum
+    # (the build's budget for one sum), plus half the smallest subnormal for
+    # the rounding of an e_k below the normal range.  With two blocks the
+    # second is the repeated-eigenvalue sum, behind a zero coupling.
+    sums = _edge_sums(d)
+    names = list(sums)
+    batch = np.stack([[sums[k]] + [sums["repeated"]] * (blocks - 1) for k in names])
+    top = blocks * d
+    E, exps = mixedchar._tridiagonal_coefficients(batch, top)
+    got = np.ldexp(E, exps[:, None] * np.arange(top + 1))
+    if blocks == 1:
+        assert got[names.index("zero")].tolist() == [1.0] + [0.0] * top
+    with mpmath.workdps(50):
+        for row, name in enumerate(names):
+            values = []
+            for M in batch[row]:
+                values += list(mpmath.eigh(mpmath.matrix(M.tolist()), eigvals_only=True))
+            nuclear = sum(abs(x) for x in values)
+            for k in range(top + 1):
+                err = abs(mpmath.mpf(float(got[row, k])) - _elementary_symmetric(values, k))
+                assert err <= 16 * mpmath.mpf(2) ** -53 * nuclear**k + mpmath.mpf(2) ** -1075, (name, k, float(err))
+
+
+@pytest.mark.parametrize("j", [-1000, 1000])
+def test_tridiagonal_coefficients_scale_by_powers_of_two_bit_for_bit(j):
+    # e_k(2^j M) = 2^(jk) e_k(M): the reduction sees the same scaled sums
+    # and returns the same E with exps shifted by j, however far e_k itself
+    # lies outside the float range.  The entries are multiples of 1/2 below
+    # 2^10, so 2^j M has no subnormal entry and is exact.
+    R = np.random.default_rng(7).integers(-1024, 1024, (40, 2, 6, 6, 2)).astype(np.float64).view(np.complex128)[..., 0]
+    batch = (R + R.conj().swapaxes(-1, -2)) / 2
+    E, exps = mixedchar._tridiagonal_coefficients(batch, 12)
+    E2, exps2 = mixedchar._tridiagonal_coefficients(batch * 2.0**j, 12)
+    assert E2.tobytes() == E.tobytes()
+    assert np.array_equal(exps2, exps + j)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_table_that_overflows_raises_numerical_failure(route):
+    # e_2 of three 2 x 2 PSD matrices at 1e300 is about 1e600: the table
+    # fails where it is built, naming the overflow, and 1e150 still builds.
+    rng = np.random.default_rng(3)
+    mats = [random_psd(rng, 2) for _ in range(3)]
+    with table_route(route):
+        E = ensemble([1e300 * M for M in mats], tol=np.inf)
+        for call in (SubsetTable.build, lambda E: mixed_char_poly(E, [1.0, -1.0, 1.0]), quadratic_mixed_char_poly):
+            with pytest.raises(NumericalFailure, match="overflow"):
+                call(E)
+        table = SubsetTable.build(ensemble([1e150 * M for M in mats], tol=np.inf))
+    assert np.isfinite(table.coeffs).all() and table.coeffs[7] == 0.0 and table.coeffs[3] != 0.0
 
 
 def _mixed_distributions(rng, n):
@@ -412,6 +537,7 @@ def _centered_bound(dists):
     return np.array([max(1.0, max(t * t for t in dist.deviations().values())) for dist in dists])
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 4),
@@ -420,16 +546,17 @@ def _centered_bound(dists):
     j=st.integers(0, 5),
     alpha=st.floats(-4.0, 4.0, allow_nan=False),
 )
-def test_table_scaling_one_matrix_scales_its_masks(d, n, seed, j, alpha):
+def test_table_scaling_one_matrix_scales_its_masks(route, d, n, seed, j, alpha):
     # c_S is multilinear: scaling A_j by alpha scales c_S by alpha when
     # j is in S and leaves every other entry, bit for bit, as it was.
     j %= n
     rng = np.random.default_rng(seed)
     mats = [_indefinite(rng, d) for _ in range(n)]
-    base = SubsetTable.build(mats).coeffs
     scaled_mats = list(mats)
     scaled_mats[j] = alpha * mats[j]
-    scaled = SubsetTable.build(scaled_mats).coeffs
+    with table_route(route):
+        base = SubsetTable.build(mats).coeffs
+        scaled = SubsetTable.build(scaled_mats).coeffs
     has_j = (np.arange(1 << n) >> j) & 1 == 1
     np.testing.assert_array_equal(scaled[~has_j], base[~has_j])
     scale = np.maximum(_error_scale(mats), _error_scale(scaled_mats))
@@ -992,14 +1119,16 @@ def test_expected_product_rejects_spec_of_wrong_length():
             expected_product_poly(E, spec)
 
 
-def test_oracle_equivalence_complex_hermitian():
+@pytest.mark.parametrize("route", ROUTES)
+def test_oracle_equivalence_complex_hermitian(route):
     rng = np.random.default_rng(4)
     for _ in range(25):
         d = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
         E = ensemble([random_psd(rng, d, trace=float(rng.uniform(0.2, 1.5))) for _ in range(m)], tol=np.inf)
         scalars = rng.uniform(-1.5, 1.5, size=m)
-        fast = mixed_char_poly(E, scalars)
+        with table_route(route):
+            fast = mixed_char_poly(E, scalars)
         slow = truncated_ring_oracle(E, scalars=scalars)
         np.testing.assert_allclose(fast.coeffs, slow.coeffs, rtol=1e-8, atol=1e-10)
 
