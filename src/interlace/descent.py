@@ -7,15 +7,18 @@ family is interlacing, some branch has max root at most the parent's.  The
 branch with the least max root is taken, winning only by more than TIE_TOL
 (ties break to the smallest value, respectively the lowest index).  Level
 0's mixture is the root polynomial; each later level's must match the branch
-committed before it.  Level 0 ranks the polished companion max roots of one
-``root_report``.  A later level is decided at r, its parent's max root: the
-branches share a common interlacer, so a branch's max root lies below r
-exactly when its value at r is positive, and Newton's method from r then
-falls to that root; ``_rank``, the one tie rule, counts a root above r as
-infinite.  A level the sign test cannot decide, or whose ranking would need
-a root above r, falls back to its own ``root_report``.  After the last level
-one more ``root_report`` gives the remaining rows' realness verdicts and
-seeds, one stacked ``maxroot_certified`` call encloses every level's rows,
+committed before it.  Every level is decided by one rule, at a point r at
+or above its branches' common interlacer: the parent's max root past level
+0, and at level 0, whose parent is the root polynomial, the largest
+Laguerre-Samuelson bound of its branches.  Each branch has exactly one
+root at or above the interlacer, so its max root lies below r exactly when
+its value at r is positive, and Newton's method from r then falls to that
+root; ``_rank``, the one tie rule, counts a root above r as infinite.  A
+level the sign test cannot decide, or whose ranking would need a root
+above r, falls back to its own ``root_report``.  After the last level one
+``root_report`` gives every remaining row's realness verdict and seed, the
+root polynomial's among them, so a solve without a fallback takes one
+report; one stacked ``maxroot_certified`` call encloses every level's rows,
 and the chain of enclosures is recorded as a certificate; a decision that
 the certified ends contradict raises NumericalFailure naming its level.
 Branches travel as arrays of ascending coefficients from the level engines
@@ -26,6 +29,7 @@ once, for the reports and the certifier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -45,7 +49,8 @@ ROOTEDNESS_TOL = 1e-7
 # Weights summing to 1 + delta (|delta| <= 1e-12 is admitted) shift it by
 # delta times the branch without the index, so |delta| joins the budget.
 MIXTURE_TOL = 1e-12
-# Newton steps allowed from a parent's max root down to a branch's.
+# Newton steps allowed from a level's r (a parent's max root, or level 0's
+# bound) down to a branch's max root.
 NEWTON_STEPS = 200
 
 
@@ -141,15 +146,16 @@ class DescentCertificate:
     ``maxroot_certified`` call after the descent.  margins[k] is the least
     rival hi minus the chosen hi at level k (inf when the level has one
     candidate).  The branch was chosen by its max root, a companion root at
-    level 0 and at the fallback_levels, else one found from the parent's max
-    root, winning only by more than TIE_TOL, so a tie goes to the earlier
-    candidate and a margin may be negative within TIE_TOL; a chosen lo more
-    than TIE_TOL above a rival's hi is refused with NumericalFailure.
-    fallback_levels lists, ascending, the levels past 0 that a
-    ``root_report`` of their own decided: those whose sign test at the
-    parent's max root r failed to prove a sign, whose Newton walk did not
+    the fallback_levels, else one found from the level's r (an upper bound
+    on level 0's max roots, the parent's max root past it), winning only by
+    more than TIE_TOL, so a tie goes to the earlier candidate and a margin
+    may be negative within TIE_TOL; a chosen lo more than TIE_TOL above a
+    rival's hi is refused with NumericalFailure.  fallback_levels lists,
+    ascending, the levels that a ``root_report`` of their own decided: those
+    whose sign test at r failed to prove a sign, whose Newton walk did not
     descend, that found no root below r, or that had a root above r while a
-    found root lay within TIE_TOL of r.
+    found root lay within TIE_TOL of r, and level 0 when a branch gives no
+    bound.
     """
 
     assignment: tuple
@@ -235,10 +241,47 @@ def _descend_to_root(coeffs: Sequence[float], x: float) -> float | None:
     return None
 
 
-def _decide_at_parent_root(rows: Sequence[Sequence[float]], r: float) -> tuple[int, list] | None:
-    """(best, roots) of a level decided at r, the max root of the branch committed before it.
+def _max_root_bound(coeffs: Sequence[float]) -> float | None:
+    """An upper bound on the max root of a real-rooted row, or None.
 
-    rows holds each branch's coefficients, ascending, without trailing zeros.
+    coeffs are ascending, without trailing zeros.  The n roots of a
+    real-rooted p of degree n, with mean mu and variance v, all lie at or
+    below mu + sqrt((n - 1) v) (Laguerre-Samuelson), and both are read off
+    its top three coefficients: with a = c_(n-1) / c_n and b = c_(n-2) / c_n
+    (b = 0 at n = 1), mu = -a / n and n v = (1 - 1/n) a^2 - 2 b.  The
+    computed n v is raised by 8 eps times the sum of its terms' magnitudes,
+    more than their rounding errors, plus 2^-1060 for those of terms that
+    underflow.  The bound is raised by 2^-40 times |mu| plus its root term:
+    far more than the rounding of mu, the root and their sum (16 eps), so
+    that a row whose max root meets the bound, as a degree-1 row's does,
+    is provably positive at it, and by the smallest normal double, so that
+    a bound of 0 is too.  None, so that the level falls back,
+    for a leading coefficient that is not positive, a coefficient that is
+    not finite, a raised n v below 0 (no real-rooted row gives one) or a
+    bound that is not finite.
+    """
+    n = len(coeffs) - 1
+    if n < 1 or not coeffs[-1] > 0.0 or not all(map(math.isfinite, coeffs)):
+        return None
+    eps = sys.float_info.epsilon
+    a = coeffs[-2] / coeffs[-1]
+    b = coeffs[-3] / coeffs[-1] if n > 1 else 0.0
+    mu, shrink = -a / n, (n - 1) / n
+    square = shrink * (a * a)
+    spread = square - 2.0 * b + (8.0 * eps * (square + abs(2.0 * b)) + math.ldexp(1.0, -1060))
+    if not spread >= 0.0:  # NaN fails
+        return None
+    root = math.sqrt(shrink * spread)
+    bound = mu + root + (2.0**-40 * (abs(mu) + root) + sys.float_info.min)
+    return bound if math.isfinite(bound) else None
+
+
+def _decide_at_parent_root(rows: Sequence[Sequence[float]], r: float) -> tuple[int, list] | None:
+    """(best, roots) of a level decided at r, at or above its branches' common interlacer.
+
+    rows holds each branch's coefficients, ascending, without trailing zeros;
+    r is the max root of the branch committed before the level, or at level
+    0 the largest ``_max_root_bound`` of its rows.
 
     The branches share a common interlacer whose max root is at most r, so
     each has exactly one root at or above it: p_i(r) provably > 0 puts branch
@@ -304,34 +347,36 @@ def _run_descent(
     and the rest free (an array, or any sequence of floats; trailing zeros
     are not part of its degree), decides the level and then calls
     commit(best) once.  The mixture check, on the level's rows padded to
-    one array, and the decision at the parent's max root read these rows;
-    each row becomes a ``RealPolynomial`` once, in the stack the reports
-    and the certifier read.  A branch wins only when its max root is lower
-    by more than TIE_TOL.  The branches mix to their parent:
-    level 0's mixture is the root polynomial, and a later level whose
+    one array, and the decision at r read these rows; each row becomes a
+    ``RealPolynomial`` once, in the stack the reports and the certifier
+    read.  A branch wins only when its max root is lower by more than
+    TIE_TOL.  The branches mix to their parent: level 0's mixture is the
+    root polynomial, which closes level 0's stack, and a later level whose
     mixture misses the branch committed before it by more than MIXTURE_TOL
     raises NumericalFailure before it is decided.
 
-    Level 0 ranks its branches by their polished companion max roots, from
-    one ``root_report`` of its branches and the root polynomial as one
-    stack; a branch or root that is not real-rooted aborts the descent
-    before the commit.  A later level with one candidate carries its
-    parent's max root r over; one with more is decided at r by
+    Every level is decided by one rule.  Its r is, past level 0, the max
+    root of the branch committed before it, and at level 0 the largest
+    ``_max_root_bound`` of its branches.  A later level with one candidate
+    carries r over; any other level is decided at r by
     ``_decide_at_parent_root``, which ranks the roots it finds below r with
     each root above r counted as +inf.  The level falls back to ranking its
-    own ``root_report`` when a sign at r is not proven or a Newton walk does
-    not descend, when no root lies below r, or when a root lies above r
-    while a found root lies within TIE_TOL of r (the level is then listed in
-    the certificate's fallback_levels, and checked for realness before its
-    commit).  After the last level one ``root_report`` of the rows not yet
-    reported gives their realness verdicts, NotRealRooted naming the first
-    failing level and branch, and one ``maxroot_certified`` call, seeded
-    from every report, encloses every level's rows; each enclosure is the
-    one its level's stack would get alone.  The chain and the margins are
-    read from the certified ends.  NumericalFailure names the level of an
-    uncertified enclosure, of a decision the enclosures contradict (a chosen
-    lo more than TIE_TOL above a rival's hi), or of a root decided at r that
-    lies more than TIE_TOL outside its branch's enclosure.
+    own ``root_report`` (level 0's with the root polynomial) when a branch
+    of level 0 gives no bound, when a sign at r is not proven or a Newton
+    walk does not descend, when no root lies below r, or when a root lies
+    above r while a found root lies within TIE_TOL of r; it is then listed
+    in the certificate's fallback_levels, and checked for realness before
+    its commit.  After the last level one ``root_report`` of the rows not
+    yet reported, the root polynomial's among them, gives their realness
+    verdicts, NotRealRooted naming the first failing level and branch, or
+    ``root``; a solve without a fallback takes this one report.  One
+    ``maxroot_certified`` call, seeded from every report, encloses every
+    level's rows; each enclosure is the one its level's stack would get
+    alone.  The chain and the margins are read from the certified ends.
+    NumericalFailure names the level of an uncertified enclosure, of a
+    decision the enclosures contradict (a chosen lo more than TIE_TOL above
+    a rival's hi), or of a root decided at r that lies more than TIE_TOL
+    outside its branch's enclosure.
     """
     assignment, stack, reports, levels, fallbacks, decided = [], [], [], [], [], []
     for level in range(num_levels):
@@ -341,9 +386,11 @@ def _run_descent(
         coeffs = np.array([row + [0.0] * (width - len(row)) for row in branches])
         weights = np.array(weights)
         mixture = weights @ coeffs
-        rows, level_reports, found = [RealPolynomial(tuple(row)) for row in branches], None, None
+        rows = [RealPolynomial(tuple(row)) for row in branches]
         if level == 0:
             rows.append(RealPolynomial.from_coeffs(mixture))
+            bounds = [_max_root_bound(row) for row in branches]
+            r = None if None in bounds else max(bounds)
         else:
             gap = float(np.abs(mixture - committed).max()) if committed.shape == mixture.shape else np.inf
             scale = float(weights @ np.abs(coeffs).max(axis=1))
@@ -351,18 +398,23 @@ def _run_descent(
                 raise NumericalFailure(
                     f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
                 )
-            found = (0, [parent_root]) if len(cands) == 1 else _decide_at_parent_root(branches, parent_root)
+            r = parent_root
+        if level and len(cands) == 1:
+            found = (0, [r])
+        else:
+            found = None if r is None else _decide_at_parent_root(branches, r)
             if found is None:
                 fallbacks.append(level)
+            else:
+                decided.append((level, len(stack), found[1], r))
         if found is None:
             level_reports = root_report(rows, ROOTEDNESS_TOL)
             _real_rooted_or_raise(level, cands, level_reports)
             roots = [report.maxroot for report in level_reports[: len(cands)]]
             best = _rank(roots)
         else:
+            level_reports = None
             best, roots = found
-            if len(cands) > 1:
-                decided.append((level, len(stack), roots, parent_root))
         commit(cands[best])
         committed = coeffs[best]
         parent_root = roots[best]
@@ -374,8 +426,8 @@ def _run_descent(
     if missing:
         for row, report in zip(missing, root_report([stack[row] for row in missing], ROOTEDNESS_TOL)):
             reports[row] = report
-        for level, (start, cands, _) in enumerate(levels):
-            _real_rooted_or_raise(level, cands, reports[start : start + len(cands)])
+        for level, (start, cands, _) in enumerate(levels):  # level 0's stack ends with the root row
+            _real_rooted_or_raise(level, cands, reports[start : start + len(cands) + (level == 0)])
     try:
         enclosures = maxroot_certified(stack, rootedness_tol=ROOTEDNESS_TOL, reports=reports)
     except NumericalFailure as exc:

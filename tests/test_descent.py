@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -460,8 +461,8 @@ def _recording_levels(monkeypatch):
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_stacked_enclosure_is_each_level_certified_alone(monkeypatch, solver, seed):
-    # two reports per descent: level 0's branches with the root polynomial,
-    # and after the last level every later row, none of them reported twice.
+    # one report per descent, after the last level: level 0's branches, the
+    # root polynomial, then every later row, none of them reported twice.
     # The one enclosure over every level's rows gives each row the enclosure
     # of its level's stack alone, bit for bit, and so the same margins
     stacks = _recording_reports(monkeypatch)
@@ -469,10 +470,9 @@ def test_stacked_enclosure_is_each_level_certified_alone(monkeypatch, solver, se
     cert = SOLVERS[solver](np.random.default_rng(seed))
     assert len(levels) == len(cert.margins) == len(cert.enclosures) - 1
     assert cert.fallback_levels == ()
-    assert len(stacks) == 2
-    *first, root = stacks[0]
-    assert first == levels[0]
-    assert stacks[1] == [p for rows in levels[1:] for p in rows]
+    assert len(stacks) == 1
+    root = stacks[0][len(levels[0])]
+    assert stacks[0] == levels[0] + [root] + [p for rows in levels[1:] for p in rows]
     for level, (rows, chosen, margin) in enumerate(zip(levels, cert.enclosures[1:], cert.margins)):
         alone = maxroot_certified(rows + [root] if level == 0 else rows, rootedness_tol=ROOTEDNESS_TOL)
         if level == 0:
@@ -484,7 +484,7 @@ def test_stacked_enclosure_is_each_level_certified_alone(monkeypatch, solver, se
 
 
 def _inject_decision(monkeypatch, at, edit):
-    # rewrite the at-th decision taken at a parent's max root (0-based)
+    # rewrite the at-th decision taken at a level's r (0-based)
     decide, calls = descent._decide_at_parent_root, []
 
     def injected(rows, r):
@@ -498,7 +498,7 @@ def _inject_decision(monkeypatch, at, edit):
 
 def _widest_decided_level(inst):
     # the level past 0 decided with the widest margin; every level of these
-    # two-valued variables has two branches, so level k is decision k - 1
+    # two-valued variables has two branches, so level k is decision k
     cert = solve_kls(inst).certificate
     assert cert.fallback_levels == ()
     level = 1 + int(np.argmax(cert.margins[1:]))
@@ -523,7 +523,7 @@ def test_descent_refuses_a_decision_its_enclosures_contradict(monkeypatch):
         true = [report.maxroot for report in root_report(polys, ROOTEDNESS_TOL)]
         return int(np.argmax(true)), true
 
-    _inject_decision(monkeypatch, level - 1, wrong_way_round)
+    _inject_decision(monkeypatch, level, wrong_way_round)
     with pytest.raises(NumericalFailure, match=rf"^level {level}: the chosen branch's certified max root"):
         solve_kls(inst)
 
@@ -539,10 +539,10 @@ def test_descent_refuses_a_decided_root_outside_its_enclosure(monkeypatch):
         roots[best] += 1e-6
         return best, roots
 
-    calls = _inject_decision(monkeypatch, level - 1, off_root)
+    calls = _inject_decision(monkeypatch, level, off_root)
     with pytest.raises(NumericalFailure, match=rf"^level {level}: a max root decided at the parent's root lies outside"):
         solve_kls(inst)
-    assert len(calls) == len(inst.dists) - 1  # the descent ran to its end
+    assert len(calls) == len(inst.dists)  # the descent ran to its end
 
 
 def test_descent_names_the_level_of_an_uncertified_enclosure(monkeypatch):
@@ -670,6 +670,7 @@ def test_a_branch_root_at_the_parent_root_takes_one_fallback_report(monkeypatch)
     # at the parent's root 1, inside any error bound, so the level ranks a
     # report of its own; level 2, (x - 1/2)(x + 1/2) against (x - 3/2)(x + 1/2)
     # at 1, is decided without one, and its rows enter the last report
+    # after level 0's branch and the root polynomial, both x^2 - 1
     stacks = _recording_reports(monkeypatch)
     poly = RealPolynomial.from_coeffs
     levels = [
@@ -680,8 +681,8 @@ def test_a_branch_root_at_the_parent_root_takes_one_fallback_report(monkeypatch)
     cert, committed = _run_levels(levels, [[1.0], [0.5, 0.5], [0.5, 0.5]])
     assert committed == [0, 0, 0]
     assert cert.fallback_levels == (1,)
-    assert [len(stack) for stack in stacks] == [2, 2, 2]
-    assert stacks[1] == levels[1] and stacks[2] == levels[2]
+    assert [len(stack) for stack in stacks] == [2, 4]
+    assert stacks[0] == levels[1] and stacks[1] == levels[0] * 2 + levels[2]
     np.testing.assert_allclose(cert.maxroots, [1.0, 1.0, 1.0, 0.5], atol=1e-9)
 
 
@@ -739,3 +740,203 @@ def test_sign_test_at_the_parent_root_stays_inside_its_error_budget(monkeypatch,
         for coeffs, x, (value, bound) in seen:
             exact = mpmath.polyval([mpmath.mpf(c) for c in coeffs[::-1]], mpmath.mpf(x))
             assert abs(mpmath.mpf(value) - exact) <= bound
+
+
+def _integer_poly(roots):
+    """Ascending integer coefficients of prod (x - k) over the integer roots k."""
+    coeffs = [1]
+    for k in roots:
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+@st.composite
+def _exact_real_rooted_rows(draw):
+    """(row, max root): 2^lead x^zeros prod (x - k 2^scale), with integer k,
+    whose float64 coefficients are exact, so the row has exactly these roots.
+
+    The nonzero roots are a cluster c + {0..3} at c up to 64, a root
+    c = +-2^t (t <= 40) of multiplicity up to 40 beside one more near it,
+    where the bound is tight and its n v cancels down to rounding, a
+    multiple root +-1, +-2 or +-4 of multiplicity up to 40, a few spread
+    roots, or the pairs +-k of an even row x^z q(x^2)."""
+    kind = draw(st.sampled_from(["clustered", "tight", "multiple", "spread", "even"]))
+    if kind == "tight":  # mu + sqrt((n - 1) v) is the max root itself
+        center = draw(st.sampled_from([-1, 1])) << draw(st.integers(0, 40))
+        ks = [center] * draw(st.integers(1, 40)) + [center + draw(st.sampled_from([-3, -1, 1, 2]))]
+    elif kind == "clustered":
+        center = draw(st.integers(-64, 64))
+        ks = [center + draw(st.integers(0, 3)) for _ in range(draw(st.integers(1, 6)))]
+    elif kind == "multiple":
+        ks = [draw(st.sampled_from([-4, -2, -1, 1, 2, 4]))] * draw(st.integers(1, 40))
+        ks += draw(st.lists(st.integers(-3, 3), max_size=3))
+    elif kind == "spread":
+        ks = draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=5))
+    else:
+        pairs = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+        ks = [k for p in pairs for k in (p, -p)]
+    zeros = 0 if kind == "tight" else draw(st.integers(0, 48 - len(ks)))  # zero roots would loosen it
+    # the coefficients' exponents span |scale| per root: keep them normal
+    reach = min(300, 1900 // len(ks))
+    scale = draw(st.integers(-reach, reach))
+    lead = draw(st.integers(-40, 40)) - scale * len(ks) // 2
+    exact = [Fraction(0)] * zeros + [
+        Fraction(c) * Fraction(2) ** (scale * (len(ks) - i) + lead) for i, c in enumerate(_integer_poly(ks))
+    ]
+    row = [_exact_float(c) for c in exact]
+    assume(None not in row)
+    top = Fraction(max(ks + [0] * zeros)) * Fraction(2) ** scale
+    return row, top
+
+
+def _exact_float(value):
+    """value as a finite float64 when that is exact, else None."""
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) and Fraction(x) == value else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_exact_real_rooted_rows())
+@example(case=([-3.0, 1.0], Fraction(3)))  # degree 1: its own root plus the slack
+@example(case=([0.0, 1.0], Fraction(0)))  # degree 1 at 0: the smallest normal above it
+@example(case=([0.0, 0.0, 1.0], Fraction(0)))  # x^2: n v is 0, raised by its underflow floor
+def test_max_root_bound_lies_at_or_above_the_max_root(case):
+    # clustered, multiple and zero roots, even rows, degrees 1-48 and scales
+    # 2^+-300, with every coefficient exact: the bound is at least the max
+    # root, exactly, and the row is positive there unless the bound is a root
+    row, top = case
+    bound = descent._max_root_bound(row)
+    assert bound is not None and math.isfinite(bound)
+    assert Fraction(bound) >= top
+    value = sum(Fraction(c) * Fraction(bound) ** i for i, c in enumerate(row))
+    assert value > 0 or Fraction(bound) == top
+    if len(row) == 2:  # a degree-1 row's bound is its root plus the slack
+        assert Fraction(bound) <= top + abs(top) * Fraction(2) ** -39 + Fraction(sys.float_info.min) * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_exact_real_rooted_rows(),
+    edit=st.one_of(
+        st.tuples(st.just("lead"), st.sampled_from([-1.0, -0.5, -2.0**-1074])),
+        st.tuples(st.integers(0, 48), st.sampled_from([math.nan, math.inf, -math.inf])),
+    ),
+)
+def test_max_root_bound_refuses_a_row_it_cannot_bound(case, edit):
+    # a leading coefficient that is not positive, or a coefficient that is
+    # not finite anywhere in the row, gives no bound, so the level falls back
+    row, _ = case
+    where, value = edit
+    if where == "lead":
+        row = row[:-1] + [value * abs(row[-1]) if value != -2.0**-1074 else value]
+    else:
+        row = list(row)
+        row[where % len(row)] = value
+    assert descent._max_root_bound(row) is None
+
+
+def test_max_root_bound_refuses_a_row_whose_roots_spread_below_zero():
+    # x^2 + 2 has n v = -4: no real-rooted row gives a negative variance, and
+    # neither does a row whose raised n v overflows to NaN
+    assert descent._max_root_bound([2.0, 0.0, 1.0]) is None
+    assert descent._max_root_bound([1e300, 1e300, 1e-300]) is None
+
+
+@st.composite
+def _interlacing_families(draw):
+    """Monic branches p_i = (x - a_i) g - sum_j b_ij g / (x - m_j) over one
+    common interlacer g with roots m_j, b_ij > 0, and positive weights.
+
+    Each p_i changes sign between consecutive roots of g and above its max
+    root, so g interlaces every branch and every mixture is real-rooted;
+    some branches repeat an earlier one, which ties exactly."""
+    low = draw(st.floats(-5.0, 5.0))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), max_size=6))
+    inner = [low + sum(gaps[:k]) for k in range(len(gaps) + 1)] if gaps else []
+    g = np.poly(inner)[::-1] if inner else np.ones(1)
+    count = draw(st.integers(2, 4))
+    branches = []
+    for _ in range(count):
+        if branches and draw(st.booleans()):
+            branches.append(branches[draw(st.integers(0, len(branches) - 1))])
+            continue
+        p = np.convolve([-draw(st.floats(-6.0, 6.0)), 1.0], g)
+        for j, m in enumerate(inner):
+            rest = np.poly(inner[:j] + inner[j + 1 :])[::-1] if len(inner) > 1 else np.ones(1)
+            p[: len(rest)] -= draw(st.floats(0.05, 2.0)) * rest
+        branches.append(p)
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)))
+    return branches, weights / weights.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=_interlacing_families())
+def test_level_0_decided_at_its_bound_picks_the_companion_winner(family):
+    # level 0 is decided at the largest bound of its branches: it commits
+    # the branch that ranking the polished companion max roots commits
+    # whenever that winner beats every other branch by more than TIE_TOL,
+    # without a report of its own, and its roots are the companion roots
+    branches, weights = family
+    stacks = []
+
+    def recording(polys, tol):
+        stacks.append(len(polys))
+        return root_report(polys, tol)
+
+    committed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent, "root_report", recording)
+        cert = descent._run_descent(
+            num_levels=1,
+            candidates=lambda k: list(zip(range(len(branches)), weights)),
+            branch_poly=lambda v: branches[v],
+            commit=committed.append,
+        )
+    companion = [report.maxroot for report in root_report([RealPolynomial.from_coeffs(p) for p in branches], ROOTEDNESS_TOL)]
+    winner = descent._rank(companion)
+    rivals = [abs(root - companion[winner]) for p, root in zip(branches, companion) if p is not branches[winner]]
+    assert cert.fallback_levels == ()
+    assert stacks == [len(branches) + 1]  # the last report: the branches and the root row
+    if all(gap > descent.TIE_TOL for gap in rivals):
+        assert committed == [winner]
+    rows = [descent._trimmed(np.asarray(p).tolist()) for p in branches]
+    best, roots = descent._decide_at_parent_root(rows, max(map(descent._max_root_bound, rows)))
+    assert best == committed[0]
+    for root, want in zip(roots, companion):
+        assert abs(root - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_level_0_whose_walk_stalls_on_a_double_root_falls_back():
+    # x^2 beside x(x - 10), over the common interlacer x: the walk from the
+    # bound, about 10, halves its distance to x^2's double root 0 at every
+    # step and has not ended after NEWTON_STEPS, so level 0 ranks a report
+    # of its own (the branches and the root row), lists 0 as a fallback
+    # level and commits the companion winner, x^2; no row is left for a
+    # second report
+    branches = [[0.0, 0.0, 1.0], [0.0, -10.0, 1.0]]
+    stacks = []
+
+    def recording(polys, tol):
+        stacks.append(len(polys))
+        return root_report(polys, tol)
+
+    bound = max(map(descent._max_root_bound, branches))
+    assert 10.0 < bound < 10.0 + 1e-9
+    assert descent._decide_at_parent_root(branches, bound) is None
+    committed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent, "root_report", recording)
+        cert = descent._run_descent(
+            num_levels=1,
+            candidates=lambda k: [(0, 0.5), (1, 0.5)],
+            branch_poly=lambda v: branches[v],
+            commit=committed.append,
+        )
+    companion = [report.maxroot for report in root_report([RealPolynomial.from_coeffs(p) for p in branches], ROOTEDNESS_TOL)]
+    assert committed == [descent._rank(companion)] == [0]
+    assert cert.fallback_levels == (0,)
+    assert stacks == [3]
+    np.testing.assert_allclose(cert.maxroots, [5.0, 0.0], atol=1e-9)

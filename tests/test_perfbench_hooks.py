@@ -157,11 +157,12 @@ def test_run_descent_keeps_the_parameters_the_tracer_binds():
 
 
 def test_every_max_root_is_certified_inside_the_hooked_names():
-    # two root_reports per descent (level 0's branches with the root
-    # polynomial as one more row, then every later level's rows; levels past
-    # 0 are decided at their parent's max root, with no fallback here) and
-    # one maxroot_certified, seeded from those reports and running none of
-    # its own: certification work moved out of these names would show here
+    # one root_report per descent, after the last level (level 0's branches,
+    # the root polynomial as one more row, then every later level's rows;
+    # level 0 is decided at a bound on its max roots and every later level
+    # at its parent's max root, with no fallback here) and one
+    # maxroot_certified, seeded from that report and running none of its
+    # own: certification work moved out of these names would show here
     # rather than as a drop in their self time
     rng = np.random.default_rng(5)
     inst = DiscrepancyInstance(trace_capped_ensemble(rng, 3, 4, 1.0), tuple(random_two_valued(rng) for _ in range(4)))
@@ -172,7 +173,7 @@ def test_every_max_root_is_certified_inside_the_hooked_names():
     assert tracer.counts["descent.levels"] == 4
     assert res.certificate.fallback_levels == ()
     assert spans["polynomials.maxroot"] == 1
-    assert spans["polynomials.root_report"] == 2
+    assert spans["polynomials.root_report"] == 1
     # no full kernel pass: the branches are read from the level engine inside
     # the descent, and the root polynomial is their level-0 mixture
     assert spans["mixedchar.assemble"] == 0
@@ -213,10 +214,10 @@ def _solve_hermitian(rng):
 @pytest.mark.parametrize("make", [_lyapunov_select, _solve_hermitian], ids=["lyapunov_select", "solve_hermitian"])
 def test_small_mix_solvers_count_every_level_and_branch(make):
     # the two small-mix solvers besides solve_kls: one level per variable,
-    # one branch per support value, two root reports per descent (level 0's
-    # with the root polynomial as one more row, then the rows of every later
-    # level, none of which falls back to a report of its own here) and one
-    # enclosure per descent
+    # one branch per support value, one root report per descent after the
+    # last level (level 0's rows with the root polynomial as one more row,
+    # then the rows of every later level, none of which falls back to a
+    # report of its own here) and one enclosure per descent
     solve, dists = make(np.random.default_rng(5))
     tracer = _tracing().Tracer()
     with tracer.installed():
@@ -226,4 +227,4 @@ def test_small_mix_solvers_count_every_level_and_branch(make):
     assert tracer.counts["descent.branches"] == sum(len(dist.support()) for dist in dists)
     assert cert.fallback_levels == ()
     assert spans["polynomials.maxroot"] == 1
-    assert spans["polynomials.root_report"] == 2
+    assert spans["polynomials.root_report"] == 1
