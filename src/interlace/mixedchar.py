@@ -131,8 +131,9 @@ class SubsetTable:
         trace-spread inputs at d = 3, n = 7 or 8, and on two-part builds
         (tests/test_mixedchar.py).  Over 40 seeds of such inputs the largest
         error seen was 2.0 u, and 1.4 u with e_D taken from the spectrum.
-        Below the top rank, a batch of at least ``TRIDIAGONAL_MIN_SUMS`` sums
-        takes its e_k from ``_tridiagonal_coefficients`` in chunks of
+        Below the top rank, a batch whose sums times blocks reach
+        ``TRIDIAGONAL_MIN_SUMS`` takes its e_k from
+        ``_tridiagonal_coefficients`` in chunks of
         ``_CHUNK`` sums, and a smaller one from the spectra of one batched
         eigensolve; the two routes differ in the last bits.  On the same
         inputs each c_S with 1 <= |S| < D stays within
@@ -169,7 +170,7 @@ class SubsetTable:
         low = starts[dim] if n >= dim else len(masks)
         if n >= dim:
             X[low:-1, dim] = np.linalg.det(sums[low:]).real.prod(axis=-1)
-        if low < TRIDIAGONAL_MIN_SUMS:
+        if low * blocks < TRIDIAGONAL_MIN_SUMS:
             X[:low] = _spectral_coefficients(sums[:low], top)
         else:
             powers = np.arange(top + 1)
@@ -189,9 +190,11 @@ class SubsetTable:
         return cls(dim=dim, n=n, coeffs=coeffs, sizes=sizes)
 
 
-# Batches of at least this many subset sums below the top rank take
+# Batches below the top rank whose subset sums times blocks reach this take
 # ``_tridiagonal_coefficients``; smaller ones are eigensolved, where numpy's
-# fixed cost per call in the reduction outweighs LAPACK's per matrix.
+# fixed cost per call in the reduction outweighs LAPACK's per matrix.  A
+# two-part batch counts twice: the eigensolve takes each of its blocks as
+# a matrix of its own.
 TRIDIAGONAL_MIN_SUMS = 64
 # The reduction works on this many subset sums at a time, so its
 # temporaries do not grow with n.

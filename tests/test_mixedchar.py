@@ -281,8 +281,10 @@ def test_table_eigensolves_below_the_top_rank_and_takes_dets_at_it(monkeypatch, 
     # At n >= dim a subset sum with dim indices is read only at its own c_U,
     # as e_dim: one batched det takes all of them and the eigensolve only the
     # sums below.  At n < dim no kept sum reaches dim and no det is taken.
-    # A batch below the top rank of TRIDIAGONAL_MIN_SUMS sums or more (the
-    # last three cases) is reduced to tridiagonal form and not eigensolved.
+    # A batch below the top rank whose sums times parts reach
+    # TRIDIAGONAL_MIN_SUMS (the two-part (2, 6) case, 42 sums as in
+    # small-mix's hermitian builds, and the last three cases) is reduced to
+    # tridiagonal form and not eigensolved.
     calls = {"eigvalsh": [], "det": [], "_tridiagonal_coefficients": []}
     for name, log in calls.items():
         owner = mixedchar if name.startswith("_") else np.linalg
@@ -292,8 +294,8 @@ def test_table_eigensolves_below_the_top_rank_and_takes_dets_at_it(monkeypatch, 
     SubsetTable.build(*([_indefinite(rng, d) for _ in range(n)] for _ in range(parts)))
     dim = parts * d
     below = sum(math.comb(n, k) for k in range(min(n + 1, dim)))
-    solved = below < mixedchar.TRIDIAGONAL_MIN_SUMS
-    assert solved == (n <= 6)
+    solved = below * parts < mixedchar.TRIDIAGONAL_MIN_SUMS
+    assert solved == (n * parts <= 8)
     assert calls["eigvalsh"] == ([(below, parts, d, d)] if solved else [])
     assert calls["_tridiagonal_coefficients"] == ([] if solved else [(below, parts, d, d)])
     assert calls["det"] == ([(math.comb(n, dim), parts, d, d)] if n >= dim else [])
