@@ -399,22 +399,18 @@ def _run_descent(
                     f"level {level}: mixture {gap:.3e} off the branch committed at level {level - 1}"
                 )
             r = parent_root
-        if level and len(cands) == 1:
-            found = (0, [r])
-        else:
-            found = None if r is None else _decide_at_parent_root(branches, r)
-            if found is None:
-                fallbacks.append(level)
-            else:
-                decided.append((level, len(stack), found[1], r))
+        carried = level > 0 and len(cands) == 1
+        found = (0, [r]) if carried else None if r is None else _decide_at_parent_root(branches, r)
         if found is None:
+            fallbacks.append(level)
             level_reports = root_report(rows, ROOTEDNESS_TOL)
             _real_rooted_or_raise(level, cands, level_reports)
             roots = [report.maxroot for report in level_reports[: len(cands)]]
             best = _rank(roots)
         else:
-            level_reports = None
-            best, roots = found
+            (best, roots), level_reports = found, None
+            if not carried:
+                decided.append((level, len(stack), roots, r))
         commit(cands[best])
         committed = coeffs[best]
         parent_root = roots[best]

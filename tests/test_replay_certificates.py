@@ -1,13 +1,15 @@
 """The certificate replay script on the benchmark's smallest cells.
 
 scripts/replay_certificates.py hashes every certificate of the benchmark's
-pool solves, so that two trees can be compared bit for bit.  This runs it
-on ``workloads.TINY`` in a fresh process, as it is run by hand.
+pool solves, so that two trees can be compared bit for bit, by hand or
+with ``--against``.  This runs it on ``workloads.TINY`` in a fresh
+process, as it is run by hand.
 """
 
 import importlib.util
 import math
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,12 +25,15 @@ LINE = re.compile(
 )
 
 
-def _replay(*args: str) -> list[dict]:
+AGAINST = re.compile(LINE.pattern[:-1] + r" against: sha256 (?P<same_digest>match|differs) outcomes (?P<same_outcomes>match|differs)$")
+
+
+def _replay(*args: str, line=LINE) -> list[dict]:
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), *args], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    lines = [LINE.match(line) for line in proc.stdout.splitlines()]
+    lines = [line.match(text) for text in proc.stdout.splitlines()]
     assert all(lines), proc.stdout
     return [m.groupdict() for m in lines]
 
@@ -43,6 +48,31 @@ def test_replay_hashes_every_tiny_pool_solve_the_same_way_twice():
     ]
     assert len({r["digest"] for r in first}) == len(first)  # other seeds, other pools
     assert _replay("--seeds", "3", "4", "--tiny") == first
+
+
+def test_replay_against_its_own_tree_matches_every_line():
+    # the other tree's replay runs in a subprocess over that tree's src:
+    # this tree against itself prints its own digests, and every line
+    # matches on both
+    lines = _replay("--seeds", "3", "--tiny", "--against", str(ROOT), line=AGAINST)
+    alone = _replay("--seeds", "3", "--tiny")
+    assert [{k: r[k] for k in alone[0]} for r in lines] == alone
+    assert {(r["same_digest"], r["same_outcomes"]) for r in lines} == {("match", "match")}
+
+
+def test_replay_against_a_tree_with_other_bits_says_which_digest_differs(tmp_path):
+    # a copy of src whose enclosures stop tightening at 1e-12 instead of
+    # 1e-10: enclosure ends move, so some sha256 differs, while every
+    # outcome, assignment and fallback level matches; the copy is what the
+    # other replay imports
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    polynomials = tmp_path / "src" / "interlace" / "polynomials.py"
+    text = polynomials.read_text()
+    assert text.count("\nMAXROOT_TOL = 1e-10\n") == 1
+    polynomials.write_text(text.replace("\nMAXROOT_TOL = 1e-10\n", "\nMAXROOT_TOL = 1e-12\n"))
+    lines = _replay("--seeds", "3", "--tiny", "--against", str(tmp_path), line=AGAINST)
+    assert "differs" in {r["same_digest"] for r in lines}
+    assert {r["same_outcomes"] for r in lines} == {"match"}
 
 
 def _replay_module():
@@ -108,7 +138,9 @@ def test_outcome_key_reads_the_decisions_and_not_the_bits():
         assert replay.outcome_key(case, edited) != outcome
 
 
-@pytest.mark.parametrize("bad", [["--seeds"], ["--seeds", "3", "--workloads", "no-such-workload"]])
+@pytest.mark.parametrize(
+    "bad", [["--seeds"], ["--seeds", "3", "--workloads", "no-such-workload"], ["--seeds", "3", "--against"]]
+)
 def test_replay_rejects_bad_arguments(bad):
     proc = subprocess.run([sys.executable, str(SCRIPT), *bad], cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
