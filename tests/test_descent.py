@@ -940,3 +940,22 @@ def test_level_0_whose_walk_stalls_on_a_double_root_falls_back():
     assert cert.fallback_levels == (0,)
     assert stacks == [3]
     np.testing.assert_allclose(cert.maxroots, [5.0, 0.0], atol=1e-9)
+
+
+def test_a_root_polynomial_not_real_rooted_is_named_after_a_decided_level_0():
+    # (x - 1)(x - 2) and (x - 3)(x - 4) share no interlacer: at 1/2 each they
+    # mix to x^2 - 5x + 7, roots (5 +- i sqrt 3) / 2.  Each branch is
+    # real-rooted and walks down from the bound, so level 0 is decided and
+    # committed; the last report then names the root row
+    from interlace import NotRealRooted
+
+    branches = [np.convolve([-1.0, 1.0], [-2.0, 1.0]), np.convolve([-3.0, 1.0], [-4.0, 1.0])]
+    committed = []
+    with pytest.raises(NotRealRooted, match=r"^root: expected polynomial not real-rooted .*; aborting descent$"):
+        descent._run_descent(
+            num_levels=1,
+            candidates=lambda k: [(0, 0.5), (1, 0.5)],
+            branch_poly=lambda v: branches[v],
+            commit=committed.append,
+        )
+    assert committed == [0]
