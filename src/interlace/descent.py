@@ -255,10 +255,10 @@ def _max_root_bound(coeffs: Sequence[float]) -> float | None:
     far more than the rounding of mu, the root and their sum (16 eps), so
     that a row whose max root meets the bound, as a degree-1 row's does,
     is provably positive at it, and by the smallest normal double, so that
-    a bound of 0 is too.  None, so that the level falls back,
-    for a leading coefficient that is not positive, a coefficient that is
-    not finite, a raised n v below 0 (no real-rooted row gives one) or a
-    bound that is not finite.
+    a row whose max root and bound are 0, such as x, is too.  None, so that
+    the level falls back, for a leading coefficient that is not positive, a
+    coefficient that is not finite, a raised n v below 0 (no real-rooted row
+    gives one) or a bound that is not finite.
     """
     n = len(coeffs) - 1
     if n < 1 or not coeffs[-1] > 0.0 or not all(map(math.isfinite, coeffs)):
@@ -400,7 +400,10 @@ def _run_descent(
                 )
             r = parent_root
         carried = level > 0 and len(cands) == 1
-        found = (0, [r]) if carried else None if r is None else _decide_at_parent_root(branches, r)
+        if carried:
+            found = (0, [r])
+        else:
+            found = None if r is None else _decide_at_parent_root(branches, r)
         if found is None:
             fallbacks.append(level)
             level_reports = root_report(rows, ROOTEDNESS_TOL)
