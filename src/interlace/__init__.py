@@ -19,7 +19,6 @@ from .descent import (
     DescentCertificate,
     FiniteDistribution,
     MatrixDistribution,
-    conditional_spec_quadratic,
     greedy_descent_linear,
     greedy_descent_quadratic,
 )
@@ -78,15 +77,7 @@ from .lyapunov import (
     mixed_bound_reference,
     weighted_approx,
 )
-from .mixedchar import (
-    DerivativeSpec,
-    SubsetTable,
-    expected_product_poly,
-    mixed_char_poly,
-    quadratic_mixed_char_poly,
-    subset_derivative,
-    truncated_ring_oracle,
-)
+from .mixedchar import SubsetTable, mixed_char_poly, quadratic_mixed_char_poly, subset_derivative
 from .polynomials import (
     MaxRoot,
     RealPolynomial,
@@ -95,5 +86,6 @@ from .polynomials import (
     root_report,
     root_scaling,
 )
+from .reference import DerivativeSpec, conditional_spec_quadratic, expected_product_poly, truncated_ring_oracle
 
 __version__ = "0.1.0"

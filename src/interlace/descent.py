@@ -23,7 +23,9 @@ and the chain of enclosures is recorded as a certificate; a decision that
 the certified ends contradict raises NumericalFailure naming its level.
 Branches travel as arrays of ascending coefficients from the level engines
 to the mixture check and the sign test; each becomes a ``RealPolynomial``
-once, for the reports and the certifier.
+once, for the reports and the certifier.  The quadratic branches come from
+``mixedchar.ProductLevels``; ``interlace.reference`` holds the full pass
+they are checked against and the centered specs that drive it.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotPSD, NotRealRooted, NumericalFailure, ValueNotInSupport
+from .errors import NotPSD, NotRealRooted, NumericalFailure
 from .linalg import HermitianMatrix, MatrixEnsemble, as_hermitian, is_psd, weighted_sum
-# expected_product_poly is unused here but kept for perfbench's tracer,
-# which hooks this namespace.
-from .mixedchar import DerivativeSpec, ProductLevels, SubsetTable, expected_product_poly, mixed_char_poly  # noqa: F401
+from .mixedchar import ProductLevels, SubsetTable, mixed_char_poly
 from .polynomials import MaxRoot, RealPolynomial, RootReport, evaluate_bounded, maxroot_certified, root_report
+# Unused: perfbench's tracer hooks it here until ROADMAP item 1 drops the hook.
+from .reference import expected_product_poly  # noqa: F401
 
 TIE_TOL = 1e-9
 ROOTEDNESS_TOL = 1e-7
@@ -181,31 +183,6 @@ class DescentCertificate:
 
     def monotone_within(self, slack: float) -> bool:
         return all(r <= slack for r in self.residuals)
-
-
-def conditional_spec_quadratic(
-    dists: Sequence[FiniteDistribution], fixed: Mapping[int, float]
-) -> DerivativeSpec:
-    """Operator coefficients of the centered family with a partial
-    assignment substituted.
-
-    Index i enters as xi_i - E xi_i.  Fixed index with value s and deviation
-    t = ``deviations()[s]``: (-t, t, -t^2).  Free index: (0, 0, -``variance()``).
-    A free kernel is diagonal, so ``ProductLevels``, fed the same deviations
-    and variances, reads the same polynomials as Gram products of one
-    contracted table; ``expected_product_poly`` with this spec is its reference.
-    """
-    triples = []
-    for i, dist in enumerate(dists):
-        if i in fixed:
-            s = float(fixed[i])
-            if s not in dist.support():
-                raise ValueNotInSupport(f"value {s} not in support of index {i}")
-            t = dist.deviations()[s]
-            triples.append((-t, t, -t * t))
-        else:
-            triples.append((0.0, 0.0, -dist.variance()))
-    return DerivativeSpec.from_triples(triples)
 
 
 def _rank(roots: Sequence[float]) -> int:

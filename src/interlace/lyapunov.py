@@ -24,7 +24,8 @@ every transform, so each level works on half the masks of the one before.
 Rank arrays hold only the rows a c_S table can fill (min(n, d) + 1 per
 factor, min(n, r d) + 1 for a product).  Slot s has weight t_s, which
 cancels its factor 1/t_s, so the root polynomial is level 0's t-weighted
-mixture of its branches.
+mixture of its branches.  ``reference.subset_convolve``, the direct sum over
+submasks, is the convolution the branches are checked against.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ from .linalg import (
     operator_norm,
     weighted_sum,
 )
-# subset_convolve is unused here but kept for perfbench's tracer, which hooks this namespace.
-from .mixedchar import ConvolutionLevels, SubsetTable, subset_convolve  # noqa: F401
+from .mixedchar import ConvolutionLevels, SubsetTable
+# Unused: perfbench's tracer hooks it here until ROADMAP item 1 drops the hook.
+from .reference import subset_convolve  # noqa: F401
 
 MAX_LIFTED_DIM = 48
 # Slack on every inequality re-checked on a returned result.

@@ -1,4 +1,4 @@
-"""Mixed characteristic polynomials and expected product polynomials.
+"""Mixed characteristic polynomials and the level engines of the descents.
 
 The mixed characteristic polynomial of matrices A_1..A_m applies the
 operator prod_i (1 - d/dz_i) to det(xI + sum_i z_i A_i) and sets z = 0.
@@ -10,23 +10,22 @@ part of the determinant matters.  Writing
 
 every evaluation in this module is a weighted sum over the scalar table
 {c_S}.  The product variant applies prod_i (1 + a_i d/dz_i + b_i d/dw_i +
-c_i d/dz_i d/dw_i) to a product of two such determinants.  Its weight on a
-subset pair (S, T) factors over indices into 2x2 kernels, so one Kronecker
-pass per index (``_apply_kernels``) over the rank-graded table replaces the
-sum over pairs; ``expected_product_poly`` serves any kernels and stays the
-reference.  The descents' quadratic family is centered: a free variable's
-kernel is diag(1, -Var), which keeps only the pairs that agree on its
-index, and a fixed value's kernel has rank one.  So ``ProductLevels``
-contracts each index a descent commits out of one rank-graded table R for
-good and reads a branch as a Gram product of R with itself, weighted by the
-products of the free variances: level k costs O(2^(n-k) d), with no kernel
-pass.  The (S, T) and (T, S) terms of an odd coefficient cancel exactly, so
-it sums only the even anti-diagonals, and its branches are polynomials in
-x^2 whose odd coefficients are exactly 0.0 (``root_report`` solves them at
-half the degree).  Both level engines answer a descent's ``branch(v)``
-(next index set to v, returned as an array of ascending coefficients) and
-``commit(v)`` (fix it), and its root polynomial is level 0's mixture: the
-full passes are references.
+c_i d/dz_i d/dw_i) to a product of two such determinants, and its weight
+on a subset pair (S, T) factors over indices into 2x2 kernels.  The
+descents' quadratic family is centered: a free variable's kernel is
+diag(1, -Var), which keeps only the pairs that agree on its index, and a
+fixed value's kernel has rank one.  So ``ProductLevels`` contracts each
+index a descent commits out of one rank-graded table R for good and reads a
+branch as a Gram product of R with itself, weighted by the products of the
+free variances: level k costs O(2^(n-k) d), with no kernel pass.  The
+(S, T) and (T, S) terms of an odd coefficient cancel exactly, so it sums
+only the even anti-diagonals, and its branches are polynomials in x^2 whose
+odd coefficients are exactly 0.0 (``root_report`` solves them at half the
+degree).  Both level engines answer a descent's ``branch(v)`` (next index
+set to v, returned as an array of ascending coefficients) and ``commit(v)``
+(fix it), and its root polynomial is level 0's mixture.  The full passes
+that check them, for any kernels and any slot tables, are in
+``interlace.reference``, which shares no code with the engines.
 
 The table is built once per ensemble by polarization: c_S is the
 squarefree coefficient of e_{|S|}(sum_{i in S} z_i A_i), so
@@ -45,21 +44,19 @@ Signs, scalar multiples and operator coefficients enter only through
 per-subset weights, since c_S is multilinear in the matrix arguments.  A
 block-diagonal family such as the hermitian lift is built from its blocks.
 
-``subset_convolve`` combines weighted copies of the table (the block
-factors of a lifted determinant) by a ranked subset convolution.  Its rank
-arrays follow the table's depth rule: rows stop at the largest |S| a table
-can fill, min(n, d) for a c_S table, and a product of ranked arrays at the
-sum of their depths, capped at n.  ``ConvolutionLevels`` serves the branches
-of a partition descent from r ranked zeta transforms kept across levels and
-graded twice, by the rank of the free part and the count of indices already
-in the slot: putting an index into a slot contracts it out of every mask
+``ConvolutionLevels`` serves the branches of a partition descent, whose
+lifted determinant factors over blocks into weighted copies of the table
+combined by subset convolution.  It keeps r ranked zeta transforms across
+levels, graded twice, by the rank of the free part and the count of indices
+already in the slot, each holding only the rows a table can fill (min(n, d)
+for a c_S table, and a product of ranked arrays the sum of their depths,
+capped at n): putting an index into a slot contracts it out of every mask
 axis, so level k works on the 2^(n-k) masks of the indices still free, and
 a branch's coefficients are binomial-weighted sums of the rank product over
 slots, with no Moebius pass.  Each such sum is read straight off the
 product's last two factors (``_fused_read``: one matrix product per rank of
 one factor), so the full product is never formed.
 """
-
 from __future__ import annotations
 
 import functools
@@ -93,18 +90,6 @@ def subset_products(weights) -> np.ndarray:
         step = 1 << i
         out[..., step : 2 * step] = out[..., :step] * weights[..., i, None]
     return out
-
-
-def _ranked_mobius_collapse(R: np.ndarray, n: int, pc: np.ndarray) -> np.ndarray:
-    """In-place Moebius transform of every rank row of R; row pc[S] at mask S.
-
-    R holds the rows 0..top that can be nonzero; masks with pc[S] > top read 0.
-    """
-    for b in range(n):
-        view = R.reshape(len(R), 1 << (n - b - 1), 2, 1 << b)
-        view[:, :, 1, :] -= view[:, :, 0, :]
-    top = len(R) - 1
-    return np.where(pc <= top, R[np.minimum(pc, top), np.arange(1 << n)], 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,7 +179,11 @@ class SubsetTable:
 # ``_tridiagonal_coefficients``; smaller ones are eigensolved, where numpy's
 # fixed cost per call in the reduction outweighs LAPACK's per matrix.  A
 # two-part batch counts twice: the eigensolve takes each of its blocks as
-# a matrix of its own.
+# a matrix of its own.  The rule need not read the dtype: a real two-part
+# batch of 32-63 sums would gain nothing from the reduction, but every
+# public path hands the build complex128 entries (``make_hermitian``, and
+# ``exact_hermitian`` on the complex sums of ``weighted_sum``, ``sum`` and
+# the hermitian lift's parts).
 TRIDIAGONAL_MIN_SUMS = 64
 # The reduction works on this many subset sums at a time, so its
 # temporaries do not grow with n.
@@ -317,27 +306,12 @@ def _kept_mobius(X: np.ndarray, partners: np.ndarray) -> None:
     """In-place Moebius transform over the kept masks of a mask-major X, one
     row per mask of ``_kept_masks`` and a zero last row: for b = 0..n-1,
     X[U] -= X[U without b] where U has bit b.  Every mask's subsets are
-    kept, so each row ends as ``_ranked_mobius_collapse`` leaves that mask,
-    bit for bit."""
+    kept, so each row ends as the strided pass over all 2^n masks of a
+    rank-graded array would leave that mask, bit for bit."""
     buf = np.empty_like(X[:-1])
     for idx in partners:
         np.take(X, idx, axis=0, out=buf)
         X[:-1] -= buf
-
-
-def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """h(S) = sum over ordered disjoint decompositions S_1 | ... | S_r = S
-    of prod_k tables[k][S_k].
-
-    Ranked zeta transforms, rank products and one ranked Moebius collapse,
-    each on the rows the depth rule keeps; every skipped row is exactly zero.
-    """
-    pc = popcounts(n)
-    acc = np.ones((1, 1 << n))  # zeta of the empty-set indicator
-    for t in tables:
-        t = np.asarray(t, dtype=np.float64)
-        acc = _rank_product(acc, _ranked_zeta(t, pc, int(pc[t != 0].max(initial=0))), n)
-    return _ranked_mobius_collapse(acc, n, pc)
 
 
 def _ranked_zeta(t: np.ndarray, pc: np.ndarray, depth: int) -> np.ndarray:
@@ -353,45 +327,15 @@ def _ranked_zeta(t: np.ndarray, pc: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _rank_product(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
-    """C[j] = sum_{i + l = j} A[i] * B[l] for ranks j <= cap, mask by mask:
-    the ranked zeta transform of the subset convolution of two tables.
-
-    Arrays of shape (rank, count, mask) carry a second grade, which adds the
-    same way: C[j, c] = sum A[i, e] * B[j - i, c - e].  The loop runs over
-    the entries of A, so A should be the one with fewer.
+    """C[j, c] = sum A[i, e] * B[j - i, c - e] for ranks j <= cap, mask by
+    mask, on arrays of shape (rank, count, mask): the ranked zeta transform
+    of the subset convolution of two tables, graded by count too.  The loop
+    runs over the entries of A, so A should be the one with fewer.
     """
-    if A.ndim == 2:
-        return _rank_product(A[:, None], B[:, None], cap)[:, 0]
     C = np.zeros((min(len(A) + len(B) - 2, cap) + 1, A.shape[1] + B.shape[1] - 1, B.shape[2]))
     for i, e in np.ndindex(min(len(A), len(C)), A.shape[1]):
         C[i : i + len(B), e : e + B.shape[1]] += A[i, e] * B[: len(C) - i]
     return C
-
-
-@dataclass(frozen=True)
-class DerivativeSpec:
-    """Coefficients of prod_i (1 + a_i d/dz_i + b_i d/dw_i + c_i d/dz_i d/dw_i).
-
-    A fixed value s corresponds to (-s, s, -s^2).  The descents' centered
-    family (``conditional_spec_quadratic``) fixes the deviation t of s from
-    the mean and gives a free variable (0, 0, -Var).
-    """
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.a) == len(self.b) == len(self.c)):
-            raise ValueError("spec coefficient lists must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    @classmethod
-    def from_triples(cls, triples) -> "DerivativeSpec":
-        a, b, c = zip(*triples) if triples else ((), (), ())
-        return cls(tuple(map(float, a)), tuple(map(float, b)), tuple(map(float, c)))
 
 
 def _graded_coeffs(sizes: np.ndarray, weights: np.ndarray, deg: int) -> np.ndarray:
@@ -454,44 +398,6 @@ def _ranked_table(table: SubsetTable) -> np.ndarray:
     return V
 
 
-def _apply_kernels(V: np.ndarray, kernels) -> None:
-    """Apply the j-th kernel (a, b, c), K = [[1, b], [a, c]], in place along
-    bit j of V's masks (row: bit in S, column: bit in T)."""
-    rows, bits = len(V), V.shape[1].bit_length() - 1
-    for j, (a, b, c) in enumerate(kernels):
-        view = V.reshape(rows, 1 << (bits - j - 1), 2, 1 << j)
-        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-        new_hi = a * lo
-        new_hi += c * hi
-        lo += b * hi
-        hi[...] = new_hi
-
-
-def expected_product_poly(
-    E: MatrixEnsemble, spec: DerivativeSpec, table: SubsetTable | None = None
-) -> RealPolynomial:
-    """Apply a product differential operator to det(xI+sum z A) det(xI+sum w A).
-
-    Expands over ordered subset pairs (S, T):
-
-        sum_{S,T} (prod_{S&T} c_i)(prod_{S\\T} a_i)(prod_{T\\S} b_i) D_S D_T,
-
-    monic of degree 2d.  The pair weight is the Kronecker product of the
-    per-index kernels K_i = [[1, b_i], [a_i, c_i]] (row: i in S, column:
-    i in T).  ``_apply_kernels`` applies K_i along bit i of the rank-graded
-    table V[|T|, T] = c_T, giving V[k, S] = sum_{|T|=k} K[S, T] c_T; the
-    polynomial is then sum_{S,k} c_S V[k, S] x^(2d-|S|-k).  O(n 2^n d).
-    Descents read the ``ProductLevels`` branches and mix them for the root.
-    """
-    table = _require_table(E, table)
-    if len(spec) != len(E):
-        raise ValueError(f"spec length {len(spec)} != ensemble size {len(E)}")
-    V = _ranked_table(table)
-    _apply_kernels(V, zip(spec.a, spec.b, spec.c))
-    ranks = table.sizes + np.arange(len(V))[:, None]
-    return _graded_poly(ranks.ravel(), (table.coeffs * V).ravel(), 2 * table.dim)
-
-
 def _contract_low_bit(R: np.ndarray, s: float) -> np.ndarray:
     """Fix the lowest mask bit to s: R[., U] + s R[., U | bit], over the
     masks without that bit."""
@@ -516,8 +422,9 @@ class ProductLevels:
     products of the free variances stay in range however far the spread of
     the values lies from scale and from the matrices' trace.
     ``branch(v)`` is the polynomial with the committed values, the next index
-    k set to v and the indices after k free, which ``expected_product_poly``
-    gives for the spec of ``descent.conditional_spec_quadratic``;
+    k set to v and the indices after k free, which
+    ``reference.expected_product_poly`` gives for the spec of
+    ``reference.conditional_spec_quadratic``;
     ``commit(v)`` fixes index k to v for good, and the next level is k + 1.  A fixed index has the rank-one
     kernel [1, -t]^T [1, t], so a commit contracts it out of one rank-graded
     table R[sigma, U]: sigma is the total rank |T| and U runs over the masks
@@ -781,141 +688,3 @@ def quadratic_mixed_char_poly(
     table = _require_table(E, table)
     c, sizes = table.coeffs, table.sizes
     return _graded_poly(2 * sizes, np.where(sizes % 2, -c, c) * c, 2 * table.dim)
-
-
-# ---------------------------------------------------------------------------
-# Truncated-ring oracle: independent symbolic evaluation for small instances.
-# ---------------------------------------------------------------------------
-
-ORACLE_MAX_DIM = 4
-ORACLE_MAX_INDICES = 4
-
-
-def _accumulate(out: dict[int, np.ndarray], mask: int, poly: np.ndarray) -> None:
-    """out[mask] += poly, the shorter coefficient array added into a copy of the longer."""
-    cur = out.get(mask)
-    if cur is None:
-        out[mask] = poly
-        return
-    if len(cur) < len(poly):
-        cur, poly = poly, cur
-    total = cur.copy()
-    total[: len(poly)] += poly
-    out[mask] = total
-
-
-class _Multilinear:
-    """Element of R[x][z_1..z_n] / (z_i^2), terms keyed by variable bitmask."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, np.ndarray] | None = None):
-        self.terms = terms if terms is not None else {}
-
-    def add(self, other: "_Multilinear") -> "_Multilinear":
-        out = dict(self.terms)
-        for mask, poly in other.terms.items():
-            _accumulate(out, mask, poly)
-        return _Multilinear(out)
-
-    def neg(self) -> "_Multilinear":
-        return _Multilinear({m: -p for m, p in self.terms.items()})
-
-    def mul(self, other: "_Multilinear") -> "_Multilinear":
-        out: dict[int, np.ndarray] = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                if m1 & m2:
-                    continue  # z_i^2 truncates to zero
-                _accumulate(out, m1 | m2, np.convolve(p1, p2))
-        return _Multilinear(out)
-
-
-def _ring_det(M: list[list[_Multilinear]]) -> _Multilinear:
-    """Division-free determinant by Laplace expansion along the first row."""
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = _Multilinear({})
-    for j in range(n):
-        minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = M[0][j].mul(_ring_det(minor))
-        total = total.add(term if j % 2 == 0 else term.neg())
-    return total
-
-
-def _ring_determinant(matrices: list[np.ndarray], d: int, bit_offset: int) -> _Multilinear:
-    """det(xI + sum_i z_{i+offset} A_i) over the truncated ring."""
-    n = len(matrices)
-    M: list[list[_Multilinear]] = []
-    for r in range(d):
-        row = []
-        for c in range(d):
-            terms: dict[int, np.ndarray] = {}
-            if r == c:
-                terms[0] = np.array([0.0 + 0.0j, 1.0 + 0.0j])
-            for i in range(n):
-                v = matrices[i][r, c]
-                if v != 0:
-                    terms[1 << (i + bit_offset)] = np.array([v], dtype=np.complex128)
-            row.append(_Multilinear(terms))
-        M.append(row)
-    return _ring_det(M)
-
-
-def _real_poly_from_ring(poly: np.ndarray) -> RealPolynomial:
-    if float(np.max(np.abs(poly.imag), initial=0.0)) > 1e-8 * (
-        1.0 + float(np.max(np.abs(poly.real), initial=0.0))
-    ):
-        raise ValueError("oracle produced a non-real polynomial")
-    return RealPolynomial.from_coeffs(poly.real)
-
-
-def truncated_ring_oracle(
-    E: MatrixEnsemble,
-    scalars=None,
-    spec: DerivativeSpec | None = None,
-) -> RealPolynomial:
-    """Symbolic evaluation of the linear or product operator (d, m <= 4).
-
-    Exactly one of ``scalars`` (linear mode, scalars folded into the
-    matrices) or ``spec`` (product mode) must be given.  Serves as an
-    independent check of the fast subset-table path.
-    """
-    if (scalars is None) == (spec is None):
-        raise ValueError("give exactly one of scalars= or spec=")
-    d, m = E.dim, len(E)
-    if d > ORACLE_MAX_DIM or m > ORACLE_MAX_INDICES:
-        raise SizeGuard(f"oracle limited to d <= {ORACLE_MAX_DIM}, m <= {ORACLE_MAX_INDICES}")
-    deg = d if spec is None else 2 * d
-    if scalars is not None:
-        scalars = np.asarray(scalars, dtype=np.float64)
-        mats = [float(scalars[i]) * E[i].entries for i in range(m)]
-        det = _ring_determinant(mats, d, 0)
-        out = np.zeros(deg + 1, dtype=np.complex128)
-        for mask, poly in det.terms.items():
-            sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-            out[: len(poly)] += sign * poly
-        return _real_poly_from_ring(out)
-    mats = [E[i].entries for i in range(m)]
-    dz = _ring_determinant(mats, d, 0)
-    dw = _ring_determinant(mats, d, m)
-    F = dz.mul(dw)
-    zfull = (1 << m) - 1
-    out = np.zeros(deg + 1, dtype=np.complex128)
-    for mask, poly in F.terms.items():
-        S = mask & zfull
-        T = mask >> m
-        w = 1.0
-        for i in range(m):
-            bit = 1 << i
-            in_s, in_t = bool(S & bit), bool(T & bit)
-            if in_s and in_t:
-                w *= spec.c[i]
-            elif in_s:
-                w *= spec.a[i]
-            elif in_t:
-                w *= spec.b[i]
-        if w != 0.0:
-            out[: len(poly)] += w * poly
-    return _real_poly_from_ring(out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import BarrierPoint, barrier_shape_check, barrier_value, qx_certificate
-from .descent import MatrixDistribution, conditional_spec_quadratic
+from .descent import MatrixDistribution
 from .descent import greedy_descent_linear, greedy_descent_quadratic
 from .discrepancy import DiscrepancyInstance, sigma_bound, solve_hermitian, solve_kls, two_point_reduction
 from .generate import (
@@ -37,9 +37,9 @@ from .lyapunov import (
     lyapunov_select,
     mixed_bound_reference,
 )
-from .mixedchar import DerivativeSpec, SubsetTable, expected_product_poly, mixed_char_poly
-from .mixedchar import quadratic_mixed_char_poly, truncated_ring_oracle
+from .mixedchar import SubsetTable, mixed_char_poly, quadratic_mixed_char_poly
 from .polynomials import RealPolynomial, maxroot_certified, root_report, root_scaling
+from .reference import DerivativeSpec, conditional_spec_quadratic, expected_product_poly, truncated_ring_oracle
 
 TOL_COEFF = 1e-8
 TOL_ROOT = 1e-7

@@ -28,8 +28,9 @@ from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 from interlace.linalg import rank_one_completion
 from interlace.lyapunov import LyapunovInstance, ks_r_partition, lyapunov_select
-from interlace.mixedchar import SubsetTable, _graded_poly, expected_product_poly, mixed_char_poly, subset_convolve
+from interlace.mixedchar import SubsetTable, _graded_poly, mixed_char_poly
 from interlace.polynomials import MaxRoot, evaluate_bounded, maxroot_certified, root_report
+from interlace.reference import expected_product_poly, subset_convolve
 
 FD = FiniteDistribution
 
@@ -614,6 +615,10 @@ _NEAR_TIES = [0.0, 0.5, 0.999, 1.0, 1.001, 2.0]
 )
 @example(base=0.0, offsets=[0.0, 0.0, 0.0], raw_weights=[1.0, 1.0, 1.0, 1.0], gaps=[1.0])  # exact tie at r
 @example(base=0.0, offsets=[1.0, 0.999e-9, 0.0], raw_weights=[1e-10, 1.0, 1.0, 1.0], gaps=[0.5])
+# r from level 0's walk, a few ulps off its companion root: level 1 is
+# decided at the one and falls back at the other
+@example(base=-1.375, offsets=[0.0, 2e-9, 0.0, 0.0], raw_weights=[1e-12, 0.01, 1e-12, 0.01], gaps=[1.0, 1.0])
+@example(base=-0.5, offsets=[0.0, 2e-9], raw_weights=[1e-12, 1e-12, 1e-12, 1e-12], gaps=[1.0625])
 def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weights, gaps):
     # exact ties, ties within and just past TIE_TOL, and roots far above r,
     # with weights down to 1e-12 that put r within TIE_TOL of a branch root:
@@ -628,7 +633,12 @@ def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weig
     cert, committed = _run_levels(levels, probs)
     companion = descent._rank([report.maxroot for report in root_report(levels[1], ROOTEDNESS_TOL)])
     assert committed == [0, companion]
-    parent = root_report(levels[0], ROOTEDNESS_TOL)[0].maxroot
+    # level 1's r as the descent takes it: level 0's root decided at its
+    # bound, or its companion root when level 0 falls back
+    root_row = levels[0][0].coeffs
+    bound = descent._max_root_bound(root_row)
+    walked = None if bound is None else descent._decide_at_parent_root([root_row], bound)
+    parent = walked[1][0] if walked else root_report(levels[0], ROOTEDNESS_TOL)[0].maxroot
     found = descent._decide_at_parent_root([p.coeffs for p in levels[1]], parent)
     assert cert.fallback_levels == (() if found else (1,))
     if found:

@@ -23,8 +23,9 @@ from interlace import (
 )
 from interlace.descent import ROOTEDNESS_TOL
 from interlace.generate import covering_ensemble, trace_capped_ensemble
-from interlace.mixedchar import mixed_char_poly, popcounts, subset_convolve
+from interlace.mixedchar import mixed_char_poly, popcounts
 from interlace.polynomials import maxroot_certified
+from interlace.reference import subset_convolve
 
 
 def diag(*vals):

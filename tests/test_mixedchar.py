@@ -28,8 +28,8 @@ from interlace import (
     subset_derivative,
     truncated_ring_oracle,
 )
-from interlace import mixedchar
-from interlace.descent import FiniteDistribution, conditional_spec_quadratic
+from interlace import mixedchar, reference
+from interlace.descent import FiniteDistribution
 from interlace.generate import covering_ensemble, random_psd, random_two_valued, trace_capped_ensemble
 from interlace.linalg import ensemble_stats, rank_one_completion
 from interlace.mixedchar import (
@@ -40,11 +40,10 @@ from interlace.mixedchar import (
     _graded_poly,
     _rank_product,
     _ranked_zeta,
-    _ring_determinant,
     popcounts,
-    subset_convolve,
     subset_products,
 )
+from interlace.reference import _ring_determinant, conditional_spec_quadratic, subset_convolve
 from interlace.verification import TOL_COEFF
 
 
@@ -316,6 +315,16 @@ def test_table_reduces_a_large_batch_in_chunks_with_the_same_bits(monkeypatch):
     assert chunks == [100] * 10 + [93]
 
 
+def _ranked_mobius_collapse(R, n, pc):
+    """In-place Moebius transform of every rank row of R, strided over all
+    2^n masks; row pc[S] at mask S, and 0 where pc[S] is past the last row."""
+    for b in range(n):
+        view = R.reshape(len(R), 1 << (n - b - 1), 2, 1 << b)
+        view[:, :, 1, :] -= view[:, :, 0, :]
+    top = len(R) - 1
+    return np.where(pc <= top, R[np.minimum(pc, top), np.arange(1 << n)], 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
 def test_kept_mobius_is_the_ranked_collapse_bit_for_bit(n, seed):
@@ -331,7 +340,7 @@ def test_kept_mobius_is_the_ranked_collapse_bit_for_bit(n, seed):
         X[:-1][rng.random((len(masks), top + 1)) < 0.1] = -0.0
         R = np.zeros((top + 1, 1 << n))
         R[:, masks] = X[:-1].T
-        want = mixedchar._ranked_mobius_collapse(R, n, pc)
+        want = _ranked_mobius_collapse(R, n, pc)
         mixedchar._kept_mobius(X, partners)
         got = np.zeros(1 << n)
         got[masks] = X[np.arange(len(masks)), pc[masks]]
@@ -756,13 +765,13 @@ def test_product_levels_match_the_ring_oracle(seed):
 def _counting_kernel_passes(monkeypatch):
     """A list that gains one entry per ``_apply_kernels`` call."""
     calls = []
-    real = mixedchar._apply_kernels
+    real = reference._apply_kernels
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mixedchar, "_apply_kernels", counting)
+    monkeypatch.setattr(reference, "_apply_kernels", counting)
     return calls
 
 
@@ -930,9 +939,10 @@ def _convolution_scale(tables, n, deg):
     signed tables, the sum that scales the rounding of both the ranked
     convolution and the engine."""
     pc = popcounts(n)
-    H = np.ones((1, 1 << n))
+    H = np.ones((1, 1, 1 << n))
     for t in tables:
-        H = _rank_product(H, _ranked_zeta(np.abs(t), pc, n), n)
+        H = _rank_product(H, _ranked_zeta(np.abs(t), pc, n)[:, None], n)
+    H = H[:, 0]
     g = (H * np.abs(_binomial_weights(n, len(H)))[:, pc]).sum(axis=-1)
     out = np.zeros(deg + 1)
     out[deg - np.arange(min(len(g), deg + 1))] = g[: deg + 1]
