@@ -57,6 +57,7 @@ slots, with no Moebius pass.  Each such sum is read straight off the
 product's last two factors (``_fused_read``: one matrix product per rank of
 one factor), so the full product is never formed.
 """
+
 from __future__ import annotations
 
 import functools
@@ -182,8 +183,8 @@ class SubsetTable:
 # a matrix of its own.  The rule need not read the dtype: a real two-part
 # batch of 32-63 sums would gain nothing from the reduction, but every
 # public path hands the build complex128 entries (``make_hermitian``, and
-# ``exact_hermitian`` on the complex sums of ``weighted_sum``, ``sum`` and
-# the hermitian lift's parts).
+# ``exact_hermitian`` on the complex sums of ``weighted_sum``,
+# ``MatrixEnsemble.sum`` and the hermitian lift's parts).
 TRIDIAGONAL_MIN_SUMS = 64
 # The reduction works on this many subset sums at a time, so its
 # temporaries do not grow with n.

@@ -134,9 +134,9 @@ def subset_convolve(tables: Sequence[np.ndarray], n: int) -> np.ndarray:
     of prod_k tables[k][S_k].
 
     The direct sum over submasks: each table t turns h into the sum over
-    T subset S of t[T] h[S ^ T], one pass over the supersets S of every
-    nonzero T.  O(3^n) operations per table.  A table whose length is not
-    2^n raises ValueError.
+    T subset S of t[T] h[S ^ T], at most 3^n terms, added per nonzero T into
+    its supersets S, which one pass over the 2^n masks finds.  A table whose
+    length is not 2^n raises ValueError.
     """
     masks = np.arange(1 << n)
     h = (masks == 0).astype(np.float64)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import BarrierPoint, barrier_shape_check, barrier_value, qx_certificate
-from .descent import MatrixDistribution
-from .descent import greedy_descent_linear, greedy_descent_quadratic
+from .descent import MatrixDistribution, greedy_descent_linear, greedy_descent_quadratic
 from .discrepancy import DiscrepancyInstance, sigma_bound, solve_hermitian, solve_kls, two_point_reduction
 from .generate import (
     covering_ensemble,

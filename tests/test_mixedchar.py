@@ -936,8 +936,8 @@ def _slot_tables(table, t, fixed):
 def _convolution_scale(tables, n, deg):
     """Per coefficient: the graded read of the rank product of the zetas of
     |tables|, with |weights|.  It bounds sum_U |H[j, U] W[j, U]| for the
-    signed tables, the sum that scales the rounding of both the ranked
-    convolution and the engine."""
+    signed tables, the sum that scales the engine's rounding, and the sum
+    of |terms| of the reference's direct sum over submasks."""
     pc = popcounts(n)
     H = np.ones((1, 1, 1 << n))
     for t in tables:
