@@ -39,10 +39,10 @@ it, and one ranked Moebius pass over the kept masks give every c_S.  Those
 e_k come from a batched Householder tridiagonalization and the three-term
 recurrence of det(I + tT), with no eigensolve; a batch too small to repay
 numpy's fixed cost per call is eigensolved instead, and the
-elementary-symmetric recurrence runs on its eigenvalues.
-Signs, scalar multiples and operator coefficients enter only through
-per-subset weights, since c_S is multilinear in the matrix arguments.  A
-block-diagonal family such as the hermitian lift is built from its blocks.
+elementary-symmetric recurrence runs on its eigenvalues.  Signs, scalar
+multiples and operator coefficients enter only through per-subset weights,
+since c_S is multilinear in the matrix arguments.  A block-diagonal family
+such as the hermitian lift is built from its blocks.
 
 ``ConvolutionLevels`` serves the branches of a partition descent, whose
 lifted determinant factors over blocks into weighted copies of the table
@@ -118,19 +118,19 @@ class SubsetTable:
         (tests/test_mixedchar.py).  Over 40 seeds of such inputs the largest
         error seen was 2.0 u, and 1.4 u with e_D taken from the spectrum.
         Below the top rank, a batch whose sums times blocks reach
-        ``TRIDIAGONAL_MIN_SUMS`` takes its e_k from
-        ``_tridiagonal_coefficients`` in chunks of
-        ``_CHUNK`` sums, and a smaller one from the spectra of one batched
-        eigensolve; the two routes differ in the last bits.  On the same
-        inputs each c_S with 1 <= |S| < D stays within
-        16 u (sum_{i in S} ||A_i||_*)^|S| of its 50-digit value, the
-        e_|S| of every subset sum taken from ``mpmath.eigh``, on either
-        route: over seeds 0-19 the largest error seen was 5.8 u from the
-        tridiagonal and 8.4 u from the spectra, which the top rank's 4 u
-        does not cover.  A table that overflows (a c_S that is not finite)
-        raises NumericalFailure.
+        ``TRIDIAGONAL_MIN_SUMS`` takes its e_k from ``_tridiagonal_coefficients``
+        in chunks of ``_CHUNK`` sums, and a smaller one from the spectra of
+        one batched eigensolve; the two routes differ in the last bits.  On
+        the same inputs, and on the shapes of small ensembles' builds (d = 2,
+        d = 5 and 6 with 16-57 sums, two parts at d = 2 and 4), each c_S with
+        1 <= |S| < D stays within 16 u (sum_{i in S} ||A_i||_*)^|S| of its
+        50-digit value, the e_|S| of every subset sum taken from
+        ``mpmath.eigh``, on either route: over seeds 0-19 the largest error
+        seen was 5.8 u from the tridiagonal and 8.4 u from the spectra, which
+        the top rank's 4 u does not cover.  A table that overflows (a c_S
+        that is not finite) raises NumericalFailure.
         """
-        A = np.stack([[as_hermitian(M).entries for M in part] for part in parts], axis=1)
+        A = np.array([[as_hermitian(M).entries for M in part] for part in parts]).transpose(1, 0, 2, 3)
         n, blocks, d = A.shape[:3]
         if n > MAX_INDICES or d > MAX_DIM:
             raise SizeGuard(
@@ -138,16 +138,15 @@ class SubsetTable:
                 f"got n={n}, d={d}"
             )
         dim = blocks * d
-        sizes = popcounts(n)
         top = min(n, dim)
-        masks, starts, parents, high, partners = _kept_masks(n, top)
+        sizes, masks, starts, parents, high, partners, picks = _kept_masks(n, top)
         # Only subsets U with |U| <= top enter an alternating sum that the
         # table reads.  Their sums are formed rank by rank, each from the sum
         # without its highest index, and freed once they are solved.
         sums = np.zeros((len(masks),) + A.shape[1:], dtype=A.dtype)
         for k in range(1, top + 1):
             lo, hi = starts[k], starts[k + 1]
-            np.add(sums[parents[lo:hi]], A[high[lo:hi]], out=sums[lo:hi])
+            np.add(sums.take(parents[lo:hi], axis=0), A.take(high[lo:hi], axis=0), out=sums[lo:hi])
         # X[U, k] = e_k(eigenvalues of sum_{i in U} A_i) for k <= top, one
         # row per kept mask and a zero row after them.  A mask U with
         # |U| = dim is read only at c_U, as e_dim: one det per block.  The
@@ -163,11 +162,11 @@ class SubsetTable:
             for lo in range(0, low, _CHUNK):
                 hi = min(lo + _CHUNK, low)
                 E, exps = _tridiagonal_coefficients(sums[lo:hi], top)
-                X[lo:hi] = np.ldexp(E, exps[:, None] * powers)
+                np.ldexp(E, np.multiply.outer(exps, powers), out=X[lo:hi])
         del sums
         _kept_mobius(X, partners)
         coeffs = np.zeros(1 << n)
-        coeffs[masks] = X[np.arange(len(masks)), sizes[masks]]
+        coeffs[masks] = X.ravel()[picks]
         if not np.isfinite(coeffs).all():
             raise NumericalFailure(
                 "subset-derivative table is not finite: the subset sums' "
@@ -202,8 +201,8 @@ def _spectral_coefficients(sums: np.ndarray, top: int) -> np.ndarray:
     E = np.zeros((top + 1, len(sums)))
     E[0] = 1.0
     for j, col in enumerate(lam.T):
-        for k in range(min(j + 1, top), 0, -1):
-            E[k] += col * E[k - 1]
+        k = min(j + 1, top)
+        E[1 : k + 1] += col * E[:k]
     return E.T
 
 
@@ -214,64 +213,78 @@ def _tridiagonal_coefficients(sums: np.ndarray, top: int) -> tuple[np.ndarray, n
 
     Each sum is divided by 2^exps[U], a power of two near its largest entry,
     which keeps the reduction clear of overflow and of subnormals and is
-    exact but for entries under 2^-1021 of the largest.  The whole batch is then Householder-tridiagonalized, d - 2
-    vectorised steps with the batch on the last axis, and e_k is read off
-    det(I + tT) = sum_k e_k t^k by its three-term recurrence over the
-    diagonal a and the squared couplings b (La Budde's method; Rehman and
-    Ipsen, 2011):
+    exact but for entries under 2^-1021 of the largest.  The whole batch is
+    then Householder-tridiagonalized, d - 2 vectorised steps with the batch
+    on the last axis, and e_k is read off det(I + tT) = sum_k e_k t^k by its
+    three-term recurrence over the diagonal a and the squared couplings b
+    (La Budde's method; Rehman and Ipsen, 2011):
 
         p_k(t) = (1 + a_k t) p_(k-1)(t) - b_(k-1) t^2 p_(k-2)(t).
 
     A sum's blocks are one tridiagonal, joined by a zero coupling, so their
     polynomials are never multiplied.  e_1 is the trace of the scaled sum,
-    which is more accurate than the reduced diagonal's sum.
+    which is more accurate than the reduced diagonal's sum.  Every work array
+    is allocated once per call, so no step asks the allocator for memory.
     """
     N, blocks, d = sums.shape[:3]
-    B = N * blocks
-    A = np.ascontiguousarray(sums, dtype=np.complex128).reshape(B, d * d)
+    B, D = N * blocks, blocks * d
+    sums = np.ascontiguousarray(sums, dtype=np.complex128)
     # 2^exps is within a factor 2 of the largest real or imaginary part; a
     # sum whose entries are all subnormal is multiplied by 2^1022 only.
-    exps = np.maximum(np.frexp(np.abs(A.view(np.float64)).reshape(N, -1).max(axis=1, initial=0.0))[1], -1022)
-    A = A.T.copy()  # the batch on the last axis
-    A.view(np.float64)[...] *= np.repeat(np.ldexp(1.0, -exps), 2 * blocks)
-    diagonal = A[:: d + 1].real
-    A = A.reshape(d, d, B)
-    trace = diagonal.sum(axis=0).reshape(N, blocks).sum(axis=1)
+    exps = np.maximum(np.frexp(np.abs(sums.view(np.float64)).reshape(N, -1).max(axis=1, initial=0.0))[1], -1022)
+    # the batch on the last axis, block by block: column j N + U holds block j of sum U
+    A = sums.reshape(N, blocks, d * d).transpose(2, 1, 0).copy()
+    F = A.view(np.float64)
+    F *= np.repeat(np.ldexp(1.0, -exps), 2)
+    A, F = A.reshape(d, d, B), F.reshape(d, d, 2 * B)
+    diagonal = A.reshape(d * d, B)[:: d + 1].real
+    trace = diagonal.sum(axis=0).reshape(blocks, N).sum(axis=0)
     b = np.zeros((d, B))  # b[k] = |T[k + 1, k]|^2; b[d - 1] = 0 joins the blocks
-    for k in range(d - 2):
-        x = A[k + 1 :, k]
-        b[k] = (x.real**2 + x.imag**2).sum(axis=0)
+    squares, pairs, tau, gamma = np.empty((d, 2 * B)), np.empty((d, B)), np.zeros((d, B)), np.empty(B)
+    u, p, w = np.empty((3, d, B), dtype=np.complex128)
+    signs, work = np.ones((d, B), dtype=np.complex128), np.empty(d * d * B, dtype=np.complex128)
+    for k in range(d - 1):
+        j = d - 1 - k
+        x, xf, C = A[k + 1 :, k], F[k + 1 :, k], A[k + 1 :, k + 1 :]
+        np.multiply(xf, xf, out=squares[:j])
+        np.add.reduce(np.add(squares[:j, ::2], squares[:j, 1::2], out=pairs[:j]), axis=0, out=b[k])
+        if j == 1:  # the last coupling is not reflected
+            break
         norm, head = np.sqrt(b[k]), np.abs(x[0])
         # u = x + sign(x_0) |x| e_1 and H = I - tau u u^*, which maps x to
         # -sign(x_0) |x| e_1: |u|^2 = 2 |x| (|x| + |x_0|).  An |x_0| of
         # at most 2^-560, under 2^-60 of any reflected column's norm, takes
         # sign 1, which keeps H unitary to well within u and 1 / |x_0| finite.
-        tau = np.divide(1.0, norm * (norm + head), out=np.zeros(B), where=norm > _NEGLIGIBLE)
-        u = x.copy()
-        u[0] += np.divide(x[0], head, out=np.ones(B, dtype=np.complex128), where=head > _NEGLIGIBLE * 2.0**-60) * norm
-        C = A[k + 1 :, k + 1 :]
-        p = (C * u).sum(axis=1)
-        p *= tau
-        w = p - (0.5 * tau * (u.real * p.real + u.imag * p.imag).sum(axis=0)) * u
-        M = u[:, None] * w.conj()
-        C -= M  # H C H = C - u w^* - w u^*
-        C -= M.conj().transpose(1, 0, 2)
-    if d > 1:
-        x = A[d - 1, d - 2]
-        b[d - 2] = x.real**2 + x.imag**2
-    a = diagonal.reshape(d, N, blocks).transpose(2, 0, 1).reshape(blocks * d, N)
-    b = b.reshape(d, N, blocks).transpose(2, 0, 1).reshape(blocks * d, N)
-    before, last = np.zeros((top + 1, N)), np.zeros((top + 1, N))
-    last[0] = 1.0
-    for k in range(blocks * d):
-        P = last.copy()
-        P[1:] += a[k] * last[:-1]
-        if k:
-            P[2:] -= b[k - 1] * before[:-2]
-        before, last = last, P
+        np.divide(1.0, norm * (norm + head), out=tau[k], where=norm > _NEGLIGIBLE)
+        np.divide(x[0], head, out=signs[k], where=head > _NEGLIGIBLE * 2.0**-60)
+        uk, pk, wk, M = u[:j], p[:j], w[:j], work[: j * j * B].reshape(j, j, B)
+        np.copyto(uk[1:], x[1:])
+        np.add(x[0], np.multiply(signs[k], norm, out=signs[k]), out=uk[0])
+        np.add.reduce(np.multiply(C, uk, out=M), axis=1, out=pk)
+        pk *= tau[k]
+        # w = p - (tau / 2) Re(u^* p) u, and H C H = C - u w^* - w u^*
+        np.multiply(uk.view(np.float64), pk.view(np.float64), out=squares[:j])
+        np.add.reduce(np.add(squares[:j, ::2], squares[:j, 1::2], out=pairs[:j]), axis=0, out=gamma)
+        np.subtract(pk, np.multiply(np.multiply(0.5 * tau[k], gamma, out=gamma), uk, out=wk), out=wk)
+        np.multiply(uk[:, None], np.conjugate(wk, out=wk), out=M)
+        C -= M
+        C -= np.conjugate(M, out=M).transpose(1, 0, 2)
+    # R[k + 1] = p_k after R[0] = p_(-1) = 0, both terms of a step from one
+    # product: row k of the joined tridiagonal is row k % d of block k // d,
+    # and coefficients[k] = (b_(k-1), a_k) with b_(-1) = 0.
+    coefficients = np.zeros((D, 2, 1, N))
+    coefficients[1:, 0, 0] = b.reshape(d, blocks, N).transpose(1, 0, 2).reshape(D, N)[:-1]
+    coefficients[:, 1, 0] = diagonal.reshape(d, blocks, N).transpose(1, 0, 2).reshape(D, N)
+    R, terms = np.zeros((D + 2, top + 1, N)), np.empty((2, top, N))
+    R[1:, 0] = 1.0
+    for k in range(D):
+        np.multiply(coefficients[k], R[k : k + 2, :-1], out=terms)
+        np.add(R[k + 1, 1:], terms[1], out=R[k + 2, 1:])
+        R[k + 2, 2:] -= terms[0, :-1]
+    E = R[D + 1]
     if top:
-        last[1] = trace
-    return last.T, exps
+        E[1] = trace
+    return E.T, exps
 
 
 @functools.lru_cache(maxsize=16)
@@ -279,11 +292,14 @@ def _kept_masks(n: int, top: int):
     """The masks below 2^n with at most ``top`` bits, ordered by bit count
     and then by value, and their index arrays (all read-only):
 
+    sizes: popcounts(n);
     masks, starts: the masks, and rank k's slice starts[k]:starts[k + 1];
     parents, high: per mask, the position of the mask without its highest
         bit, and that bit's index;
     partners[b]: per mask, the position of the mask without bit b, or
-        len(masks), a zero row, when bit b is clear.
+        len(masks), a zero row, when bit b is clear;
+    picks: per mask U, the flat index of X[U, |U|] in an array X of
+        len(masks) + 1 rows and top + 1 columns.
     """
     sizes = popcounts(n)
     masks = np.flatnonzero(sizes <= top)
@@ -298,9 +314,10 @@ def _kept_masks(n: int, top: int):
     parents[0] = 0  # the empty mask's sum is never formed
     bits = 1 << np.arange(n)[:, None]
     partners = np.where(masks & bits, at[masks ^ bits], len(masks))
-    for a in (masks, starts, parents, high, partners):
+    picks = np.arange(len(masks)) * (top + 1) + sizes[masks]
+    for a in (sizes, masks, starts, parents, high, partners, picks):
         a.flags.writeable = False
-    return masks, starts, parents, high, partners
+    return sizes, masks, starts, parents, high, partners, picks
 
 
 def _kept_mobius(X: np.ndarray, partners: np.ndarray) -> None:
@@ -309,10 +326,9 @@ def _kept_mobius(X: np.ndarray, partners: np.ndarray) -> None:
     X[U] -= X[U without b] where U has bit b.  Every mask's subsets are
     kept, so each row ends as the strided pass over all 2^n masks of a
     rank-graded array would leave that mask, bit for bit."""
-    buf = np.empty_like(X[:-1])
+    rows, buf = X[:-1], np.empty_like(X[:-1])
     for idx in partners:
-        np.take(X, idx, axis=0, out=buf)
-        X[:-1] -= buf
+        rows -= X.take(idx, axis=0, out=buf)
 
 
 def _ranked_zeta(t: np.ndarray, pc: np.ndarray, depth: int) -> np.ndarray:
@@ -425,14 +441,15 @@ class ProductLevels:
     ``branch(v)`` is the polynomial with the committed values, the next index
     k set to v and the indices after k free, which
     ``reference.expected_product_poly`` gives for the spec of
-    ``reference.conditional_spec_quadratic``;
-    ``commit(v)`` fixes index k to v for good, and the next level is k + 1.  A fixed index has the rank-one
+    ``reference.conditional_spec_quadratic``; ``commit(v)`` fixes index k to
+    v for good, and the next level is k + 1.  A fixed index has the rank-one
     kernel [1, -t]^T [1, t], so a commit contracts it out of one rank-graded
     table R[sigma, U]: sigma is the total rank |T| and U runs over the masks
     of the indices still free.  The S side is (-1)^(rho - |U|) R, and a free
     index's kernel diag(1, -variances[i]) keeps only the pairs that agree on
-    it, with a sign that cancels the S side's.  So with R_v, R contracted with [1, t] at index k, and
-    q_U = prod_{i in U} variances[i], a branch is the Gram product
+    it, with a sign that cancels the S side's.  So with R_v, R contracted
+    with [1, t] at index k, and q_U = prod_{i in U} variances[i], a branch
+    is the Gram product
 
         sum_{rho, sigma} (-1)^rho (R_v q R_v^T)[rho, sigma] x^(2d - rho - sigma).
 

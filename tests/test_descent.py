@@ -619,6 +619,11 @@ _NEAR_TIES = [0.0, 0.5, 0.999, 1.0, 1.001, 2.0]
 # decided at the one and falls back at the other
 @example(base=-1.375, offsets=[0.0, 2e-9, 0.0, 0.0], raw_weights=[1e-12, 0.01, 1e-12, 0.01], gaps=[1.0, 1.0])
 @example(base=-0.5, offsets=[0.0, 2e-9], raw_weights=[1e-12, 1e-12, 1e-12, 1e-12], gaps=[1.0625])
+# the walk stops 1.3e-12 below the branch's root, inside its band of 7.9e-11
+@example(base=-1.937143557832469, offsets=[0.0, 0.5], raw_weights=[1e-12] * 4, gaps=[0.125, 0.125, 0.25])
+# one step from r = 0.5 to the root 5e-10 errs by about the bound at r, far
+# more than the bound at the root
+@example(base=0.0, offsets=[5e-10, 1.0], raw_weights=[1e-12] * 4, gaps=[])
 def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weights, gaps):
     # exact ties, ties within and just past TIE_TOL, and roots far above r,
     # with weights down to 1e-12 that put r within TIE_TOL of a branch root:
@@ -644,9 +649,16 @@ def test_parent_root_decision_picks_the_companion_winner(base, offsets, raw_weig
     if found:
         best, roots = found
         assert best == companion
-        for root, top in zip(roots, tops):
-            # a root decided below r is the branch's; one left open lies above r
-            assert abs(root - top) <= 1e-12 if root is not None else top > parent
+        for root, top, branch in zip(roots, tops, levels[1]):
+            # a root decided below r is the branch's; one left open lies above
+            # r.  Newton's walk from r ends where rounding hides the sign of p.
+            # Every value it computes, at points between the root and r, errs
+            # by at most evaluate_bounded's bound at the larger of |r| and
+            # |root|, and p' is at least p'(root) above the root, so the walk
+            # ends within that bound over p'(root) of the root.
+            err = evaluate_bounded(branch.coeffs, max(abs(parent), abs(top)))[1]
+            band = err / evaluate_bounded(branch.derivative().coeffs, top)[0]
+            assert abs(root - top) <= band if root is not None else top > parent
 
 
 def test_a_found_root_within_tie_tol_of_the_parent_root_falls_back_beside_an_open_one():

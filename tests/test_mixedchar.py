@@ -209,24 +209,37 @@ def test_table_matches_ring_oracle_terms(kind, route):
         assert np.all(gap <= 1e-12 * scale), (d, n, float(np.max(gap)))
 
 
-@pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("d, n", [(7, 9), (10, 14)])
-def test_table_matches_cauchy_binet_for_rank_one(d, n, route):
-    # With A_i = v_i v_i^*, c_S = det(V_S V_S^*) (Cauchy-Binet), and
-    # Hadamard's bound prod_{i in S} |v_i|^2 caps it.
-    rng = np.random.default_rng(5)
-    V = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) * rng.uniform(0.3, 3.0, (n, 1))
-    with table_route(route):
-        table = SubsetTable.build([np.outer(v, v.conj()) for v in V])
+def _gram_minors(V):
+    """det(V_S V_S^*) per mask S, 1 at the empty mask and 0 past rank d."""
+    n, d = V.shape
     sizes = popcounts(n)
-    want = np.zeros(1 << n)
-    want[0] = 1.0
-    for k in range(1, d + 1):
+    minors = np.zeros(1 << n)
+    minors[0] = 1.0
+    for k in range(1, min(n, d) + 1):
         masks = np.flatnonzero(sizes == k)
         rows = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
         VS = V[rows]
-        want[masks] = np.linalg.det(VS @ VS.conj().swapaxes(1, 2)).real
-    hadamard = subset_products(np.linalg.norm(V, axis=1) ** 2)
+        minors[masks] = np.linalg.det(VS @ VS.conj().swapaxes(1, 2)).real
+    return minors
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "parts, d, n", [(1, 2, 4), (1, 5, 6), (1, 6, 4), (1, 7, 9), (1, 10, 14), (2, 2, 4), (2, 4, 3), (2, 4, 6)]
+)
+def test_table_matches_cauchy_binet_for_rank_one(parts, d, n, route):
+    # With A_i = v_i v_i^*, c_S = det(V_S V_S^*) (Cauchy-Binet), and
+    # Hadamard's bound prod_{i in S} |v_i|^2 caps it.  A two-part build of
+    # diag(v_i v_i^*, w_i w_i^*) is the subset convolution of its parts'
+    # tables, capped by prod_{i in S} (|v_i|^2 + |w_i|^2).  The shapes run
+    # from d = 2, which takes no Householder step, to 57 sums at d = 5.
+    rng = np.random.default_rng(5)
+    Vs = [(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) * rng.uniform(0.3, 3.0, (n, 1)) for _ in range(parts)]
+    with table_route(route):
+        table = SubsetTable.build(*([np.outer(v, v.conj()) for v in V] for V in Vs))
+    minors = [_gram_minors(V) for V in Vs]
+    want = subset_convolve(minors, n) if parts > 1 else minors[0]
+    hadamard = subset_products(sum(np.linalg.norm(V, axis=1) ** 2 for V in Vs))
     gap = np.abs(table.coeffs - want)
     assert np.all(gap <= 1e-12 * hadamard), float(np.max(gap / hadamard))
 
@@ -334,7 +347,7 @@ def test_kept_mobius_is_the_ranked_collapse_bit_for_bit(n, seed):
     rng = np.random.default_rng(seed)
     pc = popcounts(n)
     for top in range(n + 1):
-        masks, _, _, _, partners = mixedchar._kept_masks(n, top)
+        _, masks, _, _, _, partners, _ = mixedchar._kept_masks(n, top)
         X = np.zeros((len(masks) + 1, top + 1))
         X[:-1] = rng.standard_normal((len(masks), top + 1)) * 2.0 ** rng.integers(-60, 60, (len(masks), top + 1))
         X[:-1][rng.random((len(masks), top + 1)) < 0.1] = -0.0
@@ -365,7 +378,8 @@ def _top_rank_exact(parts, S):
 
 
 def _budget_inputs(kind, rng):
-    """The parts of one build: d = 3 blocks, or two d = 2 parts."""
+    """The parts of one build: d = 3 blocks, or two d = 2 parts; the last
+    four kinds have the shapes of small ensembles' builds."""
     if kind == "completion":  # as a partition builds them: two copies of each piece
         E = covering_ensemble(rng, 3, 2, 0.8)
         return [[H.entries for H in list(E) + rank_one_completion(E.sum(), 0.1)]]
@@ -377,6 +391,14 @@ def _budget_inputs(kind, rng):
         return [[P @ random_psd(rng, 3) @ P + 1e-10 * np.outer(v, v) for _ in range(7)]]
     if kind == "trace-spread":
         return [[10.0 ** rng.uniform(-6, 6) * (_indefinite(rng, 3) if i % 2 else random_psd(rng, 3)) for i in range(7)]]
+    if kind == "d2":  # no Householder step
+        return [[_indefinite(rng, 2) if i % 2 else _rank_one(rng, 2) for i in range(5)]]
+    if kind == "d5":  # 57 sums below the top rank
+        return [[_singular(rng, 5) if i % 2 else _indefinite(rng, 5) for i in range(6)]]
+    if kind == "d6":  # n < d: all 16 sums
+        return [[_rank_one(rng, 6) if i % 2 else _indefinite(rng, 6) for i in range(4)]]
+    if kind == "two-part-d4":  # n < dim = 8: all 8 sums
+        return [[_singular(rng, 4) for _ in range(3)], [_indefinite(rng, 4) for _ in range(3)]]
     return [[_rank_one(rng, 2) for _ in range(6)], [_indefinite(rng, 2) for _ in range(6)]]
 
 
@@ -429,13 +451,15 @@ def _below_top_exact(parts, S, spectra):
 
 
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("kind", ["completion", "rank-capped", "near-singular", "trace-spread", "two-part"])
+@pytest.mark.parametrize(
+    "kind", ["completion", "rank-capped", "near-singular", "trace-spread", "two-part", "d2", "d5", "d6", "two-part-d4"]
+)
 def test_coefficients_below_the_top_rank_stay_inside_their_error_budget(kind, route):
     # SubsetTable.build states this budget: a c_S with 1 <= |S| < dim, on
     # either route, within 16 u (sum_{i in S} ||A_i||_*)^|S| of its 50-digit
-    # value, in the top rank's norm.  Largest error seen at these seeds: 5.8 u
-    # from the tridiagonal, 5.5 u from the spectra; over seeds 0-19, 5.8 u
-    # and 8.4 u.
+    # value, in the top rank's norm.  Largest error seen at these seeds, the
+    # small-ensemble shapes d2 to two-part-d4 included: 5.8 u from the
+    # tridiagonal, 5.5 u from the spectra; over seeds 0-19, 5.8 u and 8.4 u.
     worst = 0.0
     with mpmath.workdps(50):
         for seed in range(3):
